@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import evaluation, learning, pipeline, rd_core, synth
+from . import evaluation, learning, pipeline, rd_core
 from .errors import DriverError, LadderError, ValidationError
 from .features_live import extract_live
 from .features_vod import extract_vod
@@ -177,10 +177,9 @@ def _training_matrix(features_path, ladders_path, target):
     if not clip_ids:
         raise ValidationError("no clips shared between features and ladders")
     X = np.array([table[c] for c in clip_ids])
-    attr = {"p1": "p1", "p2": "p2", "p3": "p3"}[target]
     y = np.array(
         [
-            math.log(getattr(ladders[(c, codec, platform, metric)].cross_overs, attr))
+            math.log(getattr(ladders[(c, codec, platform, metric)].cross_overs, target))
             for c in clip_ids
         ]
     )
@@ -215,25 +214,30 @@ def _cmd_select(args):
 
 def _cmd_predict(args):
     names, table = pipeline.read_feature_csv(args.features)
-    models = {}
-    metric = None
-    for path in args.model:
-        model = learning.load_model(path)
-        models[model.target_id] = model
-        metric = model.metric
-    missing = [t for t in learning.TARGET_IDS if t not in models]
+    loaded = [learning.load_model(path) for path in args.model]
+    targets = [m.target_id for m in loaded]
+    repeated = sorted({t for t in targets if targets.count(t) > 1})
+    if repeated:
+        raise ValidationError(f"more than one model given for targets: {repeated}")
+    missing = [t for t in learning.TARGET_IDS if t not in targets]
     if missing:
         raise ValidationError(f"no model provided for targets: {missing}")
+    metrics = sorted({m.metric for m in loaded})
+    if len(metrics) != 1:
+        raise ValidationError(f"models were trained for different metrics: {metrics}")
+    if any(m.feature_names != loaded[0].feature_names for m in loaded):
+        raise ValidationError("models were trained on different feature columns")
+    models = {m.target_id: m for m in loaded}
+    clip_ids = sorted(table)
+    X = np.array([table[c] for c in clip_ids]).reshape(len(clip_ids), len(names))
+    preds = [
+        learning.predict(models[t], X, feature_names=names).tolist()
+        for t in learning.TARGET_IDS
+    ]
     rows = []
-    for clip_id in sorted(table):
-        x = np.asarray(table[clip_id])[None, :]
-        preds = [
-            float(learning.predict(models[t], x, feature_names=names)[0])
-            for t in learning.TARGET_IDS
-        ]
-        p1, p2, p3 = rd_core.monotone_clamp(*preds)
-        ladder = rd_core.BitrateLadder(rd_core.CrossOverSet(p1, p2, p3, metric))
-        rows.append((clip_id, args.codec, args.platform, ladder))
+    for clip_id, p in zip(clip_ids, zip(*preds)):
+        co = rd_core.CrossOverSet(*rd_core.monotone_clamp(*p), metrics[0])
+        rows.append((clip_id, args.codec, args.platform, rd_core.BitrateLadder(co)))
     pipeline.write_ladders_csv(args.out, rows)
 
 
@@ -323,6 +327,8 @@ def _parse_qp_set(spec):
 
 
 def _cmd_synth_rd(args):
+    from . import synth  # imports scipy.ndimage, which no other command needs
+
     if not os.path.isfile(args.params):
         raise ValidationError(f"params file not found: {args.params}")
     with open(args.params) as f:
@@ -348,6 +354,8 @@ def _cmd_synth_rd(args):
 
 
 def _cmd_synth_clip(args):
+    from . import synth
+
     clip = synth.synth_clip(
         args.out, args.clip_id, args.width, args.height, args.frames,
         args.sigma, args.motion, args.seed, fps=args.fps,

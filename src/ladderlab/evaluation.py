@@ -6,7 +6,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, MetricUndefinedError
-from .rd_core import CrossOverSet, convex_hull, hull_resolution_index, monotone_clamp
+from .rd_core import (
+    BitrateLadder, CrossOverSet, convex_hull, hull_resolution_index, monotone_clamp,
+)
 from .stats import pearson
 
 
@@ -160,13 +162,11 @@ def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves,
         raise ContractError(f"missing RD curves for clips: {missing}")
 
     per_target = {}
-    for k, attr in (("p1", "p1"), ("p2", "p2"), ("p3", "p3")):
-        pred = [math.log(getattr(predicted_ladders[c].cross_overs, attr)) for c in clips]
-        ref = [math.log(getattr(eel_ladders[c].cross_overs, attr)) for c in clips]
+    for k in ("p1", "p2", "p3"):
+        pred = [math.log(getattr(predicted_ladders[c].cross_overs, k)) for c in clips]
+        ref = [math.log(getattr(eel_ladders[c].cross_overs, k)) for c in clips]
         r2, srocc, plcc = correlation_metrics(pred, ref)
         per_target[k] = {"r2": r2, "srocc": srocc, "plcc": plcc}
-
-    from .rd_core import BitrateLadder  # local import avoids cycle at module load
 
     sl_ladder = BitrateLadder(sl_cross_overs)
     accuracies = []

@@ -8,7 +8,6 @@ brightness BR.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import ContractError, LadderError, ValidationError
 from .media_io import read_frames
@@ -50,6 +49,8 @@ def _trimmed_plane(plane):
 
 
 def _energies_from_trimmed(trimmed, nh, nw):
+    from scipy import fft as sfft  # imported on use: the CLI loads this module for its names
+
     # DCT over a strided 4-D view avoids materializing per-block copies.
     coef = sfft.dctn(
         trimmed.reshape(nh, ENERGY_BLOCK, nw, ENERGY_BLOCK),

@@ -11,7 +11,6 @@ slots F1..F30.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft, ndimage
 
 from . import stats
 from .errors import ContractError, LadderError, ValidationError
@@ -110,6 +109,8 @@ def _block_half_spectra(plane):
         raise ContractError(
             f"plane {w}x{h} smaller than one {TC_BLOCK}x{TC_BLOCK} block"
         )
+    from scipy import fft as sfft  # imported on use: the CLI loads this module for its names
+
     v = plane[: nh * TC_BLOCK, : nw * TC_BLOCK].reshape(nh, TC_BLOCK, nw, TC_BLOCK)
     spec = sfft.rfftn(v, axes=(1, 3))
     return (
@@ -248,6 +249,8 @@ def noise_estimate(luma):
     h, w = luma.shape
     if h < 3 or w < 3:
         raise ContractError("noise estimate needs a plane of at least 3x3")
+    from scipy import ndimage
+
     conv = ndimage.correlate(luma, _LAPLACIAN_DIFF, mode="nearest")[1:-1, 1:-1]
     return float(np.sqrt(np.pi / 2.0) * np.sum(np.abs(conv)) / (6.0 * (w - 2) * (h - 2)))
 

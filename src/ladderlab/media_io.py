@@ -5,6 +5,7 @@ from the file size (raw YUV carries no header); the file size is only
 checked for consistency.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -34,6 +35,10 @@ class VideoClip:
             )
         if self.frame_count < 2:
             raise ValidationError(f"{self.clip_id}: frame_count must be >= 2")
+        if not (self.fps > 0 and math.isfinite(self.fps)):
+            raise ValidationError(
+                f"{self.clip_id}: fps must be positive and finite, got {self.fps}"
+            )
         if self.bit_depth != 8:
             raise ValidationError(f"{self.clip_id}: only 8-bit supported")
         if self.pixel_format.lower() != "yuv420p":

@@ -70,15 +70,18 @@ def load_manifest(path, check_files=True):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            clip = VideoClip(
-                clip_id=rec["clip_id"],
-                path=rec["path"],
-                width=int(rec["width"]),
-                height=int(rec["height"]),
-                fps=float(rec.get("fps", 60.0)),
-                frame_count=int(rec["frame_count"]),
-                pixel_format=rec.get("pixel_format", "yuv420p"),
-            )
+            try:
+                clip = VideoClip(
+                    clip_id=rec["clip_id"],
+                    path=rec["path"],
+                    width=int(rec["width"]),
+                    height=int(rec["height"]),
+                    fps=float(rec.get("fps", 60.0)),
+                    frame_count=int(rec["frame_count"]),
+                    pixel_format=rec.get("pixel_format", "yuv420p"),
+                )
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             if clip.clip_id in seen:
                 raise ValidationError(f"{path}:{lineno}: duplicate clip_id {clip.clip_id!r}")
             seen.add(clip.clip_id)

@@ -6,10 +6,10 @@ well-conditioned across the kbps-to-Mbps range.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ContractError, DegenerateCurveError, ValidationError
 
@@ -51,8 +51,81 @@ class RDCurve:
         if self._interp is None:
             lb = np.log([p.bitrate for p in self.points])
             q = np.array([p.quality for p in self.points])
-            self._interp = PchipInterpolator(lb, q)
+            self._interp = _Pchip(lb, q)
         return self._interp
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant through (x, y).
+
+    Interior slopes are the weighted harmonic means of Fritsch & Carlson
+    (SIAM J. Numer. Anal. 17(2), 1980); end slopes use Moler's one-sided
+    shape-preserving rule (Numerical Computing with MATLAB, sec. 3.6).
+    The slopes, the Hermite coefficients, the interval search and the
+    power-sum evaluation repeat scipy.interpolate.PchipInterpolator
+    operation for operation, so results are bit-identical to it.  A
+    Python float is evaluated with float arithmetic over lists, several
+    times cheaper per call than numpy on a 0-d array; anything else goes
+    through numpy.  Queries outside the knots extrapolate the end cubics.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        h = x[1:] - x[:-1]
+        if len(x) < 2 or not (np.isfinite(x).all() and np.isfinite(y).all() and (h > 0).all()):
+            raise ValidationError("interpolation needs 2+ finite, strictly increasing knots")
+        m = (y[1:] - y[:-1]) / h
+        d = np.empty_like(y)
+        if len(x) == 2:
+            d[:] = m[0]
+        else:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            sm = np.sign(m)
+            flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            hl, ml = h.tolist(), m.tolist()
+            d[0] = _pchip_end_slope(hl[0], hl[1], ml[0], ml[1])
+            d[-1] = _pchip_end_slope(hl[-1], hl[-2], ml[-1], ml[-2])
+        if not np.isfinite(d).all():
+            raise ValidationError("interpolation knots too close: slopes overflow")
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        # scipy sums from 0.0 + y, which turns a -0.0 into 0.0.
+        self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1] + 0.0)
+        self._x = x
+        self._cl = tuple(c.tolist() for c in self._c)
+        self._xl = x.tolist()
+
+    def __call__(self, q):
+        # Interval i has x[i] <= q < x[i+1], clipped to the end intervals;
+        # searching the inner knots alone gives that clipped index.
+        if isinstance(q, float):
+            x, (c0, c1, c2, c3) = self._xl, self._cl
+            i = bisect_right(x, q, 1, len(x) - 1) - 1
+        else:
+            x, (c0, c1, c2, c3) = self._x, self._c
+            q = np.asarray(q, dtype=np.float64)
+            i = np.searchsorted(x[1:-1], q, side="right")
+        s = q - x[i]
+        s2 = s * s
+        return ((c3[i] + c2[i] * s) + c1[i] * s2) + c0[i] * (s2 * s)
+
+
+def _sign(v):
+    """np.sign for a float: -1, 0 or 1, and NaN for NaN."""
+    return (v > 0) - (v < 0) if v == v else v
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def build_rd_curve(samples, resolution, metric):
@@ -130,17 +203,12 @@ def cross_over(lower, higher, max_bitrate):
     if np.all(diff <= 0):
         return max_bitrate
     sign = np.sign(diff)
-    idx = None
-    for i in range(len(grid) - 1):
-        if sign[i] == 0:
-            return float(math.exp(grid[i]))
-        if sign[i] * sign[i + 1] < 0:
-            idx = i
-            break
-    if idx is None:
-        return float(math.exp(grid[np.nonzero(sign == 0)[0][0]]))
-    a, b = grid[idx], grid[idx + 1]
-    fa = diff[idx]
+    # diff takes both signs, so some grid step touches zero or changes sign.
+    i = int(np.flatnonzero((sign[:-1] == 0) | (sign[:-1] * sign[1:] < 0))[0])
+    if sign[i] == 0:
+        return float(math.exp(grid[i]))
+    a, b = float(grid[i]), float(grid[i + 1])
+    fa = float(diff[i])
     tol = math.log1p(CROSS_OVER_REL_TOL)
     while b - a > tol:
         m = 0.5 * (a + b)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ladderlab.cli import main
@@ -118,8 +119,6 @@ def test_cli_outputs_byte_identical_across_reruns_and_jobs(tmp_path):
 
 def test_predict_evaluate_round_trip(tmp_path):
     # build a tiny corpus of designed ladders, train, predict, evaluate
-    import numpy as np
-
     curves_dir = tmp_path / "curves"
     samples = tmp_path / "rd.csv"
     rows = []
@@ -175,3 +174,80 @@ def test_predict_evaluate_round_trip(tmp_path):
     assert set(doc["per_target"]) == {"p1", "p2", "p3"}
     assert 0.0 <= doc["accuracy"] <= 1.0
     assert (tmp_path / "report.csv").exists()
+
+
+def _tiny_model(tmp_path, target, metric="ypsnr", names=("F1", "F2", "F3")):
+    """Save a 3-tree model for one target and return its path."""
+    from ladderlab import learning
+
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, (12, len(names)))
+    y = 5.0 + 1.2 * int(target[1]) + X[:, 0]
+    matrix = learning.TrainingMatrix([f"c{i}" for i in range(12)], list(names), X, y)
+    model = learning.train(matrix, learning.Hyperparams(n_trees=3), "extratrees", target, metric)
+    path = tmp_path / f"model_{target}_{metric}_{len(names)}.json"
+    learning.save_model(model, path)
+    return str(path)
+
+
+def _write_tiny_features(tmp_path, n_rows=7):
+    rng = np.random.default_rng(1)
+    feats = tmp_path / "features.csv"
+    with open(feats, "w") as f:
+        f.write("clip_id,F1,F2,F3\n")
+        for i in range(n_rows):
+            f.write(f"v{i}," + ",".join(repr(float(v)) for v in rng.uniform(0, 1, 3)) + "\n")
+    return feats
+
+
+def _predict(tmp_path, models):
+    cmd = ["predict", "--features", str(_write_tiny_features(tmp_path)),
+           "--out", str(tmp_path / "pred.csv")]
+    for m in models:
+        cmd += ["--model", m]
+    return main(cmd)
+
+
+def test_predict_matches_row_by_row_reference(tmp_path):
+    from ladderlab import learning, rd_core
+
+    paths = [_tiny_model(tmp_path, t) for t in ("p1", "p2", "p3")]
+    assert _predict(tmp_path, paths) == 0
+    names, table = read_feature_csv(tmp_path / "features.csv")
+    models = [learning.load_model(p) for p in paths]
+    want = {}
+    for clip_id, row in table.items():
+        preds = [float(learning.predict(m, np.asarray(row)[None, :], names)[0]) for m in models]
+        want[clip_id] = rd_core.monotone_clamp(*preds)
+    got = read_ladders_csv(tmp_path / "pred.csv")
+    assert {k[0]: v.cross_overs.as_tuple() for k, v in got.items()} == want
+
+
+@pytest.mark.parametrize("variant", ["duplicate_target", "mixed_metric", "mixed_features"])
+def test_predict_rejects_inconsistent_models(tmp_path, capsys, variant):
+    p1, p2, p3 = (_tiny_model(tmp_path, t) for t in ("p1", "p2", "p3"))
+    models = {
+        "duplicate_target": [p1, p2, p2, p3],
+        "mixed_metric": [p1, p2, _tiny_model(tmp_path, "p3", metric="vmaf")],
+        "mixed_features": [p1, p2, _tiny_model(tmp_path, "p3", names=("F1", "F2", "F3", "F4"))],
+    }[variant]
+    assert _predict(tmp_path, models) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("fps", [0, -25, "NaN"])
+def test_features_rejects_non_positive_fps(tmp_path, capsys, fps):
+    clip = tmp_path / "c0.yuv"
+    clip.write_bytes(bytes(64 * 64 * 3 // 2 * 2))
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({
+        "clip_id": "c0", "path": str(clip), "width": 64, "height": 64,
+        "fps": fps, "frame_count": 2,
+    }) + "\n")
+    code = main(["features", "vod", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "vod.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"{manifest}:1: c0: fps" in err

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
-from ladderlab.errors import DegenerateCurveError
-from ladderlab.rd_core import RDPoint, build_rd_curve, monotone_clamp
+from ladderlab.errors import DegenerateCurveError, ValidationError
+from ladderlab.rd_core import RDPoint, _Pchip, build_rd_curve, monotone_clamp
 from ladderlab.stats import ten_stats
 
 finite = st.floats(
@@ -74,3 +76,38 @@ def test_pareto_cleaning_invariants(raw):
             and q.quality >= p.quality
             for q in points
         )
+
+
+@st.composite
+def pchip_cases(draw):
+    """Knots (2 to 20), monotone or arbitrary values, and queries that
+    include every knot plus points up to 1 beyond either end."""
+    x = np.array(sorted(draw(st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=20,
+                                      unique=True))))
+    n = len(x)
+    if draw(st.booleans()):
+        y = np.cumsum(draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n)))
+    else:
+        y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    q = draw(st.lists(st.floats(x[0] - 1.0, x[-1] + 1.0), max_size=30))
+    return x, y, np.array(q + x.tolist())
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300)
+@given(pchip_cases())
+def test_pchip_bitwise_equals_scipy(case):
+    x, y, q = case
+    try:
+        ref = PchipInterpolator(x, y)
+    except ValueError:  # e.g. knots so close that a slope overflows
+        with pytest.raises(ValidationError):
+            _Pchip(x, y)
+        return
+    ours = _Pchip(x, y)
+    assert _bits(ours(q)) == _bits(ref(q))
+    for v in q.tolist():
+        assert _bits(ours(v)) == _bits(ref(v))

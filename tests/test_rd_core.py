@@ -8,6 +8,7 @@ from ladderlab.rd_core import (
     LADDER_RESOLUTIONS,
     BitrateLadder,
     CrossOverSet,
+    RDCurve,
     RDPoint,
     build_rd_curve,
     convex_hull,
@@ -91,6 +92,12 @@ def test_interpolation_out_of_range():
     curve = log_curve(30, 2, [100, 200])
     with pytest.raises(ContractError):
         interpolate_quality(curve, 50)
+
+
+def test_interpolation_rejects_non_finite_quality():
+    curve = RDCurve(SD, "ypsnr", [RDPoint(100, 30.0), RDPoint(200, math.inf)])
+    with pytest.raises(ValidationError):
+        interpolate_quality(curve, 150)
 
 
 # ------------------------------------------------------------ cross_over
