@@ -24,11 +24,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p):
-    p.add_argument("--jobs", type=int, default=1, help="worker count (never changes output)")
-    p.add_argument("--seed", type=int, default=0)
-
-
 def build_parser():
     parser = _Parser(prog="ladderlab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,21 +32,22 @@ def build_parser():
     p.add_argument("kind", choices=("vod", "live"))
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker count (never changes output)")
+    p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("rd", help="rate-distortion curve tools")
     rd_sub = p.add_subparsers(dest="rd_command", required=True)
     pb = rd_sub.add_parser("build", help="build Pareto-cleaned curves from samples")
     pb.add_argument("--samples", required=True)
     pb.add_argument("--out", required=True)
-    _add_common(pb)
+    pb.set_defaults(func=_cmd_rd_build)
 
     p = sub.add_parser("hull", help="compute exhaustive-encoding ladders")
     p.add_argument("--curves", required=True)
     p.add_argument("--metric", choices=rd_core.METRICS, required=True)
     p.add_argument("--max-bitrate", type=float, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.set_defaults(func=_cmd_hull)
 
     p = sub.add_parser("train", help="train a cross-over regressor")
     p.add_argument("--features", required=True)
@@ -59,16 +55,18 @@ def build_parser():
     p.add_argument("--target", choices=learning.TARGET_IDS, required=True)
     p.add_argument("--model-kind", choices=learning.MODEL_KINDS, default="extratrees")
     p.add_argument("--n-trees", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("select", help="recursive feature elimination report")
     p.add_argument("--features", required=True)
     p.add_argument("--ladders", required=True)
     p.add_argument("--target", choices=learning.TARGET_IDS, default="p3")
     p.add_argument("--model-kind", choices=learning.MODEL_KINDS, default="extratrees")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("predict", help="predict ladders from feature vectors")
     p.add_argument("--model", action="append", required=True,
@@ -77,7 +75,7 @@ def build_parser():
     p.add_argument("--codec", default="avc")
     p.add_argument("--platform", default="software")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predicted ladders")
     p.add_argument("--pred", required=True)
@@ -86,12 +84,12 @@ def build_parser():
                    help="training-set ladder CSV used to build the static ladder")
     p.add_argument("--curves", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("bdbr", help="BD-BR between two (rate, quality) sample sets")
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True)
-    _add_common(p)
+    p.set_defaults(func=_cmd_bdbr)
 
     p = sub.add_parser("encode", help="run the external encoder sweep")
     p.add_argument("--profile", required=True)
@@ -99,7 +97,8 @@ def build_parser():
     p.add_argument("--workdir", default=".")
     p.add_argument("--metric-name", choices=rd_core.METRICS, default="ypsnr")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker count (never changes output)")
+    p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("synth", help="synthetic oracles")
     synth_sub = p.add_subparsers(dest="synth_command", required=True)
@@ -110,8 +109,9 @@ def build_parser():
     pr.add_argument("--codec", default="avc")
     pr.add_argument("--platform", default="software")
     pr.add_argument("--metric", choices=rd_core.METRICS, default="ypsnr")
+    pr.add_argument("--seed", type=int, default=0, help="used when the params file has none")
     pr.add_argument("--out", required=True)
-    _add_common(pr)
+    pr.set_defaults(func=_cmd_synth_rd)
     pc = synth_sub.add_parser("clip", help="synthetic raw clip")
     pc.add_argument("--out", required=True)
     pc.add_argument("--clip-id", default="synth")
@@ -121,8 +121,9 @@ def build_parser():
     pc.add_argument("--sigma", type=float, default=10.0)
     pc.add_argument("--motion", type=float, default=0.0)
     pc.add_argument("--fps", type=float, default=60.0)
+    pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--manifest", default=None, help="manifest to append the clip to")
-    _add_common(pc)
+    pc.set_defaults(func=_cmd_synth_clip)
 
     return parser
 
@@ -162,15 +163,24 @@ def _cmd_hull(args):
     pipeline.write_ladders_csv(args.out, rows)
 
 
+def _one_combination(path, keyed):
+    """The single (codec, platform, metric) of a ladder file or curves directory.
+
+    Commands key these rows by clip_id alone, so a mixed input would
+    silently keep one row per clip.
+    """
+    combos = sorted({k[1:] for k in keyed})
+    if len(combos) != 1:
+        raise ValidationError(
+            f"{path}: expected one codec/platform/metric combination, found {combos}"
+        )
+    return combos[0]
+
+
 def _training_matrix(features_path, ladders_path, target):
     names, table = pipeline.read_feature_csv(features_path)
     ladders = pipeline.read_ladders_csv(ladders_path)
-    combos = {k[1:] for k in ladders}
-    if len(combos) != 1:
-        raise ValidationError(
-            f"ladder file mixes codec/platform/metric combinations: {sorted(combos)}"
-        )
-    codec, platform, metric = combos.pop()
+    codec, platform, metric = _one_combination(ladders_path, ladders)
     clip_ids = sorted(
         cid for (cid, *_rest) in ladders if cid in table
     )
@@ -243,9 +253,18 @@ def _cmd_predict(args):
 
 def _cmd_evaluate(args):
     pred = pipeline.read_ladders_csv(args.pred)
-    eel = pipeline.read_ladders_csv(args.eel)
-    train_l = pipeline.read_ladders_csv(args.sl_from_train)
-    curves = pipeline.read_curves_dir(args.curves)
+    combo = _one_combination(args.pred, pred)
+    eel, train_l = (pipeline.read_ladders_csv(p) for p in (args.eel, args.sl_from_train))
+    for path, keyed in ((args.eel, eel), (args.sl_from_train, train_l)):
+        found = _one_combination(path, keyed)
+        if found != combo:
+            raise ValidationError(f"{path}: holds {found}, but {args.pred} holds {combo}")
+    # Like `hull --metric`, take from a curves directory only the curves
+    # of the combination the predictions were made for.
+    curves = {k: v for k, v in pipeline.read_curves_dir(args.curves).items()
+              if k[1:] == combo}
+    if not curves:
+        raise ValidationError(f"{args.curves}: no curves for {combo}")
     sl = evaluation.static_ladder([l.cross_overs for l in train_l.values()])
     pred_by_clip = {k[0]: v for k, v in pred.items()}
     eel_by_clip = {k[0]: v for k, v in eel.items() if k[0] in pred_by_clip}
@@ -371,32 +390,9 @@ def _cmd_synth_clip(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "features":
-            _cmd_features(args)
-        elif args.command == "rd":
-            _cmd_rd_build(args)
-        elif args.command == "hull":
-            _cmd_hull(args)
-        elif args.command == "train":
-            _cmd_train(args)
-        elif args.command == "select":
-            _cmd_select(args)
-        elif args.command == "predict":
-            _cmd_predict(args)
-        elif args.command == "evaluate":
-            _cmd_evaluate(args)
-        elif args.command == "bdbr":
-            _cmd_bdbr(args)
-        elif args.command == "encode":
-            _cmd_encode(args)
-        elif args.command == "synth":
-            if args.synth_command == "rd":
-                _cmd_synth_rd(args)
-            else:
-                _cmd_synth_clip(args)
+        args.func(args)
     except DriverError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -32,9 +32,6 @@ class LiveFeatureVector:
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("non-finite feature value")
 
-    def as_array(self):
-        return np.asarray(self.values, dtype=np.float64)
-
 
 def _trimmed_plane(plane):
     """Float64 plane cropped to full 32x32 blocks, plus the tiling shape."""

@@ -50,9 +50,6 @@ class VodFeatureVector:
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("non-finite feature value")
 
-    def as_array(self):
-        return np.asarray(self.values, dtype=np.float64)
-
 
 def glcm_descriptors(luma, offsets=((0, 1), (1, 0))):
     """(contrast, correlation, energy, homogeneity, entropy) of the luma plane.

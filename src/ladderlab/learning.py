@@ -154,7 +154,7 @@ class _TreeBuilder:
         self.right[node] = self.build(idx[~mask])
         return node
 
-    def _candidates(self, n_valid=None):
+    def _candidates(self):
         m = min(self.max_features, self.d)
         cand = self.rng.choice(self.d, size=m, replace=False)
         # Ties between equally good splits break toward the lowest
@@ -303,41 +303,12 @@ def predict(model, X, feature_names=None):
     return np.exp(predict_log(model, X, feature_names))
 
 
-def training_r2(model, matrix):
-    pred = predict_log(model, matrix.X)
-    sst = float(np.sum((matrix.y - matrix.y.mean()) ** 2))
-    sse = float(np.sum((matrix.y - pred) ** 2))
-    if sst <= _VAR_EPS:
-        return 1.0 if sse <= _VAR_EPS else 0.0
-    return 1.0 - sse / sst
-
-
 def impurity_importance(model):
     """Per-feature total impurity decrease, normalized to sum to 1."""
     total = model.feature_gains.sum()
     if total <= 0:
         return np.zeros_like(model.feature_gains)
     return model.feature_gains / total
-
-
-def permutation_importance(model, matrix, n_repeats=5, seed=0):
-    """Mean squared-error increase after within-column permutation."""
-    if n_repeats < 1:
-        raise ContractError("n_repeats must be >= 1")
-    base_pred = predict_log(model, matrix.X)
-    base_mse = float(np.mean((matrix.y - base_pred) ** 2))
-    n, d = matrix.X.shape
-    scores = np.zeros(d)
-    for f in range(d):
-        acc = 0.0
-        for r in range(n_repeats):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), f, r]))
-            Xp = matrix.X.copy()
-            Xp[:, f] = Xp[rng.permutation(n), f]
-            mse = float(np.mean((matrix.y - predict_log(model, Xp)) ** 2))
-            acc += mse - base_mse
-        scores[f] = acc / n_repeats
-    return scores
 
 
 @dataclass

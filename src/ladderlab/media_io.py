@@ -1,4 +1,4 @@
-"""Raw planar YUV420P (I420) reading/writing and Lanczos-3 resampling.
+"""Raw planar YUV420P (I420) reading and writing.
 
 Frames are 8-bit only.  Dimensions always come from the manifest, never
 from the file size (raw YUV carries no header); the file size is only
@@ -89,65 +89,3 @@ def write_frames(path, frames):
             f.write(np.ascontiguousarray(cb, dtype=np.uint8).tobytes())
             f.write(np.ascontiguousarray(cr, dtype=np.uint8).tobytes())
 
-
-def _lanczos3_kernel(t):
-    t = np.abs(t)
-    out = np.zeros_like(t)
-    core = (t > 1e-12) & (t < 3.0)
-    tc = t[core]
-    out[core] = 3.0 * np.sin(np.pi * tc) * np.sin(np.pi * tc / 3.0) / (np.pi**2 * tc**2)
-    out[t <= 1e-12] = 1.0
-    return out
-
-
-def _lanczos3_matrix(n_in, n_out):
-    """Dense (n_out, n_in) row-normalized Lanczos-3 weight matrix.
-
-    Centers map with the half-pixel convention; out-of-range taps are
-    clamped to the edge sample.
-    """
-    scale = n_in / n_out
-    centers = (np.arange(n_out) + 0.5) * scale - 0.5
-    left = np.floor(centers).astype(np.int64) - 2
-    taps = left[:, None] + np.arange(6)[None, :]
-    w = _lanczos3_kernel(centers[:, None] - taps)
-    w /= w.sum(axis=1, keepdims=True)
-    taps = np.clip(taps, 0, n_in - 1)
-    mat = np.zeros((n_out, n_in))
-    rows = np.repeat(np.arange(n_out), 6)
-    np.add.at(mat, (rows, taps.ravel()), w.ravel())
-    return mat
-
-
-def _round_half_away(x):
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
-def lanczos3_resample(plane, out_width, out_height):
-    """Separable Lanczos-3 resample of a uint8 plane.
-
-    Clamp-to-edge boundary; output rounded half away from zero and
-    clamped to [0, 255].  Identity-size calls are bit-exact.
-    """
-    if out_width <= 0 or out_height <= 0:
-        raise ValidationError(f"bad output dimensions {out_width}x{out_height}")
-    plane = np.asarray(plane)
-    in_h, in_w = plane.shape
-    if (out_width, out_height) == (in_w, in_h):
-        return plane.astype(np.uint8, copy=True)
-    data = plane.astype(np.float64)
-    if out_height != in_h:
-        data = _lanczos3_matrix(in_h, out_height) @ data
-    if out_width != in_w:
-        data = data @ _lanczos3_matrix(in_w, out_width).T
-    return np.clip(_round_half_away(data), 0, 255).astype(np.uint8)
-
-
-def resample_clip_frames(frames, out_width, out_height):
-    """Resample full 4:2:0 triples (luma and both chroma planes)."""
-    for y, cb, cr in frames:
-        yield (
-            lanczos3_resample(y, out_width, out_height),
-            lanczos3_resample(cb, out_width // 2, out_height // 2),
-            lanczos3_resample(cr, out_width // 2, out_height // 2),
-        )

@@ -7,6 +7,7 @@ written with repr, which round-trips exactly.
 
 import concurrent.futures
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -46,12 +47,6 @@ def _fmt(x):
 class Manifest:
     clips: list  # VideoClip
     strata: dict  # clip_id -> stratum label (may be missing)
-
-    def clip(self, clip_id):
-        for c in self.clips:
-            if c.clip_id == clip_id:
-                return c
-        raise ValidationError(f"clip {clip_id!r} not in manifest")
 
 
 def load_manifest(path, check_files=True):
@@ -179,30 +174,24 @@ def run_encode(profile, clip, resolution, qp, workdir):
     output = os.path.join(
         workdir, f"{clip.clip_id}_{width}x{height}_qp{qp}.bin"
     )
-    enc_cmd = expand_template(
-        profile.encode_template,
+    bindings = dict(
         input=clip.path,
         width=width,
         height=height,
         qp=qp,
         fps=profile.fps,
+        preset=profile.preset,
+        codec=profile.codec,
         output=output,
     )
+    enc_cmd = expand_template(profile.encode_template, **bindings)
     _run_command(enc_cmd)
     if not os.path.isfile(output):
         raise DriverError(f"encoder produced no output file {output}", command=enc_cmd)
     bits = os.path.getsize(output) * 8
     bitrate_kbps = bits / clip.duration_seconds / 1000.0
 
-    met_cmd = expand_template(
-        profile.metric_template,
-        input=clip.path,
-        width=width,
-        height=height,
-        qp=qp,
-        fps=profile.fps,
-        output=output,
-    )
+    met_cmd = expand_template(profile.metric_template, **bindings)
     stdout = _run_command(met_cmd)
     lines = [l for l in stdout.splitlines() if l.strip()]
     try:
@@ -281,20 +270,24 @@ def read_rd_samples_csv(path):
         header = f.readline().strip()
         if header != RD_SAMPLE_HEADER:
             raise ValidationError(f"{path}: bad RD sample header")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             parts = line.strip().split(",")
             if len(parts) != 9:
-                raise ValidationError(f"{path}: ragged RD sample row")
+                raise ValidationError(f"{path}:{lineno}: ragged RD sample row")
             clip_id, codec, platform, w, h, qp, bitrate, metric, quality = parts
-            key = (clip_id, codec, platform, metric)
-            res = (int(w), int(h))
-            out.setdefault(key, {}).setdefault(res, []).append(
-                RDPoint(
+            try:
+                res = (int(w), int(h))
+                point = RDPoint(
                     bitrate=float(bitrate),
                     quality=float(quality),
                     qp=int(qp) if qp else None,
                 )
-            )
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(point.bitrate) and math.isfinite(point.quality)):
+                raise ValidationError(f"{path}:{lineno}: non-finite bitrate or quality")
+            key = (clip_id, codec, platform, metric)
+            out.setdefault(key, {}).setdefault(res, []).append(point)
     return out
 
 

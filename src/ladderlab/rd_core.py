@@ -236,7 +236,6 @@ class CrossOverSet:
 @dataclass(frozen=True)
 class BitrateLadder:
     cross_overs: CrossOverSet
-    resolutions: tuple = LADDER_RESOLUTIONS
 
 
 def monotone_clamp(p1, p2, p3):
@@ -290,7 +289,7 @@ def convex_hull(curves, ladder):
     """
 
     def lookup(bitrate):
-        res = ladder.resolutions[hull_resolution_index(ladder, bitrate)]
+        res = LADDER_RESOLUTIONS[hull_resolution_index(ladder, bitrate)]
         return res, _quality_clamped(curves[res], bitrate)
 
     return lookup

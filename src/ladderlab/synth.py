@@ -68,8 +68,14 @@ def synth_clip(path, clip_id, width, height, frames, texture_sigma, motion,
     Returns the VideoClip record describing the written file.  Chroma is
     flat 128 (achromatic), so colorfulness-driven cases stay trivial.
     """
-    if width % 2 or height % 2:
-        raise ValidationError("dimensions must be even")
+    clip = VideoClip(
+        clip_id=clip_id,
+        path=str(path),
+        width=width,
+        height=height,
+        fps=fps,
+        frame_count=frames,
+    )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC11F]))
     base = rng.normal(0.0, 1.0, size=(height, width))
     base = ndimage.gaussian_filter(base, sigma=1.5, mode="wrap")
@@ -85,14 +91,7 @@ def synth_clip(path, clip_id, width, height, frames, texture_sigma, motion,
             yield np.clip(np.rint(luma), 0, 255).astype(np.uint8), cb, cr
 
     write_frames(path, frame_iter())
-    return VideoClip(
-        clip_id=clip_id,
-        path=str(path),
-        width=width,
-        height=height,
-        fps=fps,
-        frame_count=frames,
-    )
+    return clip
 
 
 @dataclass(frozen=True)

@@ -163,34 +163,6 @@ def temporal_energy_oracle(prev, curr, block=32):
     return sum(abs(b - a) for a, b in zip(ea, eb)) / len(ea)
 
 
-def lanczos_kernel_oracle(t):
-    t = abs(t)
-    if t < 1e-12:
-        return 1.0
-    if t >= 3.0:
-        return 0.0
-    return 3.0 * math.sin(math.pi * t) * math.sin(math.pi * t / 3.0) / (math.pi**2 * t**2)
-
-
-def lanczos_row_oracle(row, out_len):
-    """1-D Lanczos-3 resample with clamp-to-edge, no rounding."""
-    n = len(row)
-    scale = n / out_len
-    out = []
-    for x in range(out_len):
-        center = (x + 0.5) * scale - 0.5
-        left = math.floor(center) - 2
-        wsum = 0.0
-        acc = 0.0
-        for tap in range(left, left + 6):
-            wgt = lanczos_kernel_oracle(center - tap)
-            src = min(max(tap, 0), n - 1)
-            acc += wgt * float(row[src])
-            wsum += wgt
-        out.append(acc / wsum)
-    return out
-
-
 def bd_rate_trapezoid_oracle(ref, test, n=10_000):
     """BD-BR via fine trapezoid integration of the fitted cubics."""
     ref = np.asarray(ref, dtype=np.float64)

@@ -392,22 +392,20 @@ def test_a9_cli_determinism(capsys, corpus, tmp_path):
         ladders = run / "ladders.csv"
         features = run / "features.csv"
         pred = run / "pred.csv"
-        j = str(jobs)
         assert main(["rd", "build", "--samples", str(corpus["samples"]),
-                     "--out", str(curves), "--jobs", j]) == 0
+                     "--out", str(curves)]) == 0
         assert main(["hull", "--curves", str(curves), "--metric", "ypsnr",
-                     "--out", str(ladders), "--jobs", j]) == 0
+                     "--out", str(ladders)]) == 0
         assert main(["features", "vod", "--manifest", str(corpus["manifest"]),
-                     "--out", str(features), "--jobs", j]) == 0
+                     "--out", str(features), "--jobs", str(jobs)]) == 0
         models = []
         for target in ("p1", "p2", "p3"):
             model = run / f"model_{target}.json"
             assert main(["train", "--features", str(features),
                          "--ladders", str(ladders), "--target", target,
-                         "--n-trees", "20", "--out", str(model), "--jobs", j]) == 0
+                         "--n-trees", "20", "--out", str(model)]) == 0
             models.append(model)
-        cmd = ["predict", "--features", str(features), "--out", str(pred),
-               "--jobs", j]
+        cmd = ["predict", "--features", str(features), "--out", str(pred)]
         for m in models:
             cmd += ["--model", str(m)]
         assert main(cmd) == 0

@@ -251,3 +251,128 @@ def test_features_rejects_non_positive_fps(tmp_path, capsys, fps):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and f"{manifest}:1: c0: fps" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hull", "--curves", "c", "--metric", "ypsnr", "--out", "l.csv", "--jobs", "2"],
+    ["rd", "build", "--samples", "rd.csv", "--out", "c", "--seed", "1"],
+    ["evaluate", "--pred", "p.csv", "--eel", "e.csv", "--sl-from-train", "t.csv",
+     "--curves", "c", "--out", "r.json", "--jobs", "2"],
+])
+def test_commands_reject_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ladderlab")
+    assert err.count("error:") == 1 and "unrecognized arguments: --" in err
+
+
+def _codec_inputs(tmp_path, codec):
+    """Samples, curves and EEL ladders for clips c1..c3 encoded with `codec`."""
+    samples = tmp_path / f"rd_{codec}.csv"
+    curves = tmp_path / f"curves_{codec}"
+    ladders = tmp_path / f"ladders_{codec}.csv"
+    lines = []
+    for i in range(1, 4):
+        scale = i * (1.0 if codec == "avc" else 0.8)
+        params = write_params(tmp_path, targets=(100.0 * scale, 800.0 * scale, 4000.0 * scale))
+        part = tmp_path / f"rd_{codec}_{i}.csv"
+        assert main(["synth", "rd", "--params", str(params), "--clip-id", f"c{i}",
+                     "--codec", codec, "--qp-set", "5:50", "--out", str(part)]) == 0
+        lines += part.read_text().splitlines()[bool(lines):]
+    samples.write_text("\n".join(lines) + "\n")
+    assert main(["rd", "build", "--samples", str(samples), "--out", str(curves)]) == 0
+    assert main(["hull", "--curves", str(curves), "--metric", "ypsnr",
+                 "--out", str(ladders)]) == 0
+    return samples, curves, ladders
+
+
+@pytest.mark.parametrize("mixed", ["pred", "eel", "sl_from_train", "train", "across_files"])
+def test_mixed_codec_inputs_rejected(tmp_path, capsys, mixed):
+    _, curves, ladders = _codec_inputs(tmp_path, "avc")
+    _, _, hevc_ladders = _codec_inputs(tmp_path, "hevc")
+    mixed_ladders = tmp_path / "mixed.csv"
+    mixed_ladders.write_text(ladders.read_text() + hevc_ladders.read_text().split("\n", 1)[1])
+    inputs = {"pred": ladders, "eel": ladders, "sl_from_train": ladders, "curves": curves}
+    if mixed == "train":
+        feats = tmp_path / "features.csv"
+        feats.write_text("clip_id,F1\nc1,1.0\n")
+        argv = ["train", "--features", str(feats), "--ladders", str(mixed_ladders),
+                "--target", "p1", "--out", str(tmp_path / "model.json")]
+        want = f"error: {mixed_ladders}: expected one codec/platform/metric combination"
+    else:
+        if mixed == "across_files":
+            inputs["pred"] = hevc_ladders
+            want = f"error: {ladders}: holds ('avc', "
+        else:
+            inputs[mixed] = mixed_ladders
+            want = f"error: {inputs[mixed]}: expected one codec/platform/metric combination"
+        argv = ["evaluate", "--pred", str(inputs["pred"]), "--eel", str(inputs["eel"]),
+                "--sl-from-train", str(inputs["sl_from_train"]),
+                "--curves", str(inputs["curves"]), "--out", str(tmp_path / "report.json")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert want in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "model.json").exists()
+
+
+def test_evaluate_takes_pred_combination_from_mixed_curves(tmp_path, capsys):
+    _, curves, ladders = _codec_inputs(tmp_path, "avc")
+    _, hevc_curves, hevc_ladders = _codec_inputs(tmp_path, "hevc")
+    mixed_curves = tmp_path / "mixed_curves"
+    mixed_curves.mkdir()
+    for d in (curves, hevc_curves):
+        for f in d.iterdir():
+            (mixed_curves / f.name).write_bytes(f.read_bytes())
+
+    def evaluate(lad, cur, out):
+        return main(["evaluate", "--pred", str(lad), "--eel", str(lad),
+                     "--sl-from-train", str(lad), "--curves", str(cur),
+                     "--out", str(tmp_path / out)])
+
+    assert evaluate(ladders, curves, "alone.json") == 0
+    assert evaluate(ladders, mixed_curves, "mixed.json") == 0
+    assert evaluate(hevc_ladders, mixed_curves, "hevc.json") == 0
+    for stem in ("mixed", "hevc"):
+        for ext in (".json", ".csv"):
+            assert ((tmp_path / (stem + ext)).read_bytes()
+                    == (tmp_path / ("alone" + ext)).read_bytes()) == (stem == "mixed")
+    capsys.readouterr()
+    assert evaluate(hevc_ladders, curves, "none.json") == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: {curves}: no curves for ('hevc', " in err
+    assert not (tmp_path / "none.json").exists()
+
+
+@pytest.mark.parametrize("column, value", [
+    ("bitrate_kbps", "inf"), ("quality_value", "nan"), ("quality_value", "-inf"),
+    ("quality_value", "abc"), ("width", "wide"), ("bitrate_kbps", "-3.0"),
+])
+def test_rd_build_rejects_bad_sample_cells(tmp_path, capsys, column, value):
+    samples, _, _ = _codec_inputs(tmp_path, "avc")
+    lines = samples.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[2].split(",")
+    row[header.index(column)] = value
+    lines[2] = ",".join(row)
+    samples.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "bad_curves"
+    assert main(["rd", "build", "--samples", str(samples), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: {samples}:3: " in err
+    assert not out.exists()
+
+
+def test_synth_clip_bad_fps_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "c0.yuv"
+    code = main(["synth", "clip", "--out", str(out), "--clip-id", "c0", "--width", "64",
+                 "--height", "64", "--frames", "3", "--fps", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "c0: fps must be positive" in err
+    assert not out.exists()

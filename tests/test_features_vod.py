@@ -204,7 +204,7 @@ def test_extract_vod_shape_and_order(make_clip):
     clip = make_clip(gray_frames(lumas))
     vec = extract_vod(clip)
     assert len(vec.values) == 30
-    assert np.all(np.isfinite(vec.as_array()))
+    assert np.all(np.isfinite(vec.values))
     f = dict(zip(VOD_FEATURE_NAMES, vec.values))
     # spot-check named slots against direct recomputation
     si = [sobel_si_oracle(y) for y in lumas]

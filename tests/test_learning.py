@@ -7,14 +7,12 @@ from ladderlab.learning import (
     TrainingMatrix,
     impurity_importance,
     load_model,
-    permutation_importance,
     predict,
     predict_log,
     rfe_select,
     save_model,
     stratified_split,
     train,
-    training_r2,
 )
 
 
@@ -43,7 +41,9 @@ def test_identity_function_high_training_r2(kind):
     y = X[:, 0]
     m = make_matrix(X, y)
     model = train(m, Hyperparams(n_trees=100, seed=2), kind=kind)
-    assert training_r2(model, m) >= 0.99
+    sse = float(np.sum((y - predict_log(model, X)) ** 2))
+    sst = float(np.sum((y - y.mean()) ** 2))
+    assert 1.0 - sse / sst >= 0.99
 
 
 @pytest.mark.parametrize("kind", ["extratrees", "rf"])
@@ -121,20 +121,6 @@ def test_unused_feature_importance_zero():
     m = make_matrix(X, X[:, 0])
     model = train(m, Hyperparams(n_trees=20, max_features=2, seed=8))
     assert impurity_importance(model)[1] == 0.0
-    assert permutation_importance(model, m, n_repeats=3, seed=8)[1] == 0.0
-
-
-def test_permutation_importance_ranks_signal():
-    rng = np.random.default_rng(38)
-    X = rng.uniform(-1, 1, size=(300, 3))
-    y = 2.0 * X[:, 0] + rng.normal(0, 0.05, 300)
-    m = make_matrix(X, y)
-    model = train(m, Hyperparams(n_trees=30, seed=9))
-    scores = permutation_importance(model, m, n_repeats=3, seed=9)
-    assert scores[0] > scores[1] and scores[0] > scores[2]
-    # deterministic given the seed
-    again = permutation_importance(model, m, n_repeats=3, seed=9)
-    assert again == pytest.approx(scores, abs=0.0)
 
 
 # ------------------------------------------------------------------ RFE

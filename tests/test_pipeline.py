@@ -125,9 +125,9 @@ def stub_profile(tmp_path, enc_body, met_body):
         codec="avc",
         platform="software",
         qp_set=(32,),
-        preset="medium",
-        encode_template=enc + " {qp} {width} {height} {input} {output}",
-        metric_template=met + " {input} {output}",
+        preset="slow",
+        encode_template=enc + " {qp} {width} {height} {input} {output} {preset} {codec}",
+        metric_template=met + " {input} {output} {preset} {codec}",
     )
 
 
@@ -137,13 +137,15 @@ def test_run_encode_stub_round_trip(tmp_path):
     profile = stub_profile(
         tmp_path,
         # emit exactly 1000 bytes -> 8000 bits over 1 s = 8 kbps
-        'head -c 1000 /dev/zero > "$5"\n',
-        'echo "log line"\necho "PSNR-Y: 38.5"\n',
+        'head -c 1000 /dev/zero > "$5"\necho "$6 $7" > "$5.enc_args"\n',
+        'echo "$3 $4" > "$2.met_args"\necho "log line"\necho "PSNR-Y: 38.5"\n',
     )
     point = run_encode(profile, clip, (1280, 720), 32, str(tmp_path))
     assert point.bitrate == pytest.approx(8.0, rel=1e-12)
     assert point.quality == 38.5
     assert point.qp == 32
+    for suffix in (".enc_args", ".met_args"):
+        assert (tmp_path / f"c_1280x720_qp32.bin{suffix}").read_text() == "slow avc\n"
 
 
 def test_run_encode_encoder_failure_carries_command(tmp_path):
