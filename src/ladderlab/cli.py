@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import evaluation, learning, pipeline, rd_core
+from . import evaluation, learning, media_io, pipeline, rd_core
 from .errors import DriverError, LadderError, ValidationError
 from .features_live import extract_live
 from .features_vod import extract_vod
@@ -280,30 +280,9 @@ def _cmd_evaluate(args):
             f.write(f"{clip_id},{repr(vs_eel)},{repr(vs_sl)}\n")
 
 
-def _read_rate_quality_csv(path):
-    if not os.path.isfile(path):
-        raise ValidationError(f"sample file not found: {path}")
-    rows = []
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        try:
-            ri = header.index("bitrate_kbps")
-            qi = header.index("quality_value")
-        except ValueError as exc:
-            raise ValidationError(
-                f"{path}: need bitrate_kbps and quality_value columns"
-            ) from exc
-        for line in f:
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            rows.append((float(parts[ri]), float(parts[qi])))
-    return rows
-
-
 def _cmd_bdbr(args):
-    ref = _read_rate_quality_csv(args.ref)
-    test = _read_rate_quality_csv(args.test)
+    ref = pipeline.read_rate_quality_csv(args.ref)
+    test = pipeline.read_rate_quality_csv(args.test)
     print(f"{evaluation.bd_rate(ref, test):.6f}")
 
 
@@ -348,21 +327,8 @@ def _parse_qp_set(spec):
 def _cmd_synth_rd(args):
     from . import synth  # imports scipy.ndimage, which no other command needs
 
-    if not os.path.isfile(args.params):
-        raise ValidationError(f"params file not found: {args.params}")
-    with open(args.params) as f:
-        doc = json.load(f)
-    laws = {}
-    for res_str, law in doc["resolutions"].items():
-        w, h = (int(v) for v in res_str.split("x"))
-        laws[(w, h)] = synth.ResolutionLaw(
-            q_cap=float(law["q_cap"]),
-            intercept=float(law["intercept"]),
-            slope=float(law["slope"]),
-            noise_sigma=float(law.get("noise_sigma", 0.0)),
-            rate_at_ref_qp=float(law.get("rate_at_ref_qp", 1000.0)),
-        )
-    params = synth.SynthParams(laws=laws, seed=int(doc.get("seed", args.seed)))
+    media_io.check_clip_id(args.clip_id)
+    params = synth.load_params(args.params, args.seed)
     samples = synth.synth_rd(params, _parse_qp_set(args.qp_set))
     rows = [
         (args.clip_id, args.codec, args.platform, res, point, args.metric)

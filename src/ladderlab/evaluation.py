@@ -146,13 +146,12 @@ def _ladder_rd_set(curves, ladder, grid):
     return np.array([(b, hull(b)[1]) for b in grid])
 
 
-def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves,
-                    grid=None):
+def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves):
     """Score predicted ladders against EEL ground truth and the SL baseline.
 
     All three ladder inputs are keyed by clip_id; `rd_curves` maps
     clip_id -> {resolution: RDCurve}.  Correlations are computed on
-    ln(kbps) cross-overs; BD-BR samples each clip's hull at the grid.
+    ln(kbps) cross-overs; accuracy and BD-BR use each clip's default grid.
     """
     clips = sorted(predicted_ladders)
     if sorted(eel_ladders) != clips:
@@ -175,20 +174,12 @@ def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves,
         try:
             pred_l = predicted_ladders[c]
             eel_l = eel_ladders[c]
-            clip_grid = grid
-            if clip_grid is None:
-                clip_grid = default_accuracy_grid([pred_l, eel_l])
-            accuracies.append(ladder_accuracy(pred_l, eel_l, clip_grid))
-            curves = rd_curves[c]
-            bd_grid = clip_grid if grid is not None else default_accuracy_grid(
-                [pred_l, eel_l, sl_ladder]
+            accuracies.append(ladder_accuracy(pred_l, eel_l))
+            bd_grid = default_accuracy_grid([pred_l, eel_l, sl_ladder])
+            eel_set, pred_set, sl_set = (
+                _ladder_rd_set(rd_curves[c], l, bd_grid) for l in (eel_l, pred_l, sl_ladder)
             )
-            eel_set = _ladder_rd_set(curves, eel_l, bd_grid)
-            pred_set = _ladder_rd_set(curves, pred_l, bd_grid)
-            sl_set = _ladder_rd_set(curves, sl_ladder, bd_grid)
-            vs_eel = bd_rate(eel_set, pred_set)
-            vs_sl = bd_rate(sl_set, pred_set)
-            per_clip.append((c, vs_eel, vs_sl))
+            per_clip.append((c, bd_rate(eel_set, pred_set), bd_rate(sl_set, pred_set)))
         except ContractError as exc:
             raise ContractError(f"clip {c}: {exc}") from exc
 

@@ -14,6 +14,12 @@ import numpy as np
 from .errors import TruncatedFileError, ValidationError
 
 
+def check_clip_id(clip_id):
+    """Reject a clip id that would corrupt a CSV row or a curve file name."""
+    if not (isinstance(clip_id, str) and clip_id) or any(c in clip_id for c in ",/\r\n"):
+        raise ValidationError(f"clip_id {clip_id!r}: need a non-empty string without , / CR LF")
+
+
 @dataclass(frozen=True)
 class VideoClip:
     """A raw 4:2:0 clip as declared by a manifest entry."""
@@ -28,6 +34,7 @@ class VideoClip:
     pixel_format: str = "yuv420p"
 
     def __post_init__(self):
+        check_clip_id(self.clip_id)
         if self.width <= 0 or self.height <= 0 or self.width % 2 or self.height % 2:
             raise ValidationError(
                 f"{self.clip_id}: dimensions must be even and positive, "

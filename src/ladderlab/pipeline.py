@@ -6,6 +6,7 @@ written with repr, which round-trips exactly.
 """
 
 import concurrent.futures
+import contextlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .errors import DriverError, ValidationError
 from .features_live import LIVE_FEATURE_NAMES
 from .features_vod import VOD_FEATURE_NAMES
-from .media_io import VideoClip
+from .media_io import VideoClip, check_clip_id
 from .rd_core import (
     BitrateLadder,
     CrossOverSet,
@@ -49,43 +50,39 @@ class Manifest:
     strata: dict  # clip_id -> stratum label (may be missing)
 
 
-def load_manifest(path, check_files=True):
+def load_manifest(path):
     """Read a JSON-lines manifest of clip records."""
     if not os.path.isfile(path):
         raise ValidationError(f"manifest not found: {path}")
-    clips = []
+    clips = {}
     strata = {}
-    seen = set()
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            try:
                 clip = VideoClip(
                     clip_id=rec["clip_id"],
-                    path=rec["path"],
+                    path=str(rec["path"]),
                     width=int(rec["width"]),
                     height=int(rec["height"]),
                     fps=float(rec.get("fps", 60.0)),
                     frame_count=int(rec["frame_count"]),
-                    pixel_format=rec.get("pixel_format", "yuv420p"),
+                    pixel_format=str(rec.get("pixel_format", "yuv420p")),
                 )
-            except ValidationError as exc:
+                if clip.clip_id in clips:
+                    raise ValidationError(f"duplicate clip_id {clip.clip_id!r}")
+                if not os.path.isfile(clip.path):
+                    raise ValidationError(f"missing file {clip.path}")
+            except KeyError as exc:
+                raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError, OverflowError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if clip.clip_id in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate clip_id {clip.clip_id!r}")
-            seen.add(clip.clip_id)
-            if check_files and not os.path.isfile(clip.path):
-                raise ValidationError(f"{path}:{lineno}: missing file {clip.path}")
-            clips.append(clip)
+            clips[clip.clip_id] = clip
             if "stratum" in rec:
                 strata[clip.clip_id] = str(rec["stratum"])
-    return Manifest(clips=clips, strata=strata)
+    return Manifest(clips=list(clips.values()), strata=strata)
 
 
 def save_manifest(path, manifest):
@@ -220,6 +217,50 @@ def parallel_map(fn, items, jobs):
 # CSV interchange
 
 
+@contextlib.contextmanager
+def _csv_rows(path, what):
+    """(header cells, iterator of row cells) of an existing CSV input file.
+
+    Blank lines are skipped and ragged rows rejected.  A ValueError or
+    ValidationError raised in the `with` block leaves it as one naming
+    `path:line`; keep checks that follow the row loop outside the block.
+    """
+    if not os.path.isfile(path):
+        raise ValidationError(f"{what} not found: {path}")
+    lineno = 1
+
+    def rows(f, width):
+        nonlocal lineno
+        for lineno, line in enumerate(f, 2):
+            if line.isspace():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) != width:
+                raise ValidationError(f"ragged row: {len(cells)} cells, header has {width}")
+            yield cells
+
+    with open(path) as f:
+        try:
+            header = f.readline().strip().split(",")
+            yield header, rows(f, len(header))
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _finite(cell):
+    value = float(cell)
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"expected a finite number, got {cell!r}")
+    return value
+
+
+def _positive(cell):
+    value = float(cell)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"expected a positive finite number, got {cell!r}")
+    return value
+
+
 def write_feature_csv(path, kind, rows):
     """rows: iterable of (clip_id, vector); written sorted by clip_id."""
     names = VOD_FEATURE_NAMES if kind == "vod" else LIVE_FEATURE_NAMES
@@ -231,20 +272,15 @@ def write_feature_csv(path, kind, rows):
 
 def read_feature_csv(path):
     """-> (feature column names, {clip_id: value list})."""
-    if not os.path.isfile(path):
-        raise ValidationError(f"feature file not found: {path}")
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        if header[:1] != ["clip_id"]:
-            raise ValidationError(f"{path}: bad feature header")
-        names = header[1:]
-        table = {}
-        for line in f:
-            parts = line.strip().split(",")
-            if len(parts) != len(names) + 1:
-                raise ValidationError(f"{path}: ragged row for {parts[0]!r}")
-            table[parts[0]] = [float(v) for v in parts[1:]]
-    return names, table
+    table = {}
+    with _csv_rows(path, "feature file") as (header, rows):
+        if header[0] != "clip_id":
+            raise ValidationError("bad feature header")
+        for clip_id, *values in rows:
+            if clip_id in table:
+                raise ValidationError(f"duplicate clip_id {clip_id!r}")
+            table[clip_id] = [_finite(v) for v in values]
+    return header[1:], table
 
 
 def write_rd_samples_csv(path, rows):
@@ -263,31 +299,17 @@ def write_rd_samples_csv(path, rows):
 
 def read_rd_samples_csv(path):
     """-> {(clip_id, codec, platform, metric): {resolution: [RDPoint]}}."""
-    if not os.path.isfile(path):
-        raise ValidationError(f"RD sample file not found: {path}")
     out = {}
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != RD_SAMPLE_HEADER:
-            raise ValidationError(f"{path}: bad RD sample header")
-        for lineno, line in enumerate(f, 2):
-            parts = line.strip().split(",")
-            if len(parts) != 9:
-                raise ValidationError(f"{path}:{lineno}: ragged RD sample row")
-            clip_id, codec, platform, w, h, qp, bitrate, metric, quality = parts
-            try:
-                res = (int(w), int(h))
-                point = RDPoint(
-                    bitrate=float(bitrate),
-                    quality=float(quality),
-                    qp=int(qp) if qp else None,
-                )
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(point.bitrate) and math.isfinite(point.quality)):
-                raise ValidationError(f"{path}:{lineno}: non-finite bitrate or quality")
+    with _csv_rows(path, "RD sample file") as (header, rows):
+        if header != RD_SAMPLE_HEADER.split(","):
+            raise ValidationError("bad RD sample header")
+        for clip_id, codec, platform, w, h, qp, bitrate, metric, quality in rows:
             key = (clip_id, codec, platform, metric)
-            out.setdefault(key, {}).setdefault(res, []).append(point)
+            if key not in out:
+                check_clip_id(clip_id)
+                out[key] = {}
+            point = RDPoint(_positive(bitrate), _finite(quality), int(qp) if qp else None)
+            out[key].setdefault((int(w), int(h)), []).append(point)
     return out
 
 
@@ -301,10 +323,6 @@ def build_curves(samples_by_key):
             for res, points in by_res.items()
         }
     return out
-
-
-def curve_filename(clip_id, codec, platform, metric):
-    return f"{clip_id}__{codec}__{platform}__{metric}.json"
 
 
 def write_curves_dir(dirpath, curves_by_key):
@@ -323,7 +341,7 @@ def write_curves_dir(dirpath, curves_by_key):
                 for (w, h), curve in sorted(by_res.items())
             },
         }
-        path = os.path.join(dirpath, curve_filename(clip_id, codec, platform, metric))
+        path = os.path.join(dirpath, f"{clip_id}__{codec}__{platform}__{metric}.json")
         with open(path, "w") as f:
             json.dump(doc, f, sort_keys=True, indent=1)
             f.write("\n")
@@ -367,19 +385,20 @@ def write_ladders_csv(path, rows):
 
 def read_ladders_csv(path):
     """-> {(clip_id, codec, platform, metric): BitrateLadder}."""
-    if not os.path.isfile(path):
-        raise ValidationError(f"ladder file not found: {path}")
     out = {}
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != LADDER_HEADER:
-            raise ValidationError(f"{path}: bad ladder header")
-        for line in f:
-            parts = line.strip().split(",")
-            if len(parts) != 7:
-                raise ValidationError(f"{path}: ragged ladder row")
-            clip_id, codec, platform, metric, p1, p2, p3 = parts
-            out[(clip_id, codec, platform, metric)] = BitrateLadder(
-                CrossOverSet(float(p1), float(p2), float(p3), metric)
-            )
+    with _csv_rows(path, "ladder file") as (header, rows):
+        if header != LADDER_HEADER.split(","):
+            raise ValidationError("bad ladder header")
+        for clip_id, codec, platform, metric, p1, p2, p3 in rows:
+            key = (clip_id, codec, platform, metric)
+            if key in out:
+                raise ValidationError(f"duplicate row for {key}")
+            out[key] = BitrateLadder(CrossOverSet(*map(_positive, (p1, p2, p3)), metric))
     return out
+
+
+def read_rate_quality_csv(path):
+    """[(bitrate_kbps, quality_value)] from any CSV that has both columns."""
+    with _csv_rows(path, "sample file") as (header, rows):
+        ri, qi = header.index("bitrate_kbps"), header.index("quality_value")
+        return [(_positive(r[ri]), _finite(r[qi])) for r in rows]

@@ -5,7 +5,9 @@ The rate model r(qp) = r0 * 2^((qp0 - qp) / 6) encodes the usual
 have analytically known cross-overs when the noise is zero.
 """
 
+import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +44,19 @@ class SynthParams:
         caps = [self.laws[r].q_cap for r in sorted(self.laws, key=lambda t: t[0] * t[1])]
         if any(b < a for a, b in zip(caps, caps[1:])):
             raise ValidationError("quality caps must not decrease with resolution")
+
+
+def load_params(path, seed=0):
+    """SynthParams from a JSON params file; `seed` applies when the file has none."""
+    if not os.path.isfile(path):
+        raise ValidationError(f"params file not found: {path}")
+    with open(path) as f:
+        doc = json.load(f)
+    laws = {}
+    for res_str, law in doc["resolutions"].items():
+        w, h = (int(v) for v in res_str.split("x"))
+        laws[(w, h)] = ResolutionLaw(**{k: float(v) for k, v in law.items()})
+    return SynthParams(laws=laws, seed=int(doc.get("seed", seed)))
 
 
 def synth_rd(params, qp_set):

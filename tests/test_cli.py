@@ -350,6 +350,7 @@ def test_evaluate_takes_pred_combination_from_mixed_curves(tmp_path, capsys):
 @pytest.mark.parametrize("column, value", [
     ("bitrate_kbps", "inf"), ("quality_value", "nan"), ("quality_value", "-inf"),
     ("quality_value", "abc"), ("width", "wide"), ("bitrate_kbps", "-3.0"),
+    ("clip_id", "a/b"), ("clip_id", ""),
 ])
 def test_rd_build_rejects_bad_sample_cells(tmp_path, capsys, column, value):
     samples, _, _ = _codec_inputs(tmp_path, "avc")
@@ -376,3 +377,85 @@ def test_synth_clip_bad_fps_leaves_no_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "c0: fps must be positive" in err
     assert not out.exists()
+
+
+def _set_cell(row, col, value):
+    return lambda lines: lines[:row] + [
+        ",".join(value if i == col else c for i, c in enumerate(lines[row].split(",")))
+    ] + lines[row + 1:]
+
+
+@pytest.mark.parametrize("command, table, edit, line", [
+    ("evaluate", "ladders", _set_cell(1, 4, "abc"), 2),
+    ("train", "ladders", _set_cell(1, 4, "0"), 2),
+    ("train", "ladders", _set_cell(2, 6, "inf"), 3),
+    ("train", "ladders", lambda lines: lines + lines[1:2], 5),
+    ("train", "features", lambda lines: lines[:2] + [lines[2] + ",4.0"] + lines[3:], 3),
+    ("train", "features", _set_cell(3, 2, "nan"), 4),
+    ("predict", "features", lambda lines: lines + lines[2:3], 5),
+    ("bdbr", "samples", lambda lines: lines[:2] + ["300"] + lines[3:], 3),
+    ("bdbr", "samples", _set_cell(1, 1, "abc"), 2),
+    ("bdbr", "samples", _set_cell(4, 0, "0"), 5),
+], ids=["pred-P1-abc", "ladder-P1-0", "ladder-P3-inf", "ladder-duplicate", "feature-ragged",
+        "feature-nan", "feature-duplicate", "bdbr-short-row", "bdbr-quality-abc",
+        "bdbr-rate-0"])
+def test_bad_table_cells_exit_1_naming_line(tmp_path, capsys, command, table, edit, line):
+    _, curves, ladders = _codec_inputs(tmp_path, "avc")
+    paths = {"ladders": ladders, "features": tmp_path / "features.csv",
+             "samples": tmp_path / "samples.csv"}
+    paths["features"].write_text("clip_id,F1,F2\nc1,1.0,2.0\nc2,1.5,2.5\nc3,2.0,3.0\n")
+    paths["samples"].write_text("bitrate_kbps,quality_value\n100,30\n300,33\n900,36\n2700,39\n")
+    bad = paths[table]
+    bad.write_text("\n".join(edit(bad.read_text().splitlines())) + "\n")
+    out = tmp_path / "out.json"
+    argv = {
+        "evaluate": ["evaluate", "--pred", str(ladders), "--eel", str(ladders),
+                     "--sl-from-train", str(ladders), "--curves", str(curves)],
+        "train": ["train", "--features", str(paths["features"]), "--ladders", str(ladders),
+                  "--target", "p1"],
+        "predict": ["predict", "--features", str(paths["features"]),
+                    "--model", _tiny_model(tmp_path, "p1", names=("F1", "F2"))],
+        "bdbr": ["bdbr", "--ref", str(paths["samples"]), "--test", str(paths["samples"])],
+    }[command] + (["--out", str(out)] if command != "bdbr" else [])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: {bad}:{line}: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda rec: rec.pop("path"), "missing field 'path'"),
+    (lambda rec: rec.update(width="wide"), "invalid literal for int()"),
+    (lambda rec: rec.update(frame_count=None), "int() argument must be"),
+    (lambda rec: rec.update(clip_id="a,b"), "clip_id 'a,b'"),
+    (lambda rec: rec.update(clip_id=""), "clip_id ''"),
+    (lambda rec: rec.update(pixel_format=None), "only yuv420p supported"),
+], ids=["no-path", "width-wide", "frame_count-null", "clip_id-comma", "clip_id-empty",
+        "pixel_format-null"])
+def test_features_rejects_bad_manifest_records(tmp_path, capsys, edit, want):
+    clip = tmp_path / "c0.yuv"
+    clip.write_bytes(bytes(64 * 64 * 3 // 2 * 2))
+    rec = {"clip_id": "c0", "path": str(clip), "width": 64, "height": 64, "frame_count": 2}
+    edit(rec)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n" + json.dumps(rec) + "\n")
+    out = tmp_path / "vod.csv"
+    assert main(["features", "vod", "--manifest", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: {manifest}:2: " in err and want in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clip_id", ["a,b", "a/b", "", "a\nb"])
+def test_synth_rejects_unsafe_clip_ids(tmp_path, capsys, clip_id):
+    out = tmp_path / "rd.csv"
+    assert main(["synth", "rd", "--params", str(write_params(tmp_path)),
+                 "--clip-id", clip_id, "--out", str(out)]) == 1
+    assert main(["synth", "clip", "--out", str(tmp_path / "c.yuv"), "--clip-id", clip_id,
+                 "--width", "64", "--height", "64", "--frames", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error: clip_id {clip_id!r}: ") == 2 and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "c.yuv").exists()

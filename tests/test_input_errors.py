@@ -1,0 +1,134 @@
+"""Malformed CSV tables and manifests, fed to every command that reads them.
+
+Each mutated input must end the command with exit 0 or exit 1; exit 1
+prints exactly one `error:` line, and no exception escapes `main()`.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from ladderlab import pipeline, synth
+from ladderlab.cli import main
+
+N_CLIPS = 10  # train needs at least 10 rows
+BAD_VALUES = ["abc", "inf", "-inf", "nan", "0", "-1", ""]
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Valid inputs for every reading command; each one exits 0 on them."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "out").mkdir()
+    specs = synth.corpus_specs(N_CLIPS, seed=3)
+    rows = []
+    for spec in specs:
+        for res, points in synth.synth_rd(spec.params, range(0, 55, 6)).items():
+            rows.extend((spec.clip_id, "avc", "software", res, p, "ypsnr") for p in points)
+    pipeline.write_rd_samples_csv(d / "rd.csv", rows)
+    with open(d / "features.csv", "w") as f:
+        f.write("clip_id,F1,F2\n")
+        for i, spec in enumerate(specs):
+            f.write(f"{spec.clip_id},{spec.texture_sigma!r},{float(i)!r}\n")
+    (d / "samples.csv").write_text(
+        "bitrate_kbps,quality_value\n100,30\n300,33\n900,36\n2700,39\n8100,41\n")
+    for i in range(2):
+        assert main(["synth", "clip", "--out", str(d / f"c{i}.yuv"), "--clip-id", f"c{i}",
+                     "--width", "64", "--height", "64", "--frames", "3", "--seed", str(i),
+                     "--manifest", str(d / "manifest.jsonl")]) == 0
+    assert main(["rd", "build", "--samples", str(d / "rd.csv"), "--out", str(d / "curves")]) == 0
+    assert main(["hull", "--curves", str(d / "curves"), "--metric", "ypsnr",
+                 "--out", str(d / "ladders.csv")]) == 0
+    models = []
+    for t in ("p1", "p2", "p3"):
+        models += ["--model", str(d / f"model_{t}.json")]
+        assert main(_train_argv(d, d / "features.csv", d / "ladders.csv", t)) == 0
+    assert main(["predict", "--features", str(d / "features.csv"), *models,
+                 "--out", str(d / "pred.csv")]) == 0
+    return d, models
+
+
+def _train_argv(d, features, ladders, target="p1"):
+    return ["train", "--features", str(features), "--ladders", str(ladders), "--target",
+            target, "--n-trees", "3", "--out", str(d / f"model_{target}.json")]
+
+
+#: The input each command reads that the test mutates.
+SOURCES = {
+    "rd build": "rd.csv", "train features": "features.csv", "train ladders": "ladders.csv",
+    "predict": "features.csv", "evaluate pred": "pred.csv", "evaluate eel": "ladders.csv",
+    "evaluate sl": "ladders.csv", "bdbr": "samples.csv", "features": "manifest.jsonl",
+}
+
+
+def _argv(command, d, models, bad):
+    """The command line of `command` that reads `bad` in place of its source."""
+    out = d / "out"
+    if command.startswith("evaluate"):
+        paths = [str(d / "pred.csv"), str(d / "ladders.csv"), str(d / "ladders.csv")]
+        paths[("evaluate pred", "evaluate eel", "evaluate sl").index(command)] = str(bad)
+        return ["evaluate", "--pred", paths[0], "--eel", paths[1], "--sl-from-train", paths[2],
+                "--curves", str(d / "curves"), "--out", str(out / "report.json")]
+    return {
+        "rd build": ["rd", "build", "--samples", str(bad), "--out", str(out)],
+        "train features": _train_argv(out, bad, d / "ladders.csv"),
+        "train ladders": _train_argv(out, d / "features.csv", bad),
+        "predict": ["predict", "--features", str(bad), *models, "--out", str(out / "pred.csv")],
+        "bdbr": ["bdbr", "--ref", str(d / "samples.csv"), "--test", str(bad)],
+        "features": ["features", "vod", "--manifest", str(bad), "--out", str(out / "vod.csv")],
+    }[command]
+
+
+@st.composite
+def _mutations(draw, text, is_manifest):
+    """`text` with one line edited, duplicated or dropped, or cut short."""
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["edit", "duplicate", "drop line", "truncate"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "duplicate":
+        return "\n".join(lines[:i + 1] + lines[i:]) + "\n"
+    if kind == "drop line":
+        return "\n".join(lines[:i] + lines[i + 1:]) + "\n"
+    value = draw(st.sampled_from(BAD_VALUES + [None, 0, -1]) if is_manifest
+                 else st.sampled_from(BAD_VALUES + ["1,2"]))
+    if is_manifest:
+        rec = json.loads(lines[i])
+        key = draw(st.sampled_from(sorted(rec)))
+        if draw(st.booleans()):
+            del rec[key]
+        else:
+            rec[key] = value
+        lines[i] = json.dumps(rec)
+    else:
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        cells[j:j + 1] = [] if draw(st.booleans()) else [value]
+        lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_inputs_end_in_one_error_line(inputs, data):
+    d, models = inputs
+    command = data.draw(st.sampled_from(sorted(SOURCES)))
+    source = d / SOURCES[command]
+    bad = d / ("bad" + source.suffix)
+    bad.write_text(data.draw(_mutations(source.read_text(), source.suffix == ".jsonl")))
+    code, err = _run(_argv(command, d, models, bad))
+    event(f"{command}: exit {code}")
+    assert code in (0, 1)
+    assert err.count("error:") == code and "Traceback" not in err
