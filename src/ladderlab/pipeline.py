@@ -50,6 +50,36 @@ class Manifest:
     strata: dict  # clip_id -> stratum label (may be missing)
 
 
+def _integer(rec, key):
+    """rec[key] as an int; int() alone would truncate 64.9 and take True as 1."""
+    value = rec[key]
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _decode_error(path, encoding):
+    """ValidationError naming the line of the first byte `encoding` rejects.
+
+    Text files are decoded in 8 KB chunks, so the line being read when
+    the decoder fails can lie well before the bad byte; the file is read
+    again to find it.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        # Text mode ends lines at \n, \r\n and \r.
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ValidationError(
+            f"{path}:{line}: cannot decode byte {data[exc.start]:#04x} as {encoding}: "
+            f"{exc.reason}"
+        )
+    return ValidationError(f"{path}: changed while it was read")
+
+
 def load_manifest(path):
     """Read a JSON-lines manifest of clip records."""
     if not os.path.isfile(path):
@@ -57,7 +87,11 @@ def load_manifest(path):
     clips = {}
     strata = {}
     with open(path) as f:
-        for lineno, line in enumerate(f, 1):
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, f.encoding) from exc
+        for lineno, line in enumerate(lines, 1):
             if line.isspace():
                 continue
             try:
@@ -65,10 +99,10 @@ def load_manifest(path):
                 clip = VideoClip(
                     clip_id=rec["clip_id"],
                     path=str(rec["path"]),
-                    width=int(rec["width"]),
-                    height=int(rec["height"]),
+                    width=_integer(rec, "width"),
+                    height=_integer(rec, "height"),
                     fps=float(rec.get("fps", 60.0)),
-                    frame_count=int(rec["frame_count"]),
+                    frame_count=_integer(rec, "frame_count"),
                     pixel_format=str(rec.get("pixel_format", "yuv420p")),
                 )
                 if clip.clip_id in clips:
@@ -243,6 +277,8 @@ def _csv_rows(path, what):
         try:
             header = f.readline().strip().split(",")
             yield header, rows(f, len(header))
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, f.encoding) from exc
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
 

@@ -176,3 +176,115 @@ def bd_rate_trapezoid_oracle(ref, test, n=10_000):
         hi - lo
     )
     return 100.0 * (10.0**avg - 1.0)
+
+
+class ScalarTreeBuilder:
+    """Reference tree builder: one numpy pass per candidate column.
+
+    Same constructor and output attributes as `learning._TreeBuilder`,
+    so `learning.train` can run with it in place of the package's
+    builder and the two saved models compared byte for byte.
+    """
+
+    def __init__(self, X, y, max_features, min_samples_split, rng, extra):
+        self.X = X
+        self.y = y
+        self.d = X.shape[1]
+        self.max_features = max_features
+        self.min_split = min_samples_split
+        self.rng = rng
+        self.extra = extra
+        self.feature = []
+        self.threshold = []
+        self.left = []
+        self.right = []
+        self.value = []
+        self.gains = np.zeros(self.d)
+
+    def _new_node(self):
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        return len(self.feature) - 1
+
+    def build(self, idx):
+        node = self._new_node()
+        y = self.y[idx]
+        self.value[node] = float(y.mean())
+        n = len(idx)
+        if n < self.min_split or float(y.max() - y.min()) <= 0.0:
+            return node
+        split = self._best_split(idx)
+        if split is None:
+            return node
+        f, thr, gain = split
+        mask = self.X[idx, f] <= thr
+        self.feature[node] = f
+        self.threshold[node] = thr
+        self.gains[f] += gain
+        self.left[node] = self.build(idx[mask])
+        self.right[node] = self.build(idx[~mask])
+        return node
+
+    def _candidates(self):
+        m = min(self.max_features, self.d)
+        return np.sort(self.rng.choice(self.d, size=m, replace=False))
+
+    def _best_split(self, idx):
+        y = self.y[idx]
+        n = len(idx)
+        sse_parent = float(np.sum((y - y.mean()) ** 2))
+        best = None
+        for f in self._candidates():
+            x = self.X[idx, f]
+            lo = float(x.min())
+            hi = float(x.max())
+            if self.extra:
+                if hi <= lo:
+                    continue
+                thr = float(self.rng.uniform(lo, hi))
+                mask = x <= thr
+                nl = int(mask.sum())
+                if nl == 0 or nl == n:
+                    continue
+                yl = y[mask]
+                yr = y[~mask]
+                child = float(np.sum((yl - yl.mean()) ** 2)) + float(
+                    np.sum((yr - yr.mean()) ** 2)
+                )
+                gain = sse_parent - child
+                if best is None or gain > best[2]:
+                    best = (int(f), thr, gain)
+            else:
+                cand = self._best_exhaustive(x, y, sse_parent)
+                if cand is not None and (best is None or cand[1] > best[2]):
+                    best = (int(f), cand[0], cand[1])
+        if best is None or best[2] <= 0.0:
+            return None
+        return best
+
+    @staticmethod
+    def _best_exhaustive(x, y, sse_parent):
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = y[order]
+        n = len(xs)
+        boundaries = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+        if len(boundaries) == 0:
+            return None
+        c1 = np.cumsum(ys)
+        c2 = np.cumsum(ys * ys)
+        k = boundaries
+        nl = k.astype(np.float64)
+        nr = n - nl
+        sl = c1[k - 1]
+        sl2 = c2[k - 1]
+        sr = c1[-1] - sl
+        sr2 = c2[-1] - sl2
+        child = (sl2 - sl * sl / nl) + (sr2 - sr * sr / nr)
+        best = int(np.argmin(child))
+        gain = sse_parent - float(child[best])
+        thr = 0.5 * (xs[k[best] - 1] + xs[k[best]])
+        return float(thr), gain

@@ -432,8 +432,11 @@ def test_bad_table_cells_exit_1_naming_line(tmp_path, capsys, command, table, ed
     (lambda rec: rec.update(clip_id="a,b"), "clip_id 'a,b'"),
     (lambda rec: rec.update(clip_id=""), "clip_id ''"),
     (lambda rec: rec.update(pixel_format=None), "only yuv420p supported"),
+    (lambda rec: rec.update(width=64.9), "width must be an integer, got 64.9"),
+    (lambda rec: rec.update(height=True), "height must be an integer, got True"),
+    (lambda rec: rec.update(frame_count=2.0), "frame_count must be an integer, got 2.0"),
 ], ids=["no-path", "width-wide", "frame_count-null", "clip_id-comma", "clip_id-empty",
-        "pixel_format-null"])
+        "pixel_format-null", "width-float", "height-bool", "frame_count-float"])
 def test_features_rejects_bad_manifest_records(tmp_path, capsys, edit, want):
     clip = tmp_path / "c0.yuv"
     clip.write_bytes(bytes(64 * 64 * 3 // 2 * 2))
@@ -459,3 +462,46 @@ def test_synth_rejects_unsafe_clip_ids(tmp_path, capsys, clip_id):
     err = capsys.readouterr().err
     assert err.count(f"error: clip_id {clip_id!r}: ") == 2 and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "c.yuv").exists()
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("a:b", "expected integers"), ("5", "expected integers"), ("1:2:3:4", "expected integers"),
+    ("5:1:0", "step must be positive"), ("5:9:-1", "step must be positive"),
+    ("5:1", "empty range"),
+], ids=["non-integer", "one-part", "four-parts", "zero-step", "negative-step", "empty"])
+def test_synth_rd_rejects_bad_qp_set(tmp_path, capsys, spec, want):
+    out = tmp_path / "rd.csv"
+    assert main(["synth", "rd", "--params", str(write_params(tmp_path)),
+                 "--qp-set", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: bad --qp-set {spec!r}: {want}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, want", [
+    (["--n-trees", "0"], "n_trees must be at least 1, got 0"),
+    (["--n-trees", "-3"], "n_trees must be at least 1, got -3"),
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
+], ids=["n-trees-0", "n-trees-negative", "seed-negative"])
+def test_train_rejects_bad_hyperparams(tmp_path, capsys, flags, want):
+    _, _, ladders = _codec_inputs(tmp_path, "avc")
+    features = tmp_path / "features.csv"
+    features.write_text("clip_id,F1\nc1,1.0\nc2,1.5\nc3,2.0\n")
+    out = tmp_path / "model.json"
+    assert main(["train", "--features", str(features), "--ladders", str(ladders),
+                 "--target", "p1", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: {want}" in err
+    assert not out.exists()
+
+
+def test_predict_rejects_model_without_trees(tmp_path, capsys):
+    paths = [_tiny_model(tmp_path, t) for t in ("p1", "p2", "p3")]
+    doc = json.loads(open(paths[1]).read())
+    doc["trees"] = []
+    with open(paths[1], "w") as f:
+        json.dump(doc, f)
+    assert _predict(tmp_path, paths) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: {paths[1]}: model has no trees" in err
+    assert not (tmp_path / "pred.csv").exists()

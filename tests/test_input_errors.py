@@ -92,11 +92,15 @@ def _argv(command, d, models, bad):
 
 @st.composite
 def _mutations(draw, text, is_manifest):
-    """`text` with one line edited, duplicated or dropped, or cut short."""
+    """`text` with one line edited, duplicated or dropped, cut short, or
+    holding a byte that is not UTF-8 (as "\\udcff", see `_write`)."""
     lines = text.splitlines()
-    kind = draw(st.sampled_from(["edit", "duplicate", "drop line", "truncate"]))
+    kind = draw(st.sampled_from(["edit", "duplicate", "drop line", "truncate", "bad byte"]))
     if kind == "truncate":
         return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "bad byte":
+        i = draw(st.integers(0, len(text) - 1))
+        return text[:i] + "\udcff" + text[i:]
     i = draw(st.integers(0, len(lines) - 1))
     if kind == "duplicate":
         return "\n".join(lines[:i + 1] + lines[i:]) + "\n"
@@ -127,8 +131,33 @@ def test_malformed_inputs_end_in_one_error_line(inputs, data):
     command = data.draw(st.sampled_from(sorted(SOURCES)))
     source = d / SOURCES[command]
     bad = d / ("bad" + source.suffix)
-    bad.write_text(data.draw(_mutations(source.read_text(), source.suffix == ".jsonl")))
+    _write(bad, data.draw(_mutations(source.read_text(), source.suffix == ".jsonl")))
     code, err = _run(_argv(command, d, models, bad))
     event(f"{command}: exit {code}")
     assert code in (0, 1)
     assert err.count("error:") == code and "Traceback" not in err
+
+
+def _write(path, text):
+    """Write `text` as UTF-8, with each "\\udcXX" as the raw byte 0xXX."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
+@pytest.mark.parametrize("command", ["predict", "features"])
+def test_undecodable_byte_names_its_line(inputs, command):
+    # Files are decoded in 8 KB chunks; the bad byte sits past the first
+    # few chunks, so the line being read when decoding fails is an earlier one.
+    d, models = inputs
+    source = d / SOURCES[command]
+    first, second = source.read_text().splitlines(keepends=True)[:2]
+    # 2001 lines; the clip id on line j is xj.
+    if command == "features":  # JSON lines, no header
+        lines = [first.replace('"c0"', f'"x{j}"') for j in range(1, 2002)]
+    else:
+        lines = [first] + [f"x{j}," + second.split(",", 1)[1] for j in range(2, 2002)]
+    lines[1501] = lines[1501].replace("x1502", "x\udcff1502")
+    bad = d / ("bad" + source.suffix)
+    _write(bad, "".join(lines))
+    code, err = _run(_argv(command, d, models, bad))
+    assert code == 1 and err.count("error:") == 1
+    assert f"error: {bad}:1502: cannot decode byte 0xff" in err

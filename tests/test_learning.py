@@ -1,6 +1,13 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ladderlab import learning
 from ladderlab.errors import ContractError, ValidationError
 from ladderlab.learning import (
     Hyperparams,
@@ -14,12 +21,56 @@ from ladderlab.learning import (
     stratified_split,
     train,
 )
+from oracles import ScalarTreeBuilder
+
+
+GOLDEN_MODELS = Path(__file__).parent / "golden" / "models.json"
 
 
 def make_matrix(X, y, names=None):
     n, d = np.asarray(X).shape
     names = names or [f"F{i + 1}" for i in range(d)]
     return TrainingMatrix([f"c{i}" for i in range(n)], names, X, y)
+
+
+def model_bytes(model, tmp_path, name="model.json"):
+    path = tmp_path / name
+    save_model(model, path)
+    return path.read_bytes()
+
+
+def reference_train(matrix, hp, kind):
+    """`train` with the scalar per-column split search of tests/oracles.py."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "_TreeBuilder", ScalarTreeBuilder)
+        return train(matrix, hp, kind)
+
+
+def golden_model_cases():
+    """(case id, matrix, hyperparams, kind) of the golden model digests.
+
+    tests/golden/models.json holds the sha256 of each case's `save_model`
+    bytes as written by the one-column-at-a-time builder, now
+    `ScalarTreeBuilder` in tests/oracles.py.  `dense` is shaped like the corpus training matrix (100 clips x 30
+    features); `tied` has four integer levels per column, so many
+    candidate thresholds tie, and a `min_samples_split` above 2.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([6, 0x90]))
+    X = rng.normal(size=(100, 30))
+    y = X[:, :4] @ np.array([1.0, -0.7, 0.4, 0.2]) + rng.normal(0.0, 0.3, 100)
+    Xt = rng.integers(0, 4, size=(80, 6)).astype(np.float64)
+    yt = Xt[:, 0] - 0.5 * Xt[:, 1] + rng.normal(0.0, 0.2, 80)
+    matrices = {
+        "dense": (make_matrix(X, y), {}),
+        "tied": (make_matrix(Xt, yt), {"min_samples_split": 5, "max_features": 2}),
+    }
+    return [
+        (f"{name}-{kind}-seed{seed}", matrix, Hyperparams(n_trees=10, seed=seed, **extra),
+         kind)
+        for name, (matrix, extra) in matrices.items()
+        for kind in ("extratrees", "rf")
+        for seed in (0, 1, 2)
+    ]
 
 
 # ------------------------------------------------------------- training
@@ -96,10 +147,77 @@ def test_schema_mismatch_lists_names():
     assert "zzz" in str(exc.value) and "c" in str(exc.value)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_trees", 0), ("max_features", 0), ("min_samples_split", 1), ("seed", -1),
+])
+def test_hyperparams_reject_out_of_range(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be"):
+        Hyperparams(**{field: value})
+
+
 def test_too_few_rows_rejected():
     X = np.zeros((5, 2))
     with pytest.raises(ContractError):
         train(make_matrix(X, np.arange(5.0)))
+
+
+def test_models_match_golden_bytes(tmp_path):
+    golden = json.loads(GOLDEN_MODELS.read_text())
+    found = {
+        case: hashlib.sha256(model_bytes(train(matrix, hp, kind), tmp_path)).hexdigest()
+        for case, matrix, hp, kind in golden_model_cases()
+    }
+    assert found == golden
+
+
+@st.composite
+def tree_problems(draw):
+    """Small training sets with constant columns, duplicate rows and ties."""
+    n = draw(st.integers(10, 60))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([0, 2, 3, 5]))  # 0: continuous x
+    if levels:
+        X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, d))
+    X[:, rng.random(d) < draw(st.sampled_from([0.0, 0.3]))] = 1.5
+    n_dup = draw(st.integers(0, n // 2))
+    X[n - n_dup:] = X[rng.integers(0, n - n_dup, size=n_dup)]
+    if draw(st.booleans()):
+        y = rng.integers(0, 3, size=n).astype(np.float64)
+    else:
+        y = X[:, 0] + rng.normal(0.0, 0.5, n)
+    # ln(kbps) targets sit far from 0 relative to their spread.
+    y = draw(st.sampled_from([0.0, 8.0, 1e6])) + draw(st.sampled_from([1.0, 1e-4])) * y
+    hp = Hyperparams(
+        n_trees=3,
+        max_features=draw(st.sampled_from([None, 1, 2, d])),
+        min_samples_split=draw(st.integers(2, 6)),
+        seed=draw(st.integers(0, 10)),
+    )
+    return make_matrix(X, y), hp
+
+
+def far_from_zero_targets():
+    """A mean 1e6 standard deviations from 0: the rounded mean then
+    shifts every centred target, which the gain screen must cancel."""
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(20, 4))
+    y = 1e6 + X[:, 0] + rng.normal(0.0, 0.5, 20)
+    return make_matrix(X, y), Hyperparams(n_trees=1, max_features=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=tree_problems())
+@example(problem=far_from_zero_targets())
+def test_vectorized_split_search_matches_scalar_reference(problem, tmp_path_factory):
+    matrix, hp = problem
+    tmp = tmp_path_factory.mktemp("models")
+    for kind in ("extratrees", "rf"):
+        ours = model_bytes(train(matrix, hp, kind), tmp, "ours.json")
+        ref = model_bytes(reference_train(matrix, hp, kind), tmp, "ref.json")
+        assert ours == ref, kind
 
 
 # ---------------------------------------------------------- importances
