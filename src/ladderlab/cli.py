@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 external tool failure.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -133,7 +132,12 @@ _FEATURE_EXTRACTORS = {"vod": extract_vod, "live": extract_live}
 
 def _extract_one(arg):
     kind, clip = arg
-    return clip.clip_id, _FEATURE_EXTRACTORS[kind](clip)
+    try:
+        return clip.clip_id, _FEATURE_EXTRACTORS[kind](clip)
+    except LadderError as exc:
+        # Runs in worker processes, whose errors are pickled; a
+        # ValidationError pickles, a TruncatedFileError does not.
+        raise ValidationError(f"{clip.clip_id}: {exc}") from exc
 
 
 def _cmd_features(args):
@@ -208,18 +212,11 @@ def _cmd_select(args):
     report = learning.rfe_select(
         matrix, kind=args.model_kind, seed=args.seed
     )
-    with open(args.out, "w") as f:
-        json.dump(
-            {
-                "kept": report.kept,
-                "trace": [[n, plcc] for n, plcc in report.trace],
-                "importances": report.importances,
-            },
-            f,
-            sort_keys=True,
-            indent=1,
-        )
-        f.write("\n")
+    pipeline.write_json(args.out, {
+        "kept": report.kept,
+        "trace": [[n, plcc] for n, plcc in report.trace],
+        "importances": report.importances,
+    })
 
 
 def _cmd_predict(args):
@@ -270,9 +267,7 @@ def _cmd_evaluate(args):
     eel_by_clip = {k[0]: v for k, v in eel.items() if k[0] in pred_by_clip}
     curves_by_clip = {k[0]: v for k, v in curves.items() if k[0] in pred_by_clip}
     report = evaluation.evaluate_method(pred_by_clip, eel_by_clip, sl, curves_by_clip)
-    with open(args.out, "w") as f:
-        json.dump(report.to_dict(), f, sort_keys=True, indent=1)
-        f.write("\n")
+    pipeline.write_json(args.out, report.to_dict())
     csv_path = os.path.splitext(args.out)[0] + ".csv"
     with open(csv_path, "w") as f:
         f.write("clip_id,bdbr_vs_eel,bdbr_vs_sl\n")

@@ -7,7 +7,8 @@ import numpy as np
 
 from .errors import ContractError, MetricUndefinedError
 from .rd_core import (
-    BitrateLadder, CrossOverSet, convex_hull, hull_resolution_index, monotone_clamp,
+    LADDER_RESOLUTIONS, BitrateLadder, CrossOverSet, convex_hull, hull_resolution_index,
+    monotone_clamp,
 )
 from .stats import pearson
 
@@ -106,8 +107,11 @@ def bd_rate(reference, test):
             f"non-overlapping quality ranges: [{ref[:, 1].min()}, {ref[:, 1].max()}] "
             f"vs [{tst[:, 1].min()}, {tst[:, 1].max()}]"
         )
-    poly_ref = np.polyfit(ref[:, 1], np.log10(ref[:, 0]), 3)
-    poly_tst = np.polyfit(tst[:, 1], np.log10(tst[:, 0]), 3)
+    try:
+        poly_ref = np.polyfit(ref[:, 1], np.log10(ref[:, 0]), 3)
+        poly_tst = np.polyfit(tst[:, 1], np.log10(tst[:, 0]), 3)
+    except np.linalg.LinAlgError as exc:  # e.g. qualities so large their cubes overflow
+        raise ContractError(f"cannot fit the rate-quality polynomials: {exc}") from exc
     int_ref = np.polyint(poly_ref)
     int_tst = np.polyint(poly_tst)
     avg_diff = (
@@ -156,7 +160,9 @@ def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves):
     clips = sorted(predicted_ladders)
     if sorted(eel_ladders) != clips:
         raise ContractError("predicted and EEL ladders cover different clips")
-    missing = [c for c in clips if c not in rd_curves]
+    # Every ladder resolution, as the hull rule may select any of them.
+    missing = [c for c in clips
+               if not all(r in rd_curves.get(c, {}) for r in LADDER_RESOLUTIONS)]
     if missing:
         raise ContractError(f"missing RD curves for clips: {missing}")
 

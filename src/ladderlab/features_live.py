@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, LadderError, ValidationError
+from .errors import ContractError, ValidationError
 from .media_io import read_frames
 from .stats import ten_stats
 
@@ -101,22 +101,19 @@ def extract_live(clip):
     those series are statistics over the remaining frames only.
     """
     if clip.frame_count < 3:
-        raise ValidationError(f"{clip.clip_id}: live features need >= 3 frames")
+        raise ValidationError("live features need >= 3 frames")
     e_series = []
     br_series = []
     h_series = []
     prev_blocks = None
-    try:
-        for y, _, _ in read_frames(clip):
-            trimmed, nh, nw = _trimmed_plane(y)
-            energies = _energies_from_trimmed(trimmed, nh, nw)
-            e_series.append(float(energies.mean()))
-            br_series.append(float(trimmed.mean()))
-            if prev_blocks is not None:
-                h_series.append(temporal_energy(prev_blocks, energies))
-            prev_blocks = energies
-    except LadderError as exc:
-        raise type(exc)(f"{clip.clip_id}: {exc}") from exc
+    for y, _, _ in read_frames(clip):
+        trimmed, nh, nw = _trimmed_plane(y)
+        energies = _energies_from_trimmed(trimmed, nh, nw)
+        e_series.append(float(energies.mean()))
+        br_series.append(float(trimmed.mean()))
+        if prev_blocks is not None:
+            h_series.append(temporal_energy(prev_blocks, energies))
+        prev_blocks = energies
     eps_series = [
         energy_gradient(h_series[i - 1], h_series[i]) for i in range(1, len(h_series))
     ]

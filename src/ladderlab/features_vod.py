@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .errors import ContractError, LadderError, ValidationError
+from .errors import ContractError, ValidationError
 from .media_io import read_frames
 
 GLCM_LEVELS = 32
@@ -284,24 +284,21 @@ def extract_vod(clip):
     ti_vals = []
     ncc_vals = []
     prev_luma = None
-    try:
-        for y, cb, cr in read_frames(clip):
-            con, cor, enr, hom, ent = glcm_descriptors(y)
-            per_frame["cor"].append(cor)
-            per_frame["con"].append(con)
-            per_frame["enr"].append(enr)
-            per_frame["hom"].append(hom)
-            per_frame["ent"].append(ent)
-            per_frame["si"].append(spatial_information(y))
-            per_frame["cf"].append(colorfulness(y, cb, cr))
-            per_frame["noise"].append(noise_estimate(y))
-            if prev_luma is not None:
-                tc_stats.append(temporal_coherence(prev_luma, y))
-                ti_vals.append(temporal_information(prev_luma, y))
-                ncc_vals.append(ncc(prev_luma, y))
-            prev_luma = y
-    except LadderError as exc:
-        raise type(exc)(f"{clip.clip_id}: {exc}") from exc
+    for y, cb, cr in read_frames(clip):
+        con, cor, enr, hom, ent = glcm_descriptors(y)
+        per_frame["cor"].append(cor)
+        per_frame["con"].append(con)
+        per_frame["enr"].append(enr)
+        per_frame["hom"].append(hom)
+        per_frame["ent"].append(ent)
+        per_frame["si"].append(spatial_information(y))
+        per_frame["cf"].append(colorfulness(y, cb, cr))
+        per_frame["noise"].append(noise_estimate(y))
+        if prev_luma is not None:
+            tc_stats.append(temporal_coherence(prev_luma, y))
+            ti_vals.append(temporal_information(prev_luma, y))
+            ncc_vals.append(ncc(prev_luma, y))
+        prev_luma = y
 
     tc = np.asarray(tc_stats, dtype=np.float64)  # columns: mean,std,skw,kur,entr
     values = []

@@ -9,14 +9,15 @@ the BD metrics.  Everything stochastic is a pure function of
 results do not depend on scheduling.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .stats import pearson
+from .pipeline import read_input, write_json
+from .rd_core import METRICS
+from .stats import pearson, seeded_rng
 
 MODEL_FORMAT_TAG = "ladderlab-model-v1"
 
@@ -280,10 +281,6 @@ def _best_exhaustive(block, y, sse_parent):
     return j, float(0.5 * (xs[k, j] + xs[k + 1, j])), float(gains[j])
 
 
-def _tree_rng(seed, tree_index):
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(tree_index)]))
-
-
 def train(matrix, hyperparams=Hyperparams(), kind="extratrees", target_id="p3",
           metric="ypsnr"):
     """Fit a seeded tree ensemble on a training matrix.
@@ -302,7 +299,7 @@ def train(matrix, hyperparams=Hyperparams(), kind="extratrees", target_id="p3",
     trees = []
     gains = np.zeros(d)
     for t in range(hyperparams.n_trees):
-        rng = _tree_rng(hyperparams.seed, t)
+        rng = seeded_rng(hyperparams.seed, t)
         if kind == "rf":
             idx = np.sort(rng.integers(0, n, size=n))
         else:
@@ -391,7 +388,7 @@ def rfe_select(matrix, kind="extratrees", hyperparams=Hyperparams(),
     n, d = matrix.X.shape
     if d < 2:
         raise ContractError("RFE needs at least 2 features")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFE]))
+    rng = seeded_rng(seed, 0xFE)
     perm = rng.permutation(n)
     n_val = max(3, int(round(validation_fraction * n)))
     val_idx = np.sort(perm[:n_val])
@@ -457,7 +454,7 @@ def stratified_split(clip_ids, strata, test_fraction, seed):
     counts = dict(base)
     for s in remainders[: max(0, leftover)]:
         counts[s] += 1
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x57]))
+    rng = seeded_rng(seed, 0x57)
     train_ids, test_ids = [], []
     for s in labels:
         members = list(groups[s])
@@ -468,14 +465,9 @@ def stratified_split(clip_ids, strata, test_fraction, seed):
     return train_ids, test_ids
 
 
-def _tree_to_dict(tree):
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-    }
+#: The dtype of each Tree array, in field order; the keys of a tree in a model file.
+_TREE_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+                "right": np.int64, "value": np.float64}
 
 
 def save_model(model, path):
@@ -495,39 +487,57 @@ def save_model(model, path):
         "y_min": model.y_min,
         "y_max": model.y_max,
         "feature_gains": model.feature_gains.tolist(),
-        "trees": [_tree_to_dict(t) for t in model.trees],
+        "trees": [{k: getattr(t, k).tolist() for k in _TREE_DTYPES} for t in model.trees],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(path, doc, indent=None)
 
 
 def load_model(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != MODEL_FORMAT_TAG:
-        raise ValidationError(f"{path}: unknown model format {doc.get('format')!r}")
-    if not doc["trees"]:
-        raise ValidationError(f"{path}: model has no trees")
-    trees = [
-        Tree(
-            np.asarray(t["feature"], dtype=np.int64),
-            np.asarray(t["threshold"], dtype=np.float64),
-            np.asarray(t["left"], dtype=np.int64),
-            np.asarray(t["right"], dtype=np.int64),
-            np.asarray(t["value"], dtype=np.float64),
+    with read_input(path, "model file") as source:
+        doc = source.json()
+        if doc.get("format") != MODEL_FORMAT_TAG:
+            raise ValidationError(f"unknown model format {doc.get('format')!r}")
+        if not doc["trees"]:
+            raise ValidationError("model has no trees")
+        trees = [Tree(*(np.asarray(t[k], dtype=dt) for k, dt in _TREE_DTYPES.items()))
+                 for t in doc["trees"]]
+        model = TrainedModel(
+            kind=doc["kind"],
+            trees=trees,
+            hyperparams=Hyperparams(**doc["hyperparams"]),
+            feature_names=list(doc["feature_names"]),
+            target_id=doc["target_id"],
+            metric=doc["metric"],
+            y_min=doc["y_min"],
+            y_max=doc["y_max"],
+            feature_gains=np.asarray(doc["feature_gains"], dtype=np.float64),
         )
-        for t in doc["trees"]
-    ]
-    hp = Hyperparams(**doc["hyperparams"])
-    return TrainedModel(
-        kind=doc["kind"],
-        trees=trees,
-        hyperparams=hp,
-        feature_names=list(doc["feature_names"]),
-        target_id=doc["target_id"],
-        metric=doc["metric"],
-        y_min=doc["y_min"],
-        y_max=doc["y_max"],
-        feature_gains=np.asarray(doc["feature_gains"], dtype=np.float64),
-    )
+        if (model.kind not in MODEL_KINDS or model.target_id not in TARGET_IDS
+                or model.metric not in METRICS):
+            raise ValidationError(f"unknown kind, target or metric: "
+                                  f"{model.kind!r}, {model.target_id!r}, {model.metric!r}")
+        d = len(model.feature_names)
+        if model.feature_gains.shape != (d,):
+            raise ValidationError(f"feature_gains must hold {d} values, one per feature")
+        for i, tree in enumerate(trees):
+            problem = _tree_problem(tree, d)
+            if problem:
+                raise ValidationError(f"tree {i}: {problem}")
+    return model
+
+
+def _tree_problem(tree, d):
+    """Why `Tree.predict` could index outside `tree` or not reach a leaf, or None."""
+    n = tree.feature.size
+    if n == 0 or any(getattr(tree, k).shape != (n,) for k in _TREE_DTYPES):
+        return "arrays must be flat, non-empty and of equal length"
+    if not np.all((tree.feature >= -1) & (tree.feature < d)):
+        return f"a feature index lies outside [-1, {d})"
+    inner = np.flatnonzero(tree.feature >= 0)
+    # With each child after its node, every walk moves forward and so stops.
+    for child in (tree.left[inner], tree.right[inner]):
+        if not np.all((inner < child) & (child < n)):
+            return "a child index does not lie after its node within the tree"
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+        return "thresholds and values must be finite"
+    return None

@@ -67,12 +67,12 @@ def read_frames(clip):
     TruncatedFileError naming the failing frame index.
     """
     if not os.path.isfile(clip.path):
-        raise ValidationError(f"{clip.clip_id}: file not found: {clip.path}")
+        raise ValidationError(f"file not found: {clip.path}")
     expected = clip.frame_count * clip.frame_bytes
     actual = os.path.getsize(clip.path)
     if actual > expected:
         raise ValidationError(
-            f"{clip.clip_id}: file size {actual} exceeds header-implied {expected}"
+            f"{clip.path}: file size {actual} exceeds header-implied {expected}"
         )
     w, h = clip.width, clip.height
     cw, ch = w // 2, h // 2

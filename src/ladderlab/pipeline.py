@@ -80,39 +80,79 @@ def _decode_error(path, encoding):
     return ValidationError(f"{path}: changed while it was read")
 
 
-def load_manifest(path):
-    """Read a JSON-lines manifest of clip records."""
+class _Input:
+    """A text input file opened by `read_input`."""
+
+    def __init__(self, f):
+        self.file = f
+        self.line = None  # number of the line last read, when read by lines
+
+    def __iter__(self):
+        """Its non-blank lines."""
+        for self.line, text in enumerate(self.file, 1):
+            if not text.isspace():
+                yield text
+
+    def json(self):
+        """The whole file as one JSON object."""
+        doc = json.load(self.file)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
+        return doc
+
+
+@contextlib.contextmanager
+def read_input(path, what):
+    """The `_Input` of an existing text file, whose errors name the file.
+
+    A KeyError, AttributeError, TypeError, ValueError (JSON syntax too),
+    OverflowError, undecodable byte or ValidationError in the `with`
+    block leaves it as one ValidationError naming `path` and the line
+    being read, if any.
+    """
     if not os.path.isfile(path):
-        raise ValidationError(f"manifest not found: {path}")
-    clips = {}
-    strata = {}
+        raise ValidationError(f"{what} not found: {path}")
     with open(path) as f:
+        source = _Input(f)
         try:
-            lines = f.readlines()
+            yield source
         except UnicodeDecodeError as exc:
             raise _decode_error(path, f.encoding) from exc
-        for lineno, line in enumerate(lines, 1):
-            if line.isspace():
-                continue
-            try:
-                rec = json.loads(line)
-                clip = VideoClip(
-                    clip_id=rec["clip_id"],
-                    path=str(rec["path"]),
-                    width=_integer(rec, "width"),
-                    height=_integer(rec, "height"),
-                    fps=float(rec.get("fps", 60.0)),
-                    frame_count=_integer(rec, "frame_count"),
-                    pixel_format=str(rec.get("pixel_format", "yuv420p")),
-                )
-                if clip.clip_id in clips:
-                    raise ValidationError(f"duplicate clip_id {clip.clip_id!r}")
-                if not os.path.isfile(clip.path):
-                    raise ValidationError(f"missing file {clip.path}")
-            except KeyError as exc:
-                raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (TypeError, ValueError, OverflowError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        except (KeyError, AttributeError, TypeError, ValueError, OverflowError,
+                ValidationError) as exc:
+            where = path if source.line is None else f"{path}:{source.line}"
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValidationError(f"{where}: {reason}") from exc
+
+
+def write_json(path, doc, indent=1):
+    """Write `doc` with sorted keys and a final newline; indent=None writes it compact."""
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True, indent=indent,
+                  separators=(",", ":") if indent is None else None)
+        f.write("\n")
+
+
+def load_manifest(path):
+    """Read a JSON-lines manifest of clip records."""
+    clips = {}
+    strata = {}
+    with read_input(path, "manifest") as source:
+        for line in source:
+            rec = json.loads(line)
+            clip = VideoClip(
+                clip_id=rec["clip_id"],
+                path=str(rec["path"]),
+                width=_integer(rec, "width"),
+                height=_integer(rec, "height"),
+                fps=float(rec.get("fps", 60.0)),
+                frame_count=_integer(rec, "frame_count"),
+                pixel_format=str(rec.get("pixel_format", "yuv420p")),
+            )
+            if clip.clip_id in clips:
+                raise ValidationError(f"duplicate clip_id {clip.clip_id!r}")
+            if not os.path.isfile(clip.path):
+                raise ValidationError(f"missing file {clip.path}")
             clips[clip.clip_id] = clip
             if "stratum" in rec:
                 strata[clip.clip_id] = str(rec["stratum"])
@@ -156,20 +196,19 @@ class EncoderProfile:
 
 
 def load_profile(path):
-    if not os.path.isfile(path):
-        raise ValidationError(f"profile not found: {path}")
-    with open(path) as f:
-        doc = json.load(f)
-    qp_set = doc.get("qp_set") or DEFAULT_QP_SETS[doc["codec"]]
-    return EncoderProfile(
-        codec=doc["codec"],
-        platform=doc["platform"],
-        qp_set=tuple(int(q) for q in qp_set),
-        preset=doc.get("preset", "medium"),
-        encode_template=doc["encode_template"],
-        metric_template=doc["metric_template"],
-        fps=float(doc.get("fps", 60.0)),
-    )
+    with read_input(path, "profile") as source:
+        doc = source.json()
+        # An unknown codec gets no default here, so EncoderProfile names it.
+        qp_set = doc.get("qp_set") or DEFAULT_QP_SETS.get(doc["codec"], ())
+        return EncoderProfile(
+            codec=doc["codec"],
+            platform=doc["platform"],
+            qp_set=tuple(int(q) for q in qp_set),
+            preset=str(doc.get("preset", "medium")),
+            encode_template=str(doc["encode_template"]),
+            metric_template=str(doc["metric_template"]),
+            fps=float(doc.get("fps", 60.0)),
+        )
 
 
 def expand_template(template, **bindings):
@@ -253,34 +292,25 @@ def parallel_map(fn, items, jobs):
 
 @contextlib.contextmanager
 def _csv_rows(path, what):
-    """(header cells, iterator of row cells) of an existing CSV input file.
+    """(header cells, iterator of row cells) of a CSV input file.
 
-    Blank lines are skipped and ragged rows rejected.  A ValueError or
-    ValidationError raised in the `with` block leaves it as one naming
-    `path:line`; keep checks that follow the row loop outside the block.
+    The file is read through `read_input`, and ragged rows are rejected.
+    An error in the `with` block names the line being read; keep checks
+    that follow the row loop outside the block.
     """
-    if not os.path.isfile(path):
-        raise ValidationError(f"{what} not found: {path}")
-    lineno = 1
+    with read_input(path, what) as source:
+        lines = iter(source)
+        header = next(lines, "").strip().split(",")
+        width = len(header)
 
-    def rows(f, width):
-        nonlocal lineno
-        for lineno, line in enumerate(f, 2):
-            if line.isspace():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) != width:
-                raise ValidationError(f"ragged row: {len(cells)} cells, header has {width}")
-            yield cells
+        def rows():
+            for line in lines:
+                cells = line.strip().split(",")
+                if len(cells) != width:
+                    raise ValidationError(f"ragged row: {len(cells)} cells, header has {width}")
+                yield cells
 
-    with open(path) as f:
-        try:
-            header = f.readline().strip().split(",")
-            yield header, rows(f, len(header))
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, f.encoding) from exc
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        yield header, rows()
 
 
 def _finite(cell):
@@ -377,32 +407,32 @@ def write_curves_dir(dirpath, curves_by_key):
                 for (w, h), curve in sorted(by_res.items())
             },
         }
-        path = os.path.join(dirpath, f"{clip_id}__{codec}__{platform}__{metric}.json")
-        with open(path, "w") as f:
-            json.dump(doc, f, sort_keys=True, indent=1)
-            f.write("\n")
+        write_json(os.path.join(dirpath, f"{clip_id}__{codec}__{platform}__{metric}.json"), doc)
 
 
 def read_curves_dir(dirpath):
     if not os.path.isdir(dirpath):
         raise ValidationError(f"curves directory not found: {dirpath}")
     out = {}
+    names = {}  # key -> the file it was read from
     for name in sorted(os.listdir(dirpath)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(dirpath, name)) as f:
-            doc = json.load(f)
-        key = (doc["clip_id"], doc["codec"], doc["platform"], doc["metric"])
-        by_res = {}
-        for res_str, pts in doc["resolutions"].items():
-            w, h = (int(v) for v in res_str.split("x"))
-            points = [
-                RDPoint(
-                    bitrate=p["bitrate_kbps"], quality=p["quality"], qp=p.get("qp")
-                )
-                for p in pts
-            ]
-            by_res[(w, h)] = build_rd_curve(points, (w, h), doc["metric"])
+        with read_input(os.path.join(dirpath, name), "curve file") as source:
+            doc = source.json()
+            key = (doc["clip_id"], doc["codec"], doc["platform"], doc["metric"])
+            check_clip_id(key[0])
+            if key in names:
+                raise ValidationError(f"{names[key]} already holds the curves of {key}")
+            names[key] = name
+            by_res = {}
+            for res_str, pts in doc["resolutions"].items():
+                w, h = (int(v) for v in res_str.split("x"))
+                points = [
+                    RDPoint(_positive(p["bitrate_kbps"]), _finite(p["quality"]), p.get("qp"))
+                    for p in pts
+                ]
+                by_res[(w, h)] = build_rd_curve(points, (w, h), doc["metric"])
         out[key] = by_res
     return out
 

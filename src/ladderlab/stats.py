@@ -7,7 +7,16 @@ series get skewness/kurtosis of 0 so constant inputs stay finite.
 
 import numpy as np
 
+from .errors import ValidationError
+
 _VAR_EPS = 1e-12
+
+
+def seeded_rng(seed, stream):
+    """The Generator of `stream` under a user's non-negative `seed`."""
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
 
 
 def pop_std(x):

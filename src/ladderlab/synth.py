@@ -5,9 +5,7 @@ The rate model r(qp) = r0 * 2^((qp0 - qp) / 6) encodes the usual
 have analytically known cross-overs when the noise is zero.
 """
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +13,9 @@ from scipy import ndimage
 
 from .errors import ValidationError
 from .media_io import VideoClip, write_frames
+from .pipeline import read_input
 from .rd_core import LADDER_RESOLUTIONS, RDPoint
+from .stats import seeded_rng
 
 SYNTH_REF_QP = 32
 
@@ -31,8 +31,14 @@ class ResolutionLaw:
     rate_at_ref_qp: float = 1000.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in vars(self).values()):
+            raise ValidationError(f"law parameters must be finite, got {self}")
         if self.slope <= 0:
             raise ValidationError("slope must be positive")
+        if self.rate_at_ref_qp <= 0:
+            raise ValidationError("rate_at_ref_qp must be positive")
+        if self.noise_sigma < 0:
+            raise ValidationError("noise_sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,8 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         caps = [self.laws[r].q_cap for r in sorted(self.laws, key=lambda t: t[0] * t[1])]
         if any(b < a for a, b in zip(caps, caps[1:])):
             raise ValidationError("quality caps must not decrease with resolution")
@@ -48,15 +56,13 @@ class SynthParams:
 
 def load_params(path, seed=0):
     """SynthParams from a JSON params file; `seed` applies when the file has none."""
-    if not os.path.isfile(path):
-        raise ValidationError(f"params file not found: {path}")
-    with open(path) as f:
-        doc = json.load(f)
-    laws = {}
-    for res_str, law in doc["resolutions"].items():
-        w, h = (int(v) for v in res_str.split("x"))
-        laws[(w, h)] = ResolutionLaw(**{k: float(v) for k, v in law.items()})
-    return SynthParams(laws=laws, seed=int(doc.get("seed", seed)))
+    with read_input(path, "params file") as source:
+        doc = source.json()
+        laws = {}
+        for res_str, law in doc["resolutions"].items():
+            w, h = (int(v) for v in res_str.split("x"))
+            laws[(w, h)] = ResolutionLaw(**{k: float(v) for k, v in law.items()})
+        return SynthParams(laws=laws, seed=int(doc.get("seed", seed)))
 
 
 def synth_rd(params, qp_set):
@@ -64,7 +70,7 @@ def synth_rd(params, qp_set):
     out = {}
     for i, resolution in enumerate(sorted(params.laws, key=lambda t: t[0] * t[1])):
         law = params.laws[resolution]
-        rng = np.random.default_rng(np.random.SeedSequence([int(params.seed), i]))
+        rng = seeded_rng(params.seed, i)
         points = []
         for qp in qp_set:
             rate = law.rate_at_ref_qp * 2.0 ** ((SYNTH_REF_QP - qp) / 6.0)
@@ -91,7 +97,7 @@ def synth_clip(path, clip_id, width, height, frames, texture_sigma, motion,
         fps=fps,
         frame_count=frames,
     )
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC11F]))
+    rng = seeded_rng(seed, 0xC11F)
     base = rng.normal(0.0, 1.0, size=(height, width))
     base = ndimage.gaussian_filter(base, sigma=1.5, mode="wrap")
     # Renormalize after smoothing so texture_sigma is the pixel std.
@@ -127,7 +133,7 @@ def corpus_specs(n_clips, seed, rd_noise_sigma=0.15):
     derived so every cross-over sits at ln P_k = base_k + complexity,
     which the extracted features can recover.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0]))
+    rng = seeded_rng(seed, 0xC0)
     slopes = (2.0, 3.2, 4.6, 6.4)
     caps = (200.0, 210.0, 220.0, 230.0)
     specs = []

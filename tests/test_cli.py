@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -505,3 +506,141 @@ def test_predict_rejects_model_without_trees(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and f"error: {paths[1]}: model has no trees" in err
     assert not (tmp_path / "pred.csv").exists()
+
+
+def _json_input(tmp_path, source):
+    """(a valid JSON document of `source`, the argv of a command that reads it)."""
+    out = str(tmp_path / "out.csv")
+    if source == "model":
+        paths = [_tiny_model(tmp_path, t) for t in ("p1", "p2", "p3")]
+        return paths[0], ["predict", "--features", str(_write_tiny_features(tmp_path)),
+                          "--out", out] + [a for p in paths for a in ("--model", p)]
+    if source == "curve":
+        _, curves, _ = _codec_inputs(tmp_path, "avc")
+        return (str(sorted(curves.iterdir())[0]),
+                ["hull", "--curves", str(curves), "--metric", "ypsnr", "--out", out])
+    if source == "params":
+        path = str(write_params(tmp_path))
+        return path, ["synth", "rd", "--params", path, "--out", out]
+    path = str(tmp_path / "profile.json")
+    with open(path, "w") as f:
+        json.dump({"codec": "avc", "platform": "software", "encode_template": "enc",
+                   "metric_template": "met"}, f)
+    return path, ["encode", "--profile", path, "--manifest", str(tmp_path / "m.jsonl"),
+                  "--out", out]
+
+
+def _tree0(**arrays):
+    def edit(doc):
+        for name, value in arrays.items():
+            doc["trees"][0][name][0] = value
+        return doc
+    return edit
+
+
+def _first_point(field, value):
+    def edit(doc):
+        next(iter(doc["resolutions"].values()))[0][field] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("source, edit, want", [
+    ("model", lambda doc: None, "model file not found: "),
+    ("model", lambda doc: "{", "Expecting property name"),
+    ("model", lambda doc: [], "expected a JSON object, got list"),
+    ("model", _tree0(left=0, right=0), "tree 0: a child index does not lie after its node"),
+    ("model", _tree0(left=-5), "tree 0: a child index does not lie after its node"),
+    ("model", _tree0(right=10**6), "tree 0: a child index does not lie after its node"),
+    ("model", _tree0(feature=3), "tree 0: a feature index lies outside [-1, 3)"),
+    ("model", _tree0(threshold=None), "tree 0: thresholds and values must be finite"),
+    ("model", lambda doc: {**doc, "feature_gains": [1.0]}, "feature_gains must hold 3 values"),
+    ("profile", lambda doc: {k: v for k, v in doc.items() if k != "codec"},
+     "missing field 'codec'"),
+    ("profile", lambda doc: {**doc, "codec": "av1"}, "unknown codec 'av1'"),
+    ("params", lambda doc: (doc["resolutions"]["720x480"].update(typo=1), doc)[1],
+     "unexpected keyword argument 'typo'"),
+    ("params", lambda doc: {**doc, "seed": -1}, "seed must be non-negative, got -1"),
+    ("curve", lambda doc: json.dumps(doc)[:-1], "Expecting ',' delimiter"),
+    ("curve", _first_point("bitrate_kbps", -1), "expected a positive finite number, got -1"),
+    ("curve", _first_point("quality", "abc"), "could not convert string to float: 'abc'"),
+], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
+        "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
+        "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
+        "params-unknown-key", "params-negative-seed", "curve-truncated", "curve-bitrate--1",
+        "curve-quality-abc"])
+def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
+    path, argv = _json_input(tmp_path, source)
+    with open(path) as f:
+        doc = edit(json.load(f))
+    if doc is None:
+        os.remove(path)
+    else:
+        with open(path, "w") as f:
+            f.write(doc if isinstance(doc, str) else json.dumps(doc))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert want in err and (f"error: {path}: " in err or f"{want}{path}" in err)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_hull_rejects_second_file_with_the_same_curves(tmp_path, capsys):
+    path, argv = _json_input(tmp_path, "curve")
+    with open(path) as f:
+        doc = json.load(f)
+    for points in doc["resolutions"].values():
+        for p in points:
+            p["bitrate_kbps"] *= 2
+    copy = os.path.join(os.path.dirname(path), "zz.json")
+    with open(copy, "w") as f:
+        json.dump(doc, f)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"error: {copy}: {os.path.basename(path)} already holds the curves of ('c1', " in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("kind", ["vod", "live"])
+def test_features_truncated_clip_names_clip_and_frame(tmp_path, capsys, kind, jobs):
+    manifest = tmp_path / "manifest.jsonl"
+    for i in range(2):
+        assert main(["synth", "clip", "--out", str(tmp_path / f"c{i}.yuv"), "--clip-id", f"c{i}",
+                     "--width", "64", "--height", "64", "--frames", "4",
+                     "--manifest", str(manifest)]) == 0
+    clip = tmp_path / "c1.yuv"
+    clip.write_bytes(clip.read_bytes()[:-100])
+    out = tmp_path / "features.csv"
+    capsys.readouterr()
+    assert main(["features", kind, "--manifest", str(manifest), "--out", str(out),
+                 "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: c1: {clip}: truncated read at frame index 3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "synth rd", "synth clip"])
+def test_negative_seed_exit_1(tmp_path, capsys, command):
+    _, _, ladders = _codec_inputs(tmp_path, "avc")
+    features = tmp_path / "features.csv"
+    features.write_text("clip_id,F1,F2\nc1,1.0,2.0\nc2,1.5,2.5\nc3,2.0,3.0\n")
+    params = write_params(tmp_path)
+    doc = json.loads(params.read_text())
+    del doc["seed"]  # --seed applies only to a params file without one
+    params.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "select": ["select", "--features", str(features), "--ladders", str(ladders)],
+        "synth rd": ["synth", "rd", "--params", str(params)],
+        "synth clip": ["synth", "clip", "--width", "64", "--height", "64", "--frames", "2"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "seed must be non-negative, got -1" in err
+    assert not out.exists()

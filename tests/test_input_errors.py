@@ -1,12 +1,17 @@
-"""Malformed CSV tables and manifests, fed to every command that reads them.
+"""Malformed inputs, fed to every command that reads them.
 
-Each mutated input must end the command with exit 0 or exit 1; exit 1
-prints exactly one `error:` line, and no exception escapes `main()`.
+The inputs are the CSV tables, the manifest and the JSON documents
+(`synth rd` params, curve files, model files).  Each mutated input must
+end the command with exit 0 or exit 1; exit 1 prints exactly one
+`error:` line, and no exception escapes `main()`.
 """
 
+import ast
 import contextlib
 import io
 import json
+import pathlib
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -56,6 +61,9 @@ def inputs(tmp_path_factory):
         assert main(_train_argv(d, d / "features.csv", d / "ladders.csv", t)) == 0
     assert main(["predict", "--features", str(d / "features.csv"), *models,
                  "--out", str(d / "pred.csv")]) == 0
+    laws = {f"{w}x{h}": vars(law) for (w, h), law in specs[0].params.laws.items()}
+    (d / "params.json").write_text(json.dumps({"seed": 3, "resolutions": laws}))
+    shutil.copytree(d / "curves", d / "bad_curves")
     return d, models
 
 
@@ -161,3 +169,116 @@ def test_undecodable_byte_names_its_line(inputs, command):
     code, err = _run(_argv(command, d, models, bad))
     assert code == 1 and err.count("error:") == 1
     assert f"error: {bad}:1502: cannot decode byte 0xff" in err
+
+
+#: The JSON document each command reads that the test mutates.
+JSON_SOURCES = {"synth rd": "params.json", "hull": "curves", "evaluate curves": "curves",
+                "predict model": "model_p1.json"}
+JSON_BAD_VALUES = ["abc", "", None, 0, -1, 0.5, 1e300, float("inf"), float("nan"), True, [], {}]
+
+
+def _json_argv(command, d, models, bad):
+    out = d / "out"
+    return {
+        "synth rd": ["synth", "rd", "--params", str(bad), "--out", str(out / "rd.csv")],
+        "hull": ["hull", "--curves", str(bad.parent), "--metric", "ypsnr",
+                 "--out", str(out / "ladders.csv")],
+        "evaluate curves": ["evaluate", "--pred", str(d / "pred.csv"), "--eel",
+                            str(d / "ladders.csv"), "--sl-from-train", str(d / "ladders.csv"),
+                            "--curves", str(bad.parent), "--out", str(out / "report.json")],
+        "predict model": ["predict", "--features", str(d / "features.csv"), "--model", str(bad),
+                          *models[2:], "--out", str(out / "pred.csv")],
+    }[command]
+
+
+def _fields(node):
+    """(container, key) of every value inside a JSON document."""
+    keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from _fields(node[key])
+
+
+@st.composite
+def _json_mutations(draw, text):
+    """`text` with one field set to a bad value or dropped, cut short, with
+    a top level that is not an object, or holding a byte that is not UTF-8."""
+    kind = draw(st.sampled_from(["edit", "drop field", "truncate", "not an object", "bad byte"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "bad byte":
+        i = draw(st.integers(0, len(text) - 1))
+        return text[:i] + "\udcff" + text[i:]
+    if kind == "not an object":
+        return json.dumps(draw(st.sampled_from([[], [json.loads(text)], "abc", 1, None])))
+    doc = json.loads(text)
+    fields = list(_fields(doc))
+    node, key = fields[draw(st.integers(0, len(fields) - 1))]
+    if kind == "drop field":
+        del node[key]
+    else:
+        node[key] = draw(st.sampled_from(JSON_BAD_VALUES))
+    return json.dumps(doc)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_json_documents_end_in_one_error_line(inputs, data):
+    d, models = inputs
+    command = data.draw(st.sampled_from(sorted(JSON_SOURCES)))
+    if JSON_SOURCES[command] == "curves":
+        source = data.draw(st.sampled_from(sorted((d / "curves").iterdir())))
+        bad = d / "bad_curves" / source.name
+    else:
+        source = d / JSON_SOURCES[command]
+        bad = d / "bad.json"
+    try:
+        _write(bad, data.draw(_json_mutations(source.read_text())))
+        code, err = _run(_json_argv(command, d, models, bad))
+    finally:
+        shutil.copyfile(source, bad)
+    event(f"{command}: exit {code}")
+    assert code in (0, 1)
+    assert err.count("error:") == code and "Traceback" not in err
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ladderlab"
+
+
+def _enclosing_functions(tree):
+    """{id(call node): name of the innermost function holding it}."""
+    out = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else name
+            if isinstance(child, ast.Call):
+                out[id(child)] = name
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
+def test_input_files_are_read_only_through_read_input():
+    """`json.load` runs only on a `read_input` handle, and only `read_input`,
+    `_decode_error` and `read_frames` open a file for reading."""
+    json_loads, read_opens = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            site = (path.stem, where[id(node)])
+            if func in ("json.load", "json.loads"):
+                json_loads.append(site + (ast.unparse(node.args[0]),))
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if func == "open" and not (isinstance(mode, ast.Constant)
+                                       and set(mode.value) & set("wax+")):
+                read_opens.append(site)
+    assert json_loads == [("pipeline", "json", "self.file"), ("pipeline", "load_manifest", "line")]
+    assert sorted(read_opens) == [("media_io", "read_frames"), ("pipeline", "_decode_error"),
+                                  ("pipeline", "read_input")]
