@@ -23,6 +23,37 @@ def pop_std(x):
     return float(np.std(np.asarray(x, dtype=np.float64)))
 
 
+class RunningMoments:
+    """Population mean and std of a series that arrives in chunks.
+
+    Each chunk's mean and centered sum of squares are merged with the
+    pairwise update of Chan, Golub and LeVeque, so no chunk is summed
+    around a far-off mean.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+
+    def add(self, chunk):
+        """Fold in a chunk; a contiguous float64 chunk is overwritten."""
+        x = np.asarray(chunk, dtype=np.float64).ravel()
+        if x.size == 0:
+            return
+        m = float(x.mean())
+        x -= m
+        m2 = float(np.einsum("i,i->", x, x))  # not BLAS: no threads
+        total = self.n + x.size
+        delta = m - self.mean
+        self.mean += delta * (x.size / total)
+        self._m2 += m2 + delta * delta * (self.n * x.size / total)
+        self.n = total
+
+    def std(self):
+        return float(np.sqrt(self._m2 / self.n))
+
+
 def skewness(x):
     x = np.asarray(x, dtype=np.float64)
     m = x.mean()
