@@ -33,61 +33,47 @@ class LiveFeatureVector:
             raise ValidationError("non-finite feature value")
 
 
-def _dct_basis():
-    """Orthonormal DCT-II matrix; row k samples the k-th cosine."""
-    n = np.arange(ENERGY_BLOCK)
-    basis = np.cos(np.pi * np.outer(n, 2 * n + 1) / (2 * ENERGY_BLOCK))
-    basis *= np.sqrt(2.0 / ENERGY_BLOCK)
-    basis[0] /= np.sqrt(2.0)
-    return basis
-
-
-_DCT = _dct_basis()
-_DCT_T = np.ascontiguousarray(_DCT.T)
-
-
-def _tiled_area(plane):
-    """The plane cropped to full 32x32 blocks."""
+def _trimmed_plane(plane):
+    """Float64 plane cropped to full 32x32 blocks, plus the tiling shape."""
+    plane = np.asarray(plane, dtype=np.float64)
     h, w = plane.shape
     nh, nw = h // ENERGY_BLOCK, w // ENERGY_BLOCK
     if nh == 0 or nw == 0:
         raise ContractError(
             f"plane {w}x{h} smaller than one {ENERGY_BLOCK}x{ENERGY_BLOCK} block"
         )
-    return plane[: nh * ENERGY_BLOCK, : nw * ENERGY_BLOCK]
+    return plane[: nh * ENERGY_BLOCK, : nw * ENERGY_BLOCK], nh, nw
+
+
+def _energies_from_trimmed(trimmed, nh, nw):
+    from scipy import fft as sfft  # imported on use: the CLI loads this module for its names
+
+    # DCT over a strided 4-D view avoids materializing per-block copies.
+    coef = sfft.dctn(
+        trimmed.reshape(nh, ENERGY_BLOCK, nw, ENERGY_BLOCK),
+        axes=(1, 3),
+        norm="ortho",
+    )
+    np.abs(coef, out=coef)
+    coef[:, 0, :, 0] = 0.0
+    return coef.sum(axis=(1, 3)).reshape(-1) / (ENERGY_BLOCK * ENERGY_BLOCK)
 
 
 def block_energies(luma):
     """Per-block texture energies: mean |AC coefficient| of the orthonormal DCT-II.
 
-    Blocks are ordered row-major over the tiling.  Each block, less its
-    mean, is multiplied by the DCT basis on both sides, one row of blocks
-    at a time.  Subtracting the mean leaves the AC coefficients as they
-    are and makes a flat block's energy exactly 0; 32x32 products are
-    too small for BLAS to spread over threads, which would contend with
-    `--jobs` worker processes.
+    Blocks are ordered row-major over the tiling.
     """
-    tiled = _tiled_area(np.asarray(luma))
-    b = ENERGY_BLOCK
-    nh, nw = tiled.shape[0] // b, tiled.shape[1] // b
-    blocks = np.empty((nw, b, b))
-    rows = np.empty_like(blocks)
-    energies = np.empty((nh, nw))
-    for i in range(nh):
-        blocks[...] = tiled[i * b : (i + 1) * b].reshape(b, nw, b).transpose(1, 0, 2)
-        blocks -= (blocks.sum(axis=(1, 2)) / (b * b))[:, None, None]
-        np.matmul(_DCT, blocks, out=rows)
-        coef = np.matmul(rows, _DCT_T, out=blocks)
-        np.abs(coef, out=coef)
-        coef[:, 0, 0] = 0.0  # the DC coefficients
-        energies[i] = coef.sum(axis=(1, 2))
-    return energies.reshape(-1) / (b * b)
+    return _energies_from_trimmed(*_trimmed_plane(luma))
 
 
 def block_texture_energy(luma):
     """(E, br): mean block texture energy and mean luma of the tiled area."""
-    luma = np.asarray(luma)
-    return float(block_energies(luma).mean()), float(_tiled_area(luma).mean(dtype=np.float64))
+    trimmed, nh, nw = _trimmed_plane(luma)
+    return (
+        float(_energies_from_trimmed(trimmed, nh, nw).mean()),
+        float(trimmed.mean()),
+    )
 
 
 def temporal_energy(prev_blocks, curr_blocks):
@@ -121,9 +107,10 @@ def extract_live(clip):
     h_series = []
     prev_blocks = None
     for y, _, _ in read_frames(clip):
-        energies = block_energies(y)
+        trimmed, nh, nw = _trimmed_plane(y)
+        energies = _energies_from_trimmed(trimmed, nh, nw)
         e_series.append(float(energies.mean()))
-        br_series.append(float(_tiled_area(y).mean(dtype=np.float64)))
+        br_series.append(float(trimmed.mean()))
         if prev_blocks is not None:
             h_series.append(temporal_energy(prev_blocks, energies))
         prev_blocks = energies

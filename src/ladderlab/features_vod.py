@@ -51,44 +51,26 @@ class VodFeatureVector:
             raise ValidationError("non-finite feature value")
 
 
-#: Elements in one slice of rows.  Descriptors of a large frame are
-#: computed slice by slice, so their float64 temporaries (256 kB here)
-#: stay in the CPU caches instead of streaming whole frames through memory.
-_SLICE_ELEMENTS = 1 << 15
-
-
-def _row_slices(h, w, halo=0, multiple=1):
-    """Slices of rows whose interiors tile rows [halo, h - halo) in order.
-
-    Each interior spans a multiple of `multiple` rows (the last may be
-    shorter) and is widened by `halo` rows on both sides.
-    """
-    step = max(multiple, _SLICE_ELEMENTS // max(w, 1) // multiple * multiple)
-    for r0 in range(halo, h - halo, step):
-        yield slice(r0 - halo, min(h - halo, r0 + step) + halo)
-
-
 def glcm_descriptors(luma, offsets=((0, 1), (1, 0))):
     """(contrast, correlation, energy, homogeneity, entropy) of the luma plane.
 
     32 gray levels; by default offsets (0,1) and (1,0) pooled into one
     symmetric co-occurrence distribution; entropy base 2 with 0*log0 := 0.
-    Offsets are non-negative (row, column) steps.
     """
     luma = np.asarray(luma)
     if luma.shape[0] < 2 or luma.shape[1] < 2:
         raise ContractError("GLCM needs a plane of at least 2x2")
-    q = (luma >> 3) if luma.dtype == np.uint8 else (
+    q = (luma.astype(np.int64) >> 3) if luma.dtype == np.uint8 else (
         np.clip(luma, 0, 255).astype(np.int64) * GLCM_LEVELS // 256
     )
     h, w = q.shape
     counts = np.zeros(GLCM_LEVELS**2, dtype=np.int64)
     for di, dj in offsets:
-        for rows in _row_slices(h - di, w):
-            pair = q[rows, : w - dj].astype(np.intp)
-            pair *= GLCM_LEVELS
-            pair += q[rows.start + di : rows.stop + di, dj:]
-            counts += np.bincount(pair.ravel(), minlength=GLCM_LEVELS**2)
+        a = q[: h - di, : w - dj]
+        b = q[di:, dj:]
+        counts += np.bincount(
+            (a * GLCM_LEVELS + b).ravel(), minlength=GLCM_LEVELS**2
+        )
     m = counts.reshape(GLCM_LEVELS, GLCM_LEVELS).astype(np.float64)
     m = m + m.T
     p = m / m.sum()
@@ -110,51 +92,40 @@ def glcm_descriptors(luma, offsets=((0, 1), (1, 0))):
     return contrast, correlation, energy, homogeneity, entropy
 
 
-def _block_half_spectra(strip):
+def _block_half_spectra(plane):
     """Per-block magnitudes of the real-input FFT half spectrum.
 
-    `strip` is one row of blocks, TC_BLOCK rows high and a multiple of
-    TC_BLOCK wide; the result holds one flattened spectrum per block.
     The full 32x32 magnitude spectrum is Hermitian-symmetric, so
     magnitudes are kept only for frequency columns 0..16; mirrored
     columns are accounted for by `_HALF_WEIGHTS` in the correlation.
     """
+    plane = np.asarray(plane, dtype=np.float64)
+    h, w = plane.shape
+    nh, nw = h // TC_BLOCK, w // TC_BLOCK
+    if nh == 0 or nw == 0:
+        raise ContractError(
+            f"plane {w}x{h} smaller than one {TC_BLOCK}x{TC_BLOCK} block"
+        )
     from scipy import fft as sfft  # imported on use: the CLI loads this module for its names
 
-    nw = strip.shape[1] // TC_BLOCK
-    blocks = np.empty((nw, TC_BLOCK, TC_BLOCK))
-    blocks[...] = strip.reshape(TC_BLOCK, nw, TC_BLOCK).transpose(1, 0, 2)
-    return np.abs(sfft.rfftn(blocks, axes=(1, 2))).reshape(nw, -1)
+    v = plane[: nh * TC_BLOCK, : nw * TC_BLOCK].reshape(nh, TC_BLOCK, nw, TC_BLOCK)
+    spec = sfft.rfftn(v, axes=(1, 3))
+    return (
+        np.abs(spec)
+        .transpose(0, 2, 1, 3)
+        .reshape(nh * nw, TC_BLOCK, TC_BLOCK // 2 + 1)
+    )
 
 
 def _half_weights():
     w = np.full((TC_BLOCK, TC_BLOCK // 2 + 1), 2.0)
     w[:, 0] = 1.0  # self-conjugate columns appear once in the full spectrum
     w[:, -1] = 1.0
-    return w.reshape(-1)
+    return w
 
 
 _HALF_WEIGHTS = _half_weights()
 _SPECTRUM_COUNT = TC_BLOCK * TC_BLOCK - 1  # full spectrum minus DC
-
-
-def _block_coherence(sa, sb):
-    """Per-block TC from the half spectra of co-located blocks."""
-    w = _HALF_WEIGHTS
-    # per-block weighted sums by einsum, not BLAS: BLAS threads would
-    # contend with the --jobs worker processes
-    # column 0 is the DC term, subtracted out of every weighted sum
-    da = sa - ((np.einsum("ij,j->i", sa, w) - sa[:, 0]) / _SPECTRUM_COUNT)[:, None]
-    db = sb - ((np.einsum("ij,j->i", sb, w) - sb[:, 0]) / _SPECTRUM_COUNT)[:, None]
-    var_a = np.einsum("ij,ij,j->i", da, da, w) - da[:, 0] ** 2
-    var_b = np.einsum("ij,ij,j->i", db, db, w) - db[:, 0] ** 2
-    cov = np.einsum("ij,ij,j->i", da, db, w) - da[:, 0] * db[:, 0]
-    na = np.sqrt(np.maximum(var_a, 0.0))
-    nb = np.sqrt(np.maximum(var_b, 0.0))
-    tc = np.ones(sa.shape[0])
-    ok = (na > 1e-12) & (nb > 1e-12)
-    tc[ok] = cov[ok] / (na[ok] * nb[ok])
-    return np.clip(tc, -1.0, 1.0)
 
 
 def temporal_coherence(prev, curr):
@@ -163,27 +134,29 @@ def temporal_coherence(prev, curr):
     TC of a block is the zero-mean normalized correlation between the
     DC-excluded FFT magnitude spectra of the co-located 32x32 blocks; a
     zero-variance spectrum makes that block's TC 1.  Entropy uses a
-    16-bin histogram over [-1, 1].  The planes are cropped to full
-    blocks and taken one row of blocks at a time.
+    16-bin histogram over [-1, 1].
     """
     prev = np.asarray(prev)
     curr = np.asarray(curr)
     if prev.shape != curr.shape:
         raise ContractError("temporal coherence needs equal-size planes")
-    h, w = prev.shape
-    nh, nw = h // TC_BLOCK, w // TC_BLOCK
-    if nh == 0 or nw == 0:
-        raise ContractError(
-            f"plane {w}x{h} smaller than one {TC_BLOCK}x{TC_BLOCK} block"
-        )
-    tc = np.empty((nh, nw))
-    cols = slice(0, nw * TC_BLOCK)
-    for i in range(nh):
-        rows = slice(i * TC_BLOCK, (i + 1) * TC_BLOCK)
-        tc[i] = _block_coherence(
-            _block_half_spectra(prev[rows, cols]), _block_half_spectra(curr[rows, cols])
-        )
-    tc = tc.reshape(-1)
+    sa = _block_half_spectra(prev)
+    sb = _block_half_spectra(curr)
+    w = _HALF_WEIGHTS
+    mean_a = ((sa * w).sum(axis=(1, 2)) - sa[:, 0, 0]) / _SPECTRUM_COUNT
+    mean_b = ((sb * w).sum(axis=(1, 2)) - sb[:, 0, 0]) / _SPECTRUM_COUNT
+    da = sa - mean_a[:, None, None]
+    db = sb - mean_b[:, None, None]
+    # the DC term is subtracted out of every weighted sum
+    var_a = (w * da * da).sum(axis=(1, 2)) - da[:, 0, 0] ** 2
+    var_b = (w * db * db).sum(axis=(1, 2)) - db[:, 0, 0] ** 2
+    cov = (w * da * db).sum(axis=(1, 2)) - da[:, 0, 0] * db[:, 0, 0]
+    na = np.sqrt(np.maximum(var_a, 0.0))
+    nb = np.sqrt(np.maximum(var_b, 0.0))
+    tc = np.ones(sa.shape[0])
+    ok = (na > 1e-12) & (nb > 1e-12)
+    tc[ok] = cov[ok] / (na[ok] * nb[ok])
+    tc = np.clip(tc, -1.0, 1.0)
     return (
         float(tc.mean()),
         stats.pop_std(tc),
@@ -193,42 +166,30 @@ def temporal_coherence(prev, curr):
     )
 
 
+_LAPLACIAN_DIFF = np.array([[1, -2, 1], [-2, 4, -2], [1, -2, 1]], dtype=np.float64)
+
+
 def spatial_information(luma):
     """SI: population std of the Sobel gradient magnitude on interior pixels."""
-    luma = np.asarray(luma)
-    h, w = luma.shape
-    if h < 3 or w < 3:
+    luma = np.asarray(luma, dtype=np.float64)
+    if luma.shape[0] < 3 or luma.shape[1] < 3:
         raise ContractError("SI needs a plane of at least 3x3")
     # separable Sobel ([1,2,1] smoothing, [-1,0,1] difference) evaluated
     # only on the interior, where the boundary mode is irrelevant
-    magnitude = stats.RunningMoments()
-    for rows in _row_slices(h, w, halo=1):
-        p = np.asarray(luma[rows], dtype=np.float64)
-        sx = 2.0 * p[1:-1]
-        sx += p[:-2]
-        sx += p[2:]
-        gx = sx[:, 2:] - sx[:, :-2]
-        sy = 2.0 * p[:, 1:-1]
-        sy += p[:, :-2]
-        sy += p[:, 2:]
-        gy = sy[2:] - sy[:-2]
-        gx *= gx
-        gy *= gy
-        gx += gy
-        magnitude.add(np.sqrt(gx, out=gx))
-    return magnitude.std()
+    sx = luma[:-2] + 2.0 * luma[1:-1] + luma[2:]
+    gx = sx[:, 2:] - sx[:, :-2]
+    sy = luma[:, :-2] + 2.0 * luma[:, 1:-1] + luma[:, 2:]
+    gy = sy[2:] - sy[:-2]
+    return stats.pop_std(np.sqrt(gx * gx + gy * gy))
 
 
 def temporal_information(prev, curr):
     """TI: population std of the frame difference."""
-    prev = np.asarray(prev)
-    curr = np.asarray(curr)
+    prev = np.asarray(prev, dtype=np.float64)
+    curr = np.asarray(curr, dtype=np.float64)
     if prev.shape != curr.shape:
         raise ContractError("TI needs equal-size planes")
-    diff = stats.RunningMoments()
-    for rows in _row_slices(*prev.shape):
-        diff.add(np.subtract(curr[rows], prev[rows], dtype=np.float64))
-    return diff.std()
+    return stats.pop_std(curr - prev)
 
 
 def yuv420_to_rgb(luma, cb, cr):
@@ -256,63 +217,39 @@ def yuv420_to_rgb(luma, cb, cr):
     )
 
 
-def _add_opponents(rg, yb, r, g, b):
-    """Fold the opponent channels of float RGB planes into two moment sets."""
-    rg.add(r - g)
-    yb.add(0.5 * (r + g) - b)
-
-
-def _hasler_suesstrunk(rg, yb):
-    sigma = np.hypot(rg.std(), yb.std())
-    mu = np.hypot(rg.mean, yb.mean)
-    return float(sigma + 0.3 * mu)
-
-
 def colorfulness_rgb(r, g, b):
     """Hasler-Suesstrunk colorfulness of float RGB planes."""
-    # the moments are accumulated in float64 regardless of input dtype
-    rg, yb = stats.RunningMoments(), stats.RunningMoments()
-    _add_opponents(rg, yb, np.asarray(r), np.asarray(g), np.asarray(b))
-    return _hasler_suesstrunk(rg, yb)
+    r = np.asarray(r)
+    g = np.asarray(g)
+    b = np.asarray(b)
+    rg = r - g
+    yb = 0.5 * (r + g) - b
+    # accumulate the moments in float64 regardless of input dtype
+    sigma = np.hypot(np.std(rg, dtype=np.float64), np.std(yb, dtype=np.float64))
+    mu = np.hypot(np.mean(rg, dtype=np.float64), np.mean(yb, dtype=np.float64))
+    return float(sigma + 0.3 * mu)
 
 
 def colorfulness(luma, cb, cr):
     """CF of a 4:2:0 frame via nearest-neighbor chroma upsampling."""
-    luma, cb, cr = np.asarray(luma), np.asarray(cb), np.asarray(cr)
-    h, w = luma.shape
-    if h % 2 or cb.shape != (h // 2, w // 2) or cr.shape != cb.shape:
-        raise ContractError("chroma planes are not half-size of luma")
-    rg, yb = stats.RunningMoments(), stats.RunningMoments()
-    for rows in _row_slices(h, w, multiple=2):
-        half = slice(rows.start // 2, rows.stop // 2)
-        _add_opponents(rg, yb, *yuv420_to_rgb(luma[rows], cb[half], cr[half]))
-    return _hasler_suesstrunk(rg, yb)
+    return colorfulness_rgb(*yuv420_to_rgb(luma, cb, cr))
 
 
 def noise_estimate(luma):
     """Fast Laplacian noise sigma estimate.
 
-    sigma = sqrt(pi/2) / (6 (W-2)(H-2)) * sum |L * I| over interior pixels,
-    with L the 3x3 Laplacian-difference mask; the mask annihilates
-    constant and linear fields so flat content scores 0.
+    sigma = sqrt(pi/2) / (6 (W-2)(H-2)) * sum |L * I| with L the 3x3
+    Laplacian-difference mask; the mask annihilates constant and linear
+    fields so flat content scores 0.
     """
-    luma = np.asarray(luma)
+    luma = np.asarray(luma, dtype=np.float64)
     h, w = luma.shape
     if h < 3 or w < 3:
         raise ContractError("noise estimate needs a plane of at least 3x3")
-    total = 0.0
-    for rows in _row_slices(h, w, halo=1):
-        p = np.asarray(luma[rows], dtype=np.float64)
-        # L is the outer product of [1, -2, 1] with itself: a second
-        # difference down the columns, then one along the rows
-        d = -2.0 * p[1:-1]
-        d += p[:-2]
-        d += p[2:]
-        conv = -2.0 * d[:, 1:-1]
-        conv += d[:, :-2]
-        conv += d[:, 2:]
-        total += float(np.abs(conv, out=conv).sum())
-    return float(np.sqrt(np.pi / 2.0) * total / (6.0 * (w - 2) * (h - 2)))
+    from scipy import ndimage
+
+    conv = ndimage.correlate(luma, _LAPLACIAN_DIFF, mode="nearest")[1:-1, 1:-1]
+    return float(np.sqrt(np.pi / 2.0) * np.sum(np.abs(conv)) / (6.0 * (w - 2) * (h - 2)))
 
 
 def ncc(prev, curr):
@@ -320,26 +257,19 @@ def ncc(prev, curr):
 
     Both planes constant -> 1; exactly one constant -> 0.
     """
-    prev = np.asarray(prev)
-    curr = np.asarray(curr)
+    prev = np.asarray(prev, dtype=np.float64).ravel()
+    curr = np.asarray(curr, dtype=np.float64).ravel()
     if prev.shape != curr.shape:
         raise ContractError("NCC needs equal-size planes")
-    mean_a = prev.mean(dtype=np.float64)
-    mean_b = curr.mean(dtype=np.float64)
-    saa = sbb = sab = 0.0
-    for rows in _row_slices(*prev.shape):
-        da = np.subtract(prev[rows], mean_a, dtype=np.float64).ravel()
-        db = np.subtract(curr[rows], mean_b, dtype=np.float64).ravel()
-        saa += float(np.einsum("i,i->", da, da))
-        sbb += float(np.einsum("i,i->", db, db))
-        sab += float(np.einsum("i,i->", da, db))
-    na = np.sqrt(saa)
-    nb = np.sqrt(sbb)
+    da = prev - prev.mean()
+    db = curr - curr.mean()
+    na = np.sqrt(np.sum(da * da))
+    nb = np.sqrt(np.sum(db * db))
     if na <= 1e-12 and nb <= 1e-12:
         return 1.0
     if na <= 1e-12 or nb <= 1e-12:
         return 0.0
-    return float(np.clip(sab / (na * nb), -1.0, 1.0))
+    return float(np.clip(np.sum(da * db) / (na * nb), -1.0, 1.0))
 
 
 def _mean_std(values):

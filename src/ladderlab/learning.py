@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .pipeline import read_input, write_json
+from .pipeline import json_object, read_input, write_json
 from .rd_core import METRICS
-from .stats import pearson, seeded_rng
+from .stats import check_seed, pearson, seeded_rng
 
 MODEL_FORMAT_TAG = "ladderlab-model-v1"
 
@@ -48,8 +48,7 @@ class Hyperparams:
             raise ValidationError(
                 f"min_samples_split must be at least 2, got {self.min_samples_split}"
             )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
 
     def resolved_max_features(self, n_features):
         if self.max_features is None:
@@ -501,28 +500,23 @@ def load_model(path):
             raise ValidationError("model has no trees")
         trees = [Tree(*(np.asarray(t[k], dtype=dt) for k, dt in _TREE_DTYPES.items()))
                  for t in doc["trees"]]
-        model = TrainedModel(
-            kind=doc["kind"],
-            trees=trees,
-            hyperparams=Hyperparams(**doc["hyperparams"]),
-            feature_names=list(doc["feature_names"]),
-            target_id=doc["target_id"],
-            metric=doc["metric"],
-            y_min=doc["y_min"],
-            y_max=doc["y_max"],
-            feature_gains=np.asarray(doc["feature_gains"], dtype=np.float64),
-        )
-        if (model.kind not in MODEL_KINDS or model.target_id not in TARGET_IDS
-                or model.metric not in METRICS):
-            raise ValidationError(f"unknown kind, target or metric: "
-                                  f"{model.kind!r}, {model.target_id!r}, {model.metric!r}")
-        d = len(model.feature_names)
-        if model.feature_gains.shape != (d,):
-            raise ValidationError(f"feature_gains must hold {d} values, one per feature")
-        for i, tree in enumerate(trees):
-            problem = _tree_problem(tree, d)
-            if problem:
-                raise ValidationError(f"tree {i}: {problem}")
+        fields = {k: doc[k] for k in ("kind", "target_id", "metric", "y_min", "y_max")}
+        hyperparams = Hyperparams(**json_object(doc["hyperparams"], "hyperparams"))
+        feature_names = list(doc["feature_names"])
+        feature_gains = np.asarray(doc["feature_gains"], dtype=np.float64)
+    model = TrainedModel(trees=trees, hyperparams=hyperparams, feature_names=feature_names,
+                         feature_gains=feature_gains, **fields)
+    if (model.kind not in MODEL_KINDS or model.target_id not in TARGET_IDS
+            or model.metric not in METRICS):
+        raise ValidationError(f"{path}: unknown kind, target or metric: "
+                              f"{model.kind!r}, {model.target_id!r}, {model.metric!r}")
+    d = len(feature_names)
+    if feature_gains.shape != (d,):
+        raise ValidationError(f"{path}: feature_gains must hold {d} values, one per feature")
+    for i, tree in enumerate(trees):
+        problem = _tree_problem(tree, d)
+        if problem:
+            raise ValidationError(f"{path}: tree {i}: {problem}")
     return model
 
 

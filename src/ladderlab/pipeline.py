@@ -80,12 +80,21 @@ def _decode_error(path, encoding):
     return ValidationError(f"{path}: changed while it was read")
 
 
+def json_object(value, what=None):
+    """`value` if it is a JSON object; a nested one read with .items() or .get() needs this."""
+    if not isinstance(value, dict):
+        where = f"{what}: " if what else ""
+        raise ValidationError(f"{where}expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 class _Input:
     """A text input file opened by `read_input`."""
 
     def __init__(self, f):
         self.file = f
         self.line = None  # number of the line last read, when read by lines
+        self.holds_json = False
 
     def __iter__(self):
         """Its non-blank lines."""
@@ -93,22 +102,22 @@ class _Input:
             if not text.isspace():
                 yield text
 
-    def json(self):
-        """The whole file as one JSON object."""
-        doc = json.load(self.file)
-        if not isinstance(doc, dict):
-            raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
-        return doc
+    def json(self, text=None):
+        """The whole file, or its line `text`, as one JSON object."""
+        self.holds_json = True
+        return json_object(json.load(self.file) if text is None else json.loads(text))
 
 
 @contextlib.contextmanager
 def read_input(path, what):
     """The `_Input` of an existing text file, whose errors name the file.
 
-    A KeyError, AttributeError, TypeError, ValueError (JSON syntax too),
-    OverflowError, undecodable byte or ValidationError in the `with`
-    block leaves it as one ValidationError naming `path` and the line
-    being read, if any.
+    A ValueError (JSON syntax too), OverflowError, undecodable byte or
+    ValidationError in the `with` block leaves it as one ValidationError
+    naming `path` and the line being read, if any; so does a KeyError
+    (a missing field) or TypeError (a value of the wrong type) once the
+    file was read as JSON.  Keep the block to reading and checking the
+    file, so that these errors come from the file and not the program.
     """
     if not os.path.isfile(path):
         raise ValidationError(f"{what} not found: {path}")
@@ -118,8 +127,9 @@ def read_input(path, what):
             yield source
         except UnicodeDecodeError as exc:
             raise _decode_error(path, f.encoding) from exc
-        except (KeyError, AttributeError, TypeError, ValueError, OverflowError,
-                ValidationError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+            if isinstance(exc, (KeyError, TypeError)) and not source.holds_json:
+                raise  # CSV cells are strings: these come from the program
             where = path if source.line is None else f"{path}:{source.line}"
             reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ValidationError(f"{where}: {reason}") from exc
@@ -139,7 +149,7 @@ def load_manifest(path):
     strata = {}
     with read_input(path, "manifest") as source:
         for line in source:
-            rec = json.loads(line)
+            rec = source.json(line)
             clip = VideoClip(
                 clip_id=rec["clip_id"],
                 path=str(rec["path"]),
@@ -426,11 +436,11 @@ def read_curves_dir(dirpath):
                 raise ValidationError(f"{names[key]} already holds the curves of {key}")
             names[key] = name
             by_res = {}
-            for res_str, pts in doc["resolutions"].items():
+            for res_str, pts in json_object(doc["resolutions"], "resolutions").items():
                 w, h = (int(v) for v in res_str.split("x"))
                 points = [
                     RDPoint(_positive(p["bitrate_kbps"]), _finite(p["quality"]), p.get("qp"))
-                    for p in pts
+                    for p in (json_object(q, "a point") for q in pts)
                 ]
                 by_res[(w, h)] = build_rd_curve(points, (w, h), doc["metric"])
         out[key] = by_res

@@ -12,46 +12,20 @@ from .errors import ValidationError
 _VAR_EPS = 1e-12
 
 
-def seeded_rng(seed, stream):
-    """The Generator of `stream` under a user's non-negative `seed`."""
+def check_seed(seed):
+    """Reject a negative seed, which np.random.SeedSequence refuses."""
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+
+
+def seeded_rng(seed, stream):
+    """The Generator of `stream` under a user's non-negative `seed`."""
+    check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
 
 
 def pop_std(x):
     return float(np.std(np.asarray(x, dtype=np.float64)))
-
-
-class RunningMoments:
-    """Population mean and std of a series that arrives in chunks.
-
-    Each chunk's mean and centered sum of squares are merged with the
-    pairwise update of Chan, Golub and LeVeque, so no chunk is summed
-    around a far-off mean.
-    """
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, chunk):
-        """Fold in a chunk; a contiguous float64 chunk is overwritten."""
-        x = np.asarray(chunk, dtype=np.float64).ravel()
-        if x.size == 0:
-            return
-        m = float(x.mean())
-        x -= m
-        m2 = float(np.einsum("i,i->", x, x))  # not BLAS: no threads
-        total = self.n + x.size
-        delta = m - self.mean
-        self.mean += delta * (x.size / total)
-        self._m2 += m2 + delta * delta * (self.n * x.size / total)
-        self.n = total
-
-    def std(self):
-        return float(np.sqrt(self._m2 / self.n))
 
 
 def skewness(x):

@@ -13,9 +13,9 @@ from scipy import ndimage
 
 from .errors import ValidationError
 from .media_io import VideoClip, write_frames
-from .pipeline import read_input
+from .pipeline import json_object, read_input
 from .rd_core import LADDER_RESOLUTIONS, RDPoint
-from .stats import seeded_rng
+from .stats import check_seed, seeded_rng
 
 SYNTH_REF_QP = 32
 
@@ -47,8 +47,7 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         caps = [self.laws[r].q_cap for r in sorted(self.laws, key=lambda t: t[0] * t[1])]
         if any(b < a for a, b in zip(caps, caps[1:])):
             raise ValidationError("quality caps must not decrease with resolution")
@@ -59,8 +58,9 @@ def load_params(path, seed=0):
     with read_input(path, "params file") as source:
         doc = source.json()
         laws = {}
-        for res_str, law in doc["resolutions"].items():
+        for res_str, law in json_object(doc["resolutions"], "resolutions").items():
             w, h = (int(v) for v in res_str.split("x"))
+            law = json_object(law, res_str)
             laws[(w, h)] = ResolutionLaw(**{k: float(v) for k, v in law.items()})
         return SynthParams(laws=laws, seed=int(doc.get("seed", seed)))
 

@@ -564,11 +564,19 @@ def _first_point(field, value):
     ("curve", lambda doc: json.dumps(doc)[:-1], "Expecting ',' delimiter"),
     ("curve", _first_point("bitrate_kbps", -1), "expected a positive finite number, got -1"),
     ("curve", _first_point("quality", "abc"), "could not convert string to float: 'abc'"),
+    ("curve", lambda doc: {**doc, "resolutions": []},
+     "resolutions: expected a JSON object, got list"),
+    ("curve", lambda doc: (next(iter(doc["resolutions"].values())).insert(0, None), doc)[1],
+     "a point: expected a JSON object, got NoneType"),
+    ("params", lambda doc: (doc["resolutions"].update({"720x480": [1.0]}), doc)[1],
+     "720x480: expected a JSON object, got list"),
+    ("model", lambda doc: {**doc, "hyperparams": 3}, "hyperparams: expected a JSON object, got int"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
         "params-unknown-key", "params-negative-seed", "curve-truncated", "curve-bitrate--1",
-        "curve-quality-abc"])
+        "curve-quality-abc", "curve-resolutions-list", "curve-point-null", "params-law-list",
+        "model-hyperparams-int"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:

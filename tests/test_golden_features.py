@@ -1,10 +1,10 @@
 """Golden feature vectors of a small multi-slice clip.
 
 `tests/golden/features.json` holds the VoD and live vectors that the
-whole-frame kernels (scipy DCT-II for the block energies, every VoD
-descriptor over the full plane at once) computed for the clip built by
-`golden_frames`.  The row-sliced kernels must agree with them up to
-floating-point rounding; a changed feature definition shows up here.
+feature extractors computed for the clip built by `golden_frames`, and
+they still reproduce them bit for bit.  The comparison allows
+floating-point rounding only, so a faster kernel may reorder its sums,
+but a changed feature definition shows up here.
 """
 
 import json

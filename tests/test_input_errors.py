@@ -279,6 +279,21 @@ def test_input_files_are_read_only_through_read_input():
             if func == "open" and not (isinstance(mode, ast.Constant)
                                        and set(mode.value) & set("wax+")):
                 read_opens.append(site)
-    assert json_loads == [("pipeline", "json", "self.file"), ("pipeline", "load_manifest", "line")]
+    assert sorted(json_loads) == [("pipeline", "json", "self.file"), ("pipeline", "json", "text")]
     assert sorted(read_opens) == [("media_io", "read_frames"), ("pipeline", "_decode_error"),
                                   ("pipeline", "read_input")]
+
+
+@pytest.mark.parametrize("text, read, error", [
+    ("a,b\n1,2\n", lambda source: [len(line) + None for line in source], TypeError),
+    ("a,b\n1,2\n", lambda source: [{}[line] for line in source], KeyError),
+    ('{"a": 1}', lambda source: source.json().a, AttributeError),
+], ids=["csv-type-error", "csv-key-error", "json-attribute-error"])
+def test_read_input_lets_program_errors_raise(tmp_path, text, read, error):
+    """Only what a file's content can cause becomes a ValidationError; a bug
+    in the reading code keeps its own exception and traceback."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(error):
+        with pipeline.read_input(str(path), "input") as source:
+            read(source)
