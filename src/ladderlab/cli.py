@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import evaluation, learning, media_io, pipeline, rd_core
+from . import evaluation, learning, media_io, pipeline, rd_core, stats
 from .errors import DriverError, LadderError, ValidationError
 from .features_live import extract_live
 from .features_vod import extract_vod
@@ -327,6 +327,7 @@ def _cmd_synth_rd(args):
     from . import synth  # imports scipy.ndimage, which no other command needs
 
     media_io.check_clip_id(args.clip_id)
+    stats.check_seed(args.seed)  # checked even when the params file has its own seed
     params = synth.load_params(args.params, args.seed)
     samples = synth.synth_rd(params, _parse_qp_set(args.qp_set))
     rows = [

@@ -51,6 +51,18 @@ class VodFeatureVector:
             raise ValidationError("non-finite feature value")
 
 
+def _exact(plane):
+    """`plane` itself if uint8, else as float64.
+
+    The kernels widen a uint8 plane to int16 (`np.result_type(plane,
+    np.int16)`), in which Sobel sums, Laplacian and frame differences are
+    exact integers, so their float64 results carry the same bits as a
+    float64 computation would; any other plane runs in float64.
+    """
+    plane = np.asarray(plane)
+    return plane if plane.dtype == np.uint8 else plane.astype(np.float64, copy=False)
+
+
 def glcm_descriptors(luma, offsets=((0, 1), (1, 0))):
     """(contrast, correlation, energy, homogeneity, entropy) of the luma plane.
 
@@ -60,7 +72,8 @@ def glcm_descriptors(luma, offsets=((0, 1), (1, 0))):
     luma = np.asarray(luma)
     if luma.shape[0] < 2 or luma.shape[1] < 2:
         raise ContractError("GLCM needs a plane of at least 2x2")
-    q = (luma.astype(np.int64) >> 3) if luma.dtype == np.uint8 else (
+    # uint16 holds every code a * GLCM_LEVELS + b below
+    q = (luma >> 3).astype(np.uint16) if luma.dtype == np.uint8 else (
         np.clip(luma, 0, 255).astype(np.int64) * GLCM_LEVELS // 256
     )
     h, w = q.shape
@@ -99,17 +112,15 @@ def _block_half_spectra(plane):
     magnitudes are kept only for frequency columns 0..16; mirrored
     columns are accounted for by `_HALF_WEIGHTS` in the correlation.
     """
-    plane = np.asarray(plane, dtype=np.float64)
+    plane = _exact(plane)
     h, w = plane.shape
     nh, nw = h // TC_BLOCK, w // TC_BLOCK
     if nh == 0 or nw == 0:
         raise ContractError(
             f"plane {w}x{h} smaller than one {TC_BLOCK}x{TC_BLOCK} block"
         )
-    from scipy import fft as sfft  # imported on use: the CLI loads this module for its names
-
     v = plane[: nh * TC_BLOCK, : nw * TC_BLOCK].reshape(nh, TC_BLOCK, nw, TC_BLOCK)
-    spec = sfft.rfftn(v, axes=(1, 3))
+    spec = np.fft.rfftn(v, axes=(1, 3))
     return (
         np.abs(spec)
         .transpose(0, 2, 1, 3)
@@ -166,30 +177,35 @@ def temporal_coherence(prev, curr):
     )
 
 
-_LAPLACIAN_DIFF = np.array([[1, -2, 1], [-2, 4, -2], [1, -2, 1]], dtype=np.float64)
-
-
 def spatial_information(luma):
     """SI: population std of the Sobel gradient magnitude on interior pixels."""
-    luma = np.asarray(luma, dtype=np.float64)
+    luma = _exact(luma)
     if luma.shape[0] < 3 or luma.shape[1] < 3:
         raise ContractError("SI needs a plane of at least 3x3")
+    work = np.result_type(luma, np.int16)
     # separable Sobel ([1,2,1] smoothing, [-1,0,1] difference) evaluated
     # only on the interior, where the boundary mode is irrelevant
-    sx = luma[:-2] + 2.0 * luma[1:-1] + luma[2:]
+    sx = np.add(luma[:-2], luma[2:], dtype=work)
+    sx += luma[1:-1]
+    sx += luma[1:-1]
     gx = sx[:, 2:] - sx[:, :-2]
-    sy = luma[:, :-2] + 2.0 * luma[:, 1:-1] + luma[:, 2:]
+    sy = np.add(luma[:, :-2], luma[:, 2:], dtype=work)
+    sy += luma[:, 1:-1]
+    sy += luma[:, 1:-1]
     gy = sy[2:] - sy[:-2]
-    return stats.pop_std(np.sqrt(gx * gx + gy * gy))
+    wide = np.result_type(work, np.int32)  # |g|^2 of a uint8 plane needs 21 bits
+    mag2 = np.multiply(gx, gx, dtype=wide)
+    mag2 += np.multiply(gy, gy, dtype=wide)
+    return stats.pop_std(np.sqrt(mag2))
 
 
 def temporal_information(prev, curr):
     """TI: population std of the frame difference."""
-    prev = np.asarray(prev, dtype=np.float64)
-    curr = np.asarray(curr, dtype=np.float64)
+    prev = _exact(prev)
+    curr = _exact(curr)
     if prev.shape != curr.shape:
         raise ContractError("TI needs equal-size planes")
-    return stats.pop_std(curr - prev)
+    return stats.pop_std(np.subtract(curr, prev, dtype=np.result_type(prev, curr, np.int16)))
 
 
 def yuv420_to_rgb(luma, cb, cr):
@@ -222,12 +238,9 @@ def colorfulness_rgb(r, g, b):
     r = np.asarray(r)
     g = np.asarray(g)
     b = np.asarray(b)
-    rg = r - g
-    yb = 0.5 * (r + g) - b
-    # accumulate the moments in float64 regardless of input dtype
-    sigma = np.hypot(np.std(rg, dtype=np.float64), np.std(yb, dtype=np.float64))
-    mu = np.hypot(np.mean(rg, dtype=np.float64), np.mean(yb, dtype=np.float64))
-    return float(sigma + 0.3 * mu)
+    mean_rg, std_rg = _mean_std(r - g)
+    mean_yb, std_yb = _mean_std(0.5 * (r + g) - b)
+    return float(np.hypot(std_rg, std_yb) + 0.3 * np.hypot(mean_rg, mean_yb))
 
 
 def colorfulness(luma, cb, cr):
@@ -236,20 +249,25 @@ def colorfulness(luma, cb, cr):
 
 
 def noise_estimate(luma):
-    """Fast Laplacian noise sigma estimate.
+    """Fast Laplacian noise sigma estimate (Immerkaer, CVIU 1996).
 
-    sigma = sqrt(pi/2) / (6 (W-2)(H-2)) * sum |L * I| with L the 3x3
-    Laplacian-difference mask; the mask annihilates constant and linear
-    fields so flat content scores 0.
+    sigma = sqrt(pi/2) / (6 (W-2)(H-2)) * sum |L * I| over interior
+    pixels, with L = [1,-2,1]^T [1,-2,1] the 3x3 Laplacian-difference
+    mask; the mask annihilates constant and linear fields so flat content
+    scores 0.  On uint8 planes the sum is an exact integer.
     """
-    luma = np.asarray(luma, dtype=np.float64)
+    luma = _exact(luma)
     h, w = luma.shape
     if h < 3 or w < 3:
         raise ContractError("noise estimate needs a plane of at least 3x3")
-    from scipy import ndimage
-
-    conv = ndimage.correlate(luma, _LAPLACIAN_DIFF, mode="nearest")[1:-1, 1:-1]
-    return float(np.sqrt(np.pi / 2.0) * np.sum(np.abs(conv)) / (6.0 * (w - 2) * (h - 2)))
+    d = np.subtract(luma[:-2], luma[1:-1], dtype=np.result_type(luma, np.int16))
+    d -= luma[1:-1]
+    d += luma[2:]
+    conv = d[:, :-2] - d[:, 1:-1]
+    conv -= d[:, 1:-1]
+    conv += d[:, 2:]
+    total = float(np.abs(conv).sum(dtype=np.result_type(conv, np.int64)))
+    return float(np.sqrt(np.pi / 2.0) * total / (6.0 * (w - 2) * (h - 2)))
 
 
 def ncc(prev, curr):
@@ -257,12 +275,14 @@ def ncc(prev, curr):
 
     Both planes constant -> 1; exactly one constant -> 0.
     """
-    prev = np.asarray(prev, dtype=np.float64).ravel()
-    curr = np.asarray(curr, dtype=np.float64).ravel()
+    prev = _exact(prev).ravel()
+    curr = _exact(curr).ravel()
     if prev.shape != curr.shape:
         raise ContractError("NCC needs equal-size planes")
-    da = prev - prev.mean()
-    db = curr - curr.mean()
+    # a uint8 plane's mean is an exact integer sum over n, so the mean
+    # and the centred planes equal those of its float64 copy
+    da = np.subtract(prev, prev.mean(), dtype=np.float64)
+    db = np.subtract(curr, curr.mean(), dtype=np.float64)
     na = np.sqrt(np.sum(da * da))
     nb = np.sqrt(np.sum(db * db))
     if na <= 1e-12 and nb <= 1e-12:
@@ -273,8 +293,16 @@ def ncc(prev, curr):
 
 
 def _mean_std(values):
-    v = np.asarray(values, dtype=np.float64)
-    return float(v.mean()), stats.pop_std(v)
+    """float64 mean and population std, the mean computed once.
+
+    Repeats np.mean's and np.std's own steps (float64 accumulation,
+    centring in float64, sum of squares over n), so both carry their bits.
+    """
+    v = np.asarray(values)
+    mean = np.mean(v, dtype=np.float64)
+    d = np.subtract(v, mean, dtype=np.float64)
+    d *= d
+    return float(mean), float(np.sqrt(np.add.reduce(d, axis=None) / d.size))
 
 
 def extract_vod(clip):

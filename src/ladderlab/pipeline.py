@@ -11,6 +11,7 @@ import json
 import math
 import os
 import shlex
+import string
 import subprocess
 from dataclasses import dataclass
 
@@ -32,6 +33,9 @@ LADDER_HEADER = "clip_id,codec,platform,metric,P1_kbps,P2_kbps,P3_kbps"
 
 CODECS = ("avc", "hevc", "vvc")
 PLATFORMS = ("software", "hardware")
+
+# The placeholders an encode or metric template may use; run_encode binds each.
+TEMPLATE_FIELDS = ("input", "width", "height", "qp", "fps", "preset", "codec", "output")
 
 DEFAULT_QP_SETS = {
     "avc": list(range(15, 46)),
@@ -203,6 +207,22 @@ class EncoderProfile:
             raise ValidationError(f"unknown platform {self.platform!r}")
         if not self.qp_set or list(self.qp_set) != sorted(set(self.qp_set)):
             raise ValidationError("qp_set must be non-empty and strictly increasing")
+        for name in ("encode_template", "metric_template"):
+            _check_template(name, getattr(self, name))
+
+
+def _check_template(name, template):
+    """Reject a template whose fields are not all bare TEMPLATE_FIELDS names."""
+    try:
+        fields = list(string.Formatter().parse(template))
+    except ValueError as exc:  # a lone { or }
+        raise ValidationError(f"{name}: {exc}") from exc
+    for _, field, spec, conversion in fields:
+        if field is not None and (field not in TEMPLATE_FIELDS or spec or conversion):
+            raise ValidationError(
+                f"{name}: {template!r} may use only the placeholders "
+                + " ".join("{" + f + "}" for f in TEMPLATE_FIELDS)
+            )
 
 
 def load_profile(path):

@@ -1,13 +1,25 @@
-"""Brute-force reference implementations used as independent oracles.
+"""Reference implementations the package is checked against.
 
-Everything here is written as straight-line loops or explicit basis
+The oracles are written as straight-line loops or explicit basis
 matrices, deliberately avoiding the vectorized/library paths the
-package uses.
+package uses.  Two former implementations are kept as references for
+rewrites that must keep their bits: the float64 VoD descriptors and the
+one-column-at-a-time tree builder.
 """
 
 import math
 
 import numpy as np
+
+from ladderlab import stats
+from ladderlab.errors import ContractError
+from ladderlab.features_vod import (
+    _HALF_WEIGHTS,
+    _SPECTRUM_COUNT,
+    GLCM_LEVELS,
+    TC_BLOCK,
+    yuv420_to_rgb,
+)
 
 
 def glcm_oracle(plane, levels=32):
@@ -161,6 +173,184 @@ def temporal_energy_oracle(prev, curr, block=32):
     ea = dct_energy_oracle(prev, block)
     eb = dct_energy_oracle(curr, block)
     return sum(abs(b - a) for a, b in zip(ea, eb)) / len(ea)
+
+
+# ------------------------------------------------ float64 VoD descriptors
+#
+# The VoD descriptors as the package computed them on float64 copies of
+# the planes (scipy.fft for the TC spectra, scipy.ndimage for the noise
+# mask), kept verbatim as the reference its exact-integer kernels must
+# reproduce bit for bit.  FLOAT64_VOD maps each package name to its
+# reference, so `extract_vod` can run on them in place of its own.
+
+
+def float64_glcm_descriptors(luma, offsets=((0, 1), (1, 0))):
+    luma = np.asarray(luma)
+    if luma.shape[0] < 2 or luma.shape[1] < 2:
+        raise ContractError("GLCM needs a plane of at least 2x2")
+    q = (luma.astype(np.int64) >> 3) if luma.dtype == np.uint8 else (
+        np.clip(luma, 0, 255).astype(np.int64) * GLCM_LEVELS // 256
+    )
+    h, w = q.shape
+    counts = np.zeros(GLCM_LEVELS**2, dtype=np.int64)
+    for di, dj in offsets:
+        a = q[: h - di, : w - dj]
+        b = q[di:, dj:]
+        counts += np.bincount(
+            (a * GLCM_LEVELS + b).ravel(), minlength=GLCM_LEVELS**2
+        )
+    m = counts.reshape(GLCM_LEVELS, GLCM_LEVELS).astype(np.float64)
+    m = m + m.T
+    p = m / m.sum()
+
+    idx = np.arange(GLCM_LEVELS, dtype=np.float64)
+    di = idx[:, None] - idx[None, :]
+    contrast = float(np.sum(p * di**2))
+    energy = float(np.sum(p**2))
+    homogeneity = float(np.sum(p / (1.0 + di**2)))
+    nz = p[p > 0]
+    entropy = float(-np.sum(nz * np.log2(nz)))
+    mu = float(np.sum(idx * p.sum(axis=1)))
+    var = float(np.sum(idx**2 * p.sum(axis=1)) - mu**2)
+    if var <= 1e-12:
+        correlation = 1.0  # constant image: perfectly self-predictable
+    else:
+        cov = float(np.sum(p * idx[:, None] * idx[None, :]) - mu**2)
+        correlation = cov / var
+    return contrast, correlation, energy, homogeneity, entropy
+
+
+def float64_block_half_spectra(plane):
+    plane = np.asarray(plane, dtype=np.float64)
+    h, w = plane.shape
+    nh, nw = h // TC_BLOCK, w // TC_BLOCK
+    if nh == 0 or nw == 0:
+        raise ContractError(
+            f"plane {w}x{h} smaller than one {TC_BLOCK}x{TC_BLOCK} block"
+        )
+    from scipy import fft as sfft
+
+    v = plane[: nh * TC_BLOCK, : nw * TC_BLOCK].reshape(nh, TC_BLOCK, nw, TC_BLOCK)
+    spec = sfft.rfftn(v, axes=(1, 3))
+    return (
+        np.abs(spec)
+        .transpose(0, 2, 1, 3)
+        .reshape(nh * nw, TC_BLOCK, TC_BLOCK // 2 + 1)
+    )
+
+
+def float64_temporal_coherence(prev, curr):
+    prev = np.asarray(prev)
+    curr = np.asarray(curr)
+    if prev.shape != curr.shape:
+        raise ContractError("temporal coherence needs equal-size planes")
+    sa = float64_block_half_spectra(prev)
+    sb = float64_block_half_spectra(curr)
+    w = _HALF_WEIGHTS
+    mean_a = ((sa * w).sum(axis=(1, 2)) - sa[:, 0, 0]) / _SPECTRUM_COUNT
+    mean_b = ((sb * w).sum(axis=(1, 2)) - sb[:, 0, 0]) / _SPECTRUM_COUNT
+    da = sa - mean_a[:, None, None]
+    db = sb - mean_b[:, None, None]
+    # the DC term is subtracted out of every weighted sum
+    var_a = (w * da * da).sum(axis=(1, 2)) - da[:, 0, 0] ** 2
+    var_b = (w * db * db).sum(axis=(1, 2)) - db[:, 0, 0] ** 2
+    cov = (w * da * db).sum(axis=(1, 2)) - da[:, 0, 0] * db[:, 0, 0]
+    na = np.sqrt(np.maximum(var_a, 0.0))
+    nb = np.sqrt(np.maximum(var_b, 0.0))
+    tc = np.ones(sa.shape[0])
+    ok = (na > 1e-12) & (nb > 1e-12)
+    tc[ok] = cov[ok] / (na[ok] * nb[ok])
+    tc = np.clip(tc, -1.0, 1.0)
+    return (
+        float(tc.mean()),
+        stats.pop_std(tc),
+        stats.skewness(tc),
+        stats.excess_kurtosis(tc),
+        stats.histogram_entropy(tc, 16, (-1.0, 1.0)),
+    )
+
+
+_LAPLACIAN_DIFF = np.array([[1, -2, 1], [-2, 4, -2], [1, -2, 1]], dtype=np.float64)
+
+
+def float64_spatial_information(luma):
+    luma = np.asarray(luma, dtype=np.float64)
+    if luma.shape[0] < 3 or luma.shape[1] < 3:
+        raise ContractError("SI needs a plane of at least 3x3")
+    sx = luma[:-2] + 2.0 * luma[1:-1] + luma[2:]
+    gx = sx[:, 2:] - sx[:, :-2]
+    sy = luma[:, :-2] + 2.0 * luma[:, 1:-1] + luma[:, 2:]
+    gy = sy[2:] - sy[:-2]
+    return stats.pop_std(np.sqrt(gx * gx + gy * gy))
+
+
+def float64_temporal_information(prev, curr):
+    prev = np.asarray(prev, dtype=np.float64)
+    curr = np.asarray(curr, dtype=np.float64)
+    if prev.shape != curr.shape:
+        raise ContractError("TI needs equal-size planes")
+    return stats.pop_std(curr - prev)
+
+
+def float64_colorfulness_rgb(r, g, b):
+    r = np.asarray(r)
+    g = np.asarray(g)
+    b = np.asarray(b)
+    rg = r - g
+    yb = 0.5 * (r + g) - b
+    # accumulate the moments in float64 regardless of input dtype
+    sigma = np.hypot(np.std(rg, dtype=np.float64), np.std(yb, dtype=np.float64))
+    mu = np.hypot(np.mean(rg, dtype=np.float64), np.mean(yb, dtype=np.float64))
+    return float(sigma + 0.3 * mu)
+
+
+def float64_colorfulness(luma, cb, cr):
+    return float64_colorfulness_rgb(*yuv420_to_rgb(luma, cb, cr))
+
+
+def float64_noise_estimate(luma):
+    luma = np.asarray(luma, dtype=np.float64)
+    h, w = luma.shape
+    if h < 3 or w < 3:
+        raise ContractError("noise estimate needs a plane of at least 3x3")
+    from scipy import ndimage
+
+    conv = ndimage.correlate(luma, _LAPLACIAN_DIFF, mode="nearest")[1:-1, 1:-1]
+    return float(np.sqrt(np.pi / 2.0) * np.sum(np.abs(conv)) / (6.0 * (w - 2) * (h - 2)))
+
+
+def float64_ncc(prev, curr):
+    prev = np.asarray(prev, dtype=np.float64).ravel()
+    curr = np.asarray(curr, dtype=np.float64).ravel()
+    if prev.shape != curr.shape:
+        raise ContractError("NCC needs equal-size planes")
+    da = prev - prev.mean()
+    db = curr - curr.mean()
+    na = np.sqrt(np.sum(da * da))
+    nb = np.sqrt(np.sum(db * db))
+    if na <= 1e-12 and nb <= 1e-12:
+        return 1.0
+    if na <= 1e-12 or nb <= 1e-12:
+        return 0.0
+    return float(np.clip(np.sum(da * db) / (na * nb), -1.0, 1.0))
+
+
+def float64_mean_std(values):
+    v = np.asarray(values, dtype=np.float64)
+    return float(v.mean()), stats.pop_std(v)
+
+
+FLOAT64_VOD = {
+    "glcm_descriptors": float64_glcm_descriptors,
+    "spatial_information": float64_spatial_information,
+    "colorfulness": float64_colorfulness,
+    "colorfulness_rgb": float64_colorfulness_rgb,
+    "noise_estimate": float64_noise_estimate,
+    "temporal_coherence": float64_temporal_coherence,
+    "temporal_information": float64_temporal_information,
+    "ncc": float64_ncc,
+    "_mean_std": float64_mean_std,
+}
 
 
 def bd_rate_trapezoid_oracle(ref, test, n=10_000):

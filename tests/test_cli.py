@@ -571,12 +571,22 @@ def _first_point(field, value):
     ("params", lambda doc: (doc["resolutions"].update({"720x480": [1.0]}), doc)[1],
      "720x480: expected a JSON object, got list"),
     ("model", lambda doc: {**doc, "hyperparams": 3}, "hyperparams: expected a JSON object, got int"),
+    ("profile", lambda doc: {**doc, "encode_template": "enc {} {output}"},
+     "encode_template: 'enc {} {output}' may use only the placeholders {input} {width}"),
+    ("profile", lambda doc: {**doc, "metric_template": "met {input.x}"},
+     "metric_template: 'met {input.x}' may use only the placeholders"),
+    ("profile", lambda doc: {**doc, "encode_template": "enc {"},
+     "encode_template: Single '{' encountered in format string"),
+    ("profile", lambda doc: {**doc, "metric_template": "met {bitrate}"},
+     "metric_template: 'met {bitrate}' may use only the placeholders"),
+    ("params", lambda doc: {**doc, "seed": 2.7}, "seed must be an integer, got 2.7"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
         "params-unknown-key", "params-negative-seed", "curve-truncated", "curve-bitrate--1",
         "curve-quality-abc", "curve-resolutions-list", "curve-point-null", "params-law-list",
-        "model-hyperparams-int"])
+        "model-hyperparams-int", "profile-positional-field", "profile-attribute-field",
+        "profile-lone-brace", "profile-unknown-field", "params-float-seed"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:
@@ -649,6 +659,17 @@ def test_negative_seed_exit_1(tmp_path, capsys, command):
     }[command]
     capsys.readouterr()
     assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "seed must be non-negative, got -1" in err
+    assert not out.exists()
+
+
+def test_synth_rd_checks_seed_flag_when_file_has_seed(tmp_path, capsys):
+    params = write_params(tmp_path)
+    assert "seed" in json.loads(params.read_text())
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main(["synth", "rd", "--params", str(params), "--seed", "-1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "seed must be non-negative, got -1" in err
     assert not out.exists()

@@ -1,8 +1,9 @@
-"""The CLI's import and its RD and learning stages load no scipy module.
+"""The CLI's import and its RD, VoD feature and learning stages load no scipy module.
 
-scipy is imported only where it is called: feature extraction and the
-`synth` commands.  The stages run in a fresh interpreter, since this
-test process has scipy loaded already; their inputs are written here.
+scipy is imported only where it is called: live features (`scipy.fft`)
+and the `synth` commands.  The stages run in a fresh interpreter, since
+this test process has scipy loaded already; their inputs are written
+here.
 """
 
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import ladderlab
+from ladderlab.media_io import write_frames
 from test_golden_rd import rd_stage_argvs, write_rd_inputs
 
 CHILD = r"""
@@ -36,6 +38,19 @@ print(json.dumps({"import": after_import, "stages": scipy_modules()}))
 def test_cli_stages_load_no_scipy(tmp_path):
     write_rd_inputs(tmp_path)
     stages = rd_stage_argvs(tmp_path)
+    frames = np.random.default_rng(1)
+    write_frames(tmp_path / "clip.yuv", [
+        (frames.integers(0, 256, (64, 96), dtype=np.uint8),
+         frames.integers(0, 256, (32, 48), dtype=np.uint8),
+         frames.integers(0, 256, (32, 48), dtype=np.uint8))
+        for _ in range(3)
+    ])
+    (tmp_path / "manifest.jsonl").write_text(json.dumps({
+        "clip_id": "clip", "path": str(tmp_path / "clip.yuv"),
+        "width": 96, "height": 64, "frame_count": 3,
+    }) + "\n")
+    stages.append(["features", "vod", "--manifest", str(tmp_path / "manifest.jsonl"),
+                   "--out", str(tmp_path / "vod.csv")])
     rng = np.random.default_rng(0)
     with open(tmp_path / "features.csv", "w") as f:
         f.write("clip_id,F1,F2,F3\n")
@@ -62,3 +77,4 @@ def test_cli_stages_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"import": [], "stages": []}
     assert (tmp_path / "pred_learned.csv").exists()
+    assert (tmp_path / "vod.csv").read_text().splitlines()[1].startswith("clip,")

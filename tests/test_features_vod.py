@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gray_frames
+from ladderlab import features_vod
 from ladderlab.features_vod import (
     VOD_FEATURE_NAMES,
     colorfulness,
@@ -15,6 +18,7 @@ from ladderlab.features_vod import (
     temporal_information,
 )
 from oracles import (
+    FLOAT64_VOD,
     glcm_oracle,
     ncc_oracle,
     noise_oracle,
@@ -22,6 +26,56 @@ from oracles import (
     tc_oracle,
     ti_oracle,
 )
+
+
+# ------------------------------------- bit-exact against float64 copies
+
+@st.composite
+def uint8_planes(draw, shape, count):
+    """`count` uint8 planes: random, 0/255 noise, constant or a 0/255 checkerboard."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("random", "extremes", "constant", "checkerboard")))
+        if kind == "random":
+            plane = rng.integers(0, 256, shape, dtype=np.uint8)
+        elif kind == "extremes":
+            plane = rng.integers(0, 2, shape, dtype=np.uint8) * np.uint8(255)
+        elif kind == "constant":
+            plane = np.full(shape, draw(st.integers(0, 255)), dtype=np.uint8)
+        else:
+            phase = draw(st.integers(0, 1))
+            plane = ((np.indices(shape).sum(axis=0) + phase) % 2 * 255).astype(np.uint8)
+        planes.append(plane)
+    return planes
+
+
+def assert_equals_float64_reference(name, *args):
+    assert getattr(features_vod, name)(*args) == FLOAT64_VOD[name](*args), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(2, 70), st.integers(2, 70))
+def test_descriptors_equal_float64_reference_bit_for_bit(data, h, w):
+    prev, curr = data.draw(uint8_planes((h, w), 2))
+    assert_equals_float64_reference("glcm_descriptors", curr)
+    if h >= 3 and w >= 3:
+        assert_equals_float64_reference("spatial_information", curr)
+        assert_equals_float64_reference("noise_estimate", curr)
+    assert_equals_float64_reference("temporal_information", prev, curr)
+    assert_equals_float64_reference("ncc", prev, curr)
+    cb, cr = data.draw(uint8_planes((h // 2, w // 2), 2))
+    assert_equals_float64_reference("colorfulness", curr[: h // 2 * 2, : w // 2 * 2], cb, cr)
+    assert_equals_float64_reference(
+        "colorfulness_rgb", *(p.astype(np.float64) for p in (prev, curr, 255 - curr)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(32, 70), st.integers(32, 70))
+def test_tc_equals_float64_reference_bit_for_bit(data, h, w):
+    # most sides are no multiple of the 32x32 block, so the crop is covered
+    prev, curr = data.draw(uint8_planes((h, w), 2))
+    assert_equals_float64_reference("temporal_coherence", prev, curr)
 
 
 # ---------------------------------------------------------------- GLCM

@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ladderlab import features_vod
 from ladderlab.features_live import LIVE_FEATURE_NAMES, extract_live
 from ladderlab.features_vod import VOD_FEATURE_NAMES, extract_vod
+from oracles import FLOAT64_VOD
 
 GOLDEN = Path(__file__).parent / "golden" / "features.json"
 
@@ -55,3 +57,12 @@ def test_features_match_golden_vectors(make_clip):
     for kind in ("vod", "live"):
         for name, want in golden[kind].items():
             assert got[kind][name] == pytest.approx(want, rel=1e-9, abs=1e-12), (kind, name)
+
+
+def test_vod_vector_equals_float64_reference(make_clip, monkeypatch):
+    # the exact-integer kernels give the float64 reference's vector, bit for bit
+    clip = make_clip(golden_frames())
+    got = extract_vod(clip).values
+    for name, reference in FLOAT64_VOD.items():
+        monkeypatch.setattr(features_vod, name, reference)
+    assert got == extract_vod(clip).values
