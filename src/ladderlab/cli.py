@@ -155,6 +155,12 @@ def _cmd_rd_build(args):
 
 
 def _cmd_hull(args):
+    # A cross-over can take this value, and ladder readers reject it
+    # when it is not a positive, finite bitrate.
+    if args.max_bitrate is not None and not (
+            math.isfinite(args.max_bitrate) and args.max_bitrate > 0):
+        raise ValidationError(
+            f"--max-bitrate must be a positive, finite bitrate, got {args.max_bitrate}")
     curves = pipeline.read_curves_dir(args.curves)
     rows = []
     for (clip_id, codec, platform, metric), by_res in sorted(curves.items()):
@@ -249,6 +255,11 @@ def _cmd_predict(args):
 
 
 def _cmd_evaluate(args):
+    csv_path = os.path.splitext(args.out)[0] + ".csv"
+    if csv_path == args.out:
+        raise ValidationError(
+            f"--out {args.out}: the per-clip table goes to {csv_path}, "
+            "so the report needs another extension")
     pred = pipeline.read_ladders_csv(args.pred)
     combo = _one_combination(args.pred, pred)
     eel, train_l = (pipeline.read_ladders_csv(p) for p in (args.eel, args.sl_from_train))
@@ -268,7 +279,6 @@ def _cmd_evaluate(args):
     curves_by_clip = {k[0]: v for k, v in curves.items() if k[0] in pred_by_clip}
     report = evaluation.evaluate_method(pred_by_clip, eel_by_clip, sl, curves_by_clip)
     pipeline.write_json(args.out, report.to_dict())
-    csv_path = os.path.splitext(args.out)[0] + ".csv"
     with open(csv_path, "w") as f:
         f.write("clip_id,bdbr_vs_eel,bdbr_vs_sl\n")
         for clip_id, vs_eel, vs_sl in report.per_clip_bdbr:
@@ -341,18 +351,18 @@ def _cmd_synth_rd(args):
 def _cmd_synth_clip(args):
     from . import synth
 
+    manifest = pipeline.Manifest(clips=[], strata={})
+    if args.manifest and os.path.isfile(args.manifest):
+        manifest = pipeline.load_manifest(args.manifest)
+    if any(c.clip_id == args.clip_id for c in manifest.clips):
+        raise ValidationError(f"{args.manifest}: already holds clip_id {args.clip_id!r}")
     clip = synth.synth_clip(
         args.out, args.clip_id, args.width, args.height, args.frames,
         args.sigma, args.motion, args.seed, fps=args.fps,
     )
     if args.manifest:
-        existing = (
-            pipeline.load_manifest(args.manifest)
-            if os.path.isfile(args.manifest)
-            else pipeline.Manifest(clips=[], strata={})
-        )
-        existing.clips.append(clip)
-        pipeline.save_manifest(args.manifest, existing)
+        manifest.clips.append(clip)
+        pipeline.save_manifest(args.manifest, manifest)
 
 
 def main(argv=None):

@@ -53,17 +53,9 @@ def correlation_metrics(predicted, reference):
 
 
 def _average_ranks(x):
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, each tie group sharing the mean of its positions."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def default_accuracy_grid(ladders, n_points=100):
@@ -81,9 +73,8 @@ def ladder_accuracy(predicted, reference, grid=None):
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ContractError("accuracy grid must be non-empty")
-    hits = sum(
-        hull_resolution_index(predicted, b) == hull_resolution_index(reference, b)
-        for b in grid
+    hits = np.count_nonzero(
+        hull_resolution_index(predicted, grid) == hull_resolution_index(reference, grid)
     )
     return hits / len(grid)
 
@@ -146,8 +137,7 @@ class EvalReport:
 
 
 def _ladder_rd_set(curves, ladder, grid):
-    hull = convex_hull(curves, ladder)
-    return np.array([(b, hull(b)[1]) for b in grid])
+    return np.column_stack((grid, convex_hull(curves, ladder)(grid)[1]))
 
 
 def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves):

@@ -6,7 +6,6 @@ well-conditioned across the kbps-to-Mbps range.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +62,8 @@ class _Pchip:
     shape-preserving rule (Numerical Computing with MATLAB, sec. 3.6).
     The slopes, the Hermite coefficients, the interval search and the
     power-sum evaluation repeat scipy.interpolate.PchipInterpolator
-    operation for operation, so results are bit-identical to it.  A
-    Python float is evaluated with float arithmetic over lists, several
-    times cheaper per call than numpy on a 0-d array; anything else goes
-    through numpy.  Queries outside the knots extrapolate the end cubics.
+    operation for operation, so results are bit-identical to it.
+    Queries outside the knots extrapolate the end cubics.
     """
 
     def __init__(self, x, y):
@@ -95,19 +92,13 @@ class _Pchip:
         # scipy sums from 0.0 + y, which turns a -0.0 into 0.0.
         self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1] + 0.0)
         self._x = x
-        self._cl = tuple(c.tolist() for c in self._c)
-        self._xl = x.tolist()
 
     def __call__(self, q):
         # Interval i has x[i] <= q < x[i+1], clipped to the end intervals;
         # searching the inner knots alone gives that clipped index.
-        if isinstance(q, float):
-            x, (c0, c1, c2, c3) = self._xl, self._cl
-            i = bisect_right(x, q, 1, len(x) - 1) - 1
-        else:
-            x, (c0, c1, c2, c3) = self._x, self._c
-            q = np.asarray(q, dtype=np.float64)
-            i = np.searchsorted(x[1:-1], q, side="right")
+        x, (c0, c1, c2, c3) = self._x, self._c
+        q = np.asarray(q, dtype=np.float64)
+        i = np.searchsorted(x[1:-1], q, side="right")
         s = q - x[i]
         s2 = s * s
         return ((c3[i] + c2[i] * s) + c1[i] * s2) + c0[i] * (s2 * s)
@@ -159,19 +150,17 @@ def build_rd_curve(samples, resolution, metric):
     return RDCurve(resolution=tuple(resolution), metric=metric, points=kept)
 
 
-def interpolate_quality(curve, bitrate):
-    """Monotone piecewise-cubic quality at a bitrate inside the curve range."""
-    if not curve.min_bitrate <= bitrate <= curve.max_bitrate:
-        raise ContractError(
-            f"bitrate {bitrate} outside curve range "
-            f"[{curve.min_bitrate}, {curve.max_bitrate}]"
-        )
-    return float(curve._interpolator()(math.log(bitrate)))
+def interpolate_quality(curve, bitrates):
+    """Monotone piecewise-cubic quality at each bitrate.
 
-
-def _quality_clamped(curve, bitrate):
-    b = min(max(bitrate, curve.min_bitrate), curve.max_bitrate)
-    return interpolate_quality(curve, b)
+    Each query is clamped to the curve's bitrate range first.
+    """
+    b = np.clip(np.asarray(bitrates, dtype=np.float64), curve.min_bitrate, curve.max_bitrate)
+    # libm's log, one value at a time: np.log differs from it in the last
+    # bit for some arguments (most often near 1), and the hull qualities
+    # and the reports built on them have always used libm's.
+    lb = np.fromiter(map(math.log, b.ravel().tolist()), np.float64, b.size)
+    return curve._interpolator()(lb.reshape(b.shape))
 
 
 def cross_over(lower, higher, max_bitrate):
@@ -269,27 +258,30 @@ def eel_ladder(curves, max_bitrate=None):
     return BitrateLadder(CrossOverSet(p1, p2, p3, metrics.pop()))
 
 
-def hull_resolution_index(ladder, bitrate):
-    """0..3 index of the resolution the hull rule selects at a bitrate."""
-    p1, p2, p3 = ladder.cross_overs.as_tuple()
-    if bitrate < p1:
-        return 0
-    if bitrate < p2:
-        return 1
-    if bitrate < p3:
-        return 2
-    return 3
+def hull_resolution_index(ladder, bitrates):
+    """0..3 index of the resolution the hull rule selects at each bitrate.
+
+    The rule picks the first resolution whose upper cross-over lies above
+    the bitrate.  That is the count of clamped cross-overs at or below it,
+    also for a ladder that was never clamped.
+    """
+    return np.searchsorted(monotone_clamp(*ladder.cross_overs.as_tuple()), bitrates, side="right")
 
 
 def convex_hull(curves, ladder):
-    """bitrate -> (resolution, quality) map induced by a ladder.
+    """bitrates -> (resolution indices, qualities) map induced by a ladder.
 
-    Quality is read from the selected resolution's curve, with the
+    Quality is read from the selected resolution's curve, with each
     query clamped to that curve's bitrate range.
     """
 
-    def lookup(bitrate):
-        res = LADDER_RESOLUTIONS[hull_resolution_index(ladder, bitrate)]
-        return res, _quality_clamped(curves[res], bitrate)
+    def lookup(bitrates):
+        b = np.asarray(bitrates, dtype=np.float64)
+        index = hull_resolution_index(ladder, b)
+        quality = np.empty(b.shape)
+        for k in np.unique(index).tolist():
+            chosen = index == k
+            quality[chosen] = interpolate_quality(curves[LADDER_RESOLUTIONS[k]], b[chosen])
+        return index, quality[()]
 
     return lookup

@@ -2,9 +2,10 @@
 
 The oracles are written as straight-line loops or explicit basis
 matrices, deliberately avoiding the vectorized/library paths the
-package uses.  Two former implementations are kept as references for
-rewrites that must keep their bits: the float64 VoD descriptors and the
-one-column-at-a-time tree builder.
+package uses.  Three former implementations are kept as references for
+rewrites that must keep their bits: the float64 VoD descriptors, the
+one-bitrate-at-a-time hull queries and the one-column-at-a-time tree
+builder.
 """
 
 import math
@@ -20,6 +21,7 @@ from ladderlab.features_vod import (
     TC_BLOCK,
     yuv420_to_rgb,
 )
+from ladderlab.rd_core import LADDER_RESOLUTIONS
 
 
 def glcm_oracle(plane, levels=32):
@@ -366,6 +368,55 @@ def bd_rate_trapezoid_oracle(ref, test, n=10_000):
         hi - lo
     )
     return 100.0 * (10.0**avg - 1.0)
+
+
+# ------------------------------------------------ scalar hull queries
+#
+# The hull rule, the clamped quality lookup, ladder accuracy and the
+# average-tie ranks as the package computed them one bitrate (or one
+# element) at a time, kept verbatim as the reference its array code must
+# reproduce bit for bit.
+
+
+def scalar_hull_resolution_index(ladder, bitrate):
+    """0..3 index of the resolution the hull rule selects at a bitrate."""
+    p1, p2, p3 = ladder.cross_overs.as_tuple()
+    if bitrate < p1:
+        return 0
+    if bitrate < p2:
+        return 1
+    if bitrate < p3:
+        return 2
+    return 3
+
+
+def scalar_hull_quality(curves, ladder, bitrate):
+    """Quality of the selected curve, the query clamped to its range."""
+    curve = curves[LADDER_RESOLUTIONS[scalar_hull_resolution_index(ladder, bitrate)]]
+    lo, hi = curve.min_bitrate, curve.max_bitrate
+    return float(curve._interpolator()(math.log(min(max(bitrate, lo), hi))))
+
+
+def scalar_ladder_accuracy(predicted, reference, grid):
+    hits = sum(
+        scalar_hull_resolution_index(predicted, b) == scalar_hull_resolution_index(reference, b)
+        for b in grid
+    )
+    return hits / len(grid)
+
+
+def loop_average_ranks(x):
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=np.float64)
+    sorted_x = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 class ScalarTreeBuilder:

@@ -673,3 +673,48 @@ def test_synth_rd_checks_seed_flag_when_file_has_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "seed must be non-negative, got -1" in err
     assert not out.exists()
+
+
+def test_evaluate_rejects_out_that_names_its_csv(tmp_path, capsys):
+    _, curves, ladders = _codec_inputs(tmp_path, "avc")
+    out = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", str(ladders), "--eel", str(ladders),
+                 "--sl-from-train", str(ladders), "--curves", str(curves),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: --out {out}: the per-clip table" in err
+    assert not out.exists()
+
+
+def test_synth_clip_rejects_clip_id_already_in_manifest(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+
+    def synth_clip(name):
+        return main(["synth", "clip", "--out", str(tmp_path / name), "--clip-id", "a",
+                     "--width", "64", "--height", "64", "--frames", "3",
+                     "--manifest", str(manifest)])
+
+    assert synth_clip("a.yuv") == 0
+    before = manifest.read_bytes()
+    capsys.readouterr()
+    assert synth_clip("a2.yuv") == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: {manifest}: already holds clip_id 'a'" in err
+    assert not (tmp_path / "a2.yuv").exists()
+    assert manifest.read_bytes() == before
+    assert main(["features", "vod", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "f.csv")]) == 0
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_hull_rejects_bad_max_bitrate(tmp_path, capsys, value):
+    _, curves, _ = _codec_inputs(tmp_path, "avc")
+    out = tmp_path / "ladders.csv"
+    capsys.readouterr()
+    assert main(["hull", "--curves", str(curves), "--metric", "ypsnr",
+                 "--max-bitrate", value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "--max-bitrate must be a positive, finite bitrate" in err
+    assert not out.exists()

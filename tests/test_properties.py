@@ -5,8 +5,16 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from ladderlab.errors import DegenerateCurveError, ValidationError
-from ladderlab.rd_core import RDPoint, _Pchip, build_rd_curve, monotone_clamp
+from ladderlab.evaluation import _average_ranks, ladder_accuracy
+from ladderlab.rd_core import (
+    LADDER_RESOLUTIONS, BitrateLadder, CrossOverSet, RDPoint, _Pchip, build_rd_curve,
+    convex_hull, hull_resolution_index, monotone_clamp,
+)
 from ladderlab.stats import ten_stats
+from oracles import (
+    loop_average_ranks, scalar_hull_quality, scalar_hull_resolution_index,
+    scalar_ladder_accuracy,
+)
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -111,3 +119,60 @@ def test_pchip_bitwise_equals_scipy(case):
     assert _bits(ours(q)) == _bits(ref(q))
     for v in q.tolist():
         assert _bits(ours(v)) == _bits(ref(v))
+
+
+# np.log and libm's log disagree in the last bit for about 5% of the
+# arguments in 0.99..1.01 and fewer elsewhere below 10, so knots and
+# queries are drawn there often.
+low_rates = st.one_of(st.floats(0.99, 1.01), st.floats(0.5, 10.0))
+rates = st.one_of(low_rates, st.floats(0.5, 1e5))
+
+
+@st.composite
+def ladders(draw):
+    """Cross-overs as drawn (often unclamped), or collapsed to one value."""
+    if draw(st.booleans()):
+        p = (draw(rates),) * 3
+    else:
+        p = tuple(draw(rates) for _ in range(3))
+    return BitrateLadder(CrossOverSet(*p, "ypsnr"))
+
+
+@st.composite
+def hull_cases(draw):
+    """Four curves with knots in 0.5 kbps..100 Mbps, two ladders, and a
+    grid holding every cross-over and curve end exactly, bitrates below
+    and above every curve, and bitrates in 0.5..10 kbps."""
+    curves = {}
+    for res in LADDER_RESOLUTIONS:
+        knots = sorted(draw(st.lists(rates, min_size=2, max_size=8, unique=True)))
+        steps = draw(st.lists(st.floats(0.01, 10.0), min_size=len(knots), max_size=len(knots)))
+        curves[res] = build_rd_curve(
+            [RDPoint(b, q) for b, q in zip(knots, np.cumsum(steps).tolist())], res, "ypsnr")
+    pred, ref = draw(ladders()), draw(ladders())
+    grid = [v for l in (pred, ref) for v in l.cross_overs.as_tuple()]
+    grid += [v for c in curves.values() for v in (c.min_bitrate, c.max_bitrate)]
+    grid += [0.1, 2e5]
+    grid += draw(st.lists(low_rates, max_size=20))
+    grid += draw(st.lists(st.floats(0.1, 2e5), max_size=20))
+    return curves, pred, ref, np.array(draw(st.permutations(grid)))
+
+
+@settings(max_examples=200)
+@given(hull_cases())
+def test_hull_queries_bitwise_equal_scalar_reference(case):
+    curves, pred, ref, grid = case
+    want_index = [scalar_hull_resolution_index(pred, b) for b in grid]
+    assert _bits(hull_resolution_index(pred, grid)) == _bits(want_index)
+    want_quality = [scalar_hull_quality(curves, pred, b) for b in grid]
+    hull = convex_hull(curves, pred)
+    assert _bits(hull(grid)[1]) == _bits(want_quality)
+    assert _bits([hull(b)[1] for b in grid]) == _bits(want_quality)
+    assert ladder_accuracy(pred, ref, grid) == scalar_ladder_accuracy(pred, ref, grid)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), finite), max_size=40))
+def test_average_ranks_bitwise_equal_loop(xs):
+    x = np.array(xs, dtype=np.float64)
+    assert _bits(_average_ranks(x)) == _bits(loop_average_ranks(x))
