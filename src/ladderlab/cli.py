@@ -260,6 +260,13 @@ def _cmd_evaluate(args):
         raise ValidationError(
             f"--out {args.out}: the per-clip table goes to {csv_path}, "
             "so the report needs another extension")
+    inputs = {os.path.realpath(path): flag for flag, path in (
+        ("--pred", args.pred), ("--eel", args.eel), ("--sl-from-train", args.sl_from_train))}
+    for out in (args.out, csv_path):
+        flag = inputs.get(os.path.realpath(out))
+        if flag:
+            raise ValidationError(
+                f"--out {args.out}: evaluate would write {out}, which is the {flag} input")
     pred = pipeline.read_ladders_csv(args.pred)
     combo = _one_combination(args.pred, pred)
     eel, train_l = (pipeline.read_ladders_csv(p) for p in (args.eel, args.sl_from_train))
@@ -356,6 +363,11 @@ def _cmd_synth_clip(args):
         manifest = pipeline.load_manifest(args.manifest)
     if any(c.clip_id == args.clip_id for c in manifest.clips):
         raise ValidationError(f"{args.manifest}: already holds clip_id {args.clip_id!r}")
+    out = os.path.realpath(args.out)
+    for c in manifest.clips:
+        if os.path.realpath(c.path) == out:
+            raise ValidationError(
+                f"--out {args.out}: {args.manifest} lists it as the file of clip {c.clip_id!r}")
     clip = synth.synth_clip(
         args.out, args.clip_id, args.width, args.height, args.frames,
         args.sigma, args.motion, args.seed, fps=args.fps,

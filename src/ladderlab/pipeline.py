@@ -15,7 +15,7 @@ import string
 import subprocess
 from dataclasses import dataclass
 
-from .errors import DriverError, ValidationError
+from .errors import ContractError, DriverError, ValidationError
 from .features_live import LIVE_FEATURE_NAMES
 from .features_vod import VOD_FEATURE_NAMES
 from .media_io import VideoClip, check_clip_id
@@ -59,7 +59,10 @@ def _integer(rec, key):
     value = rec[key]
     if isinstance(value, (bool, float)):
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _decode_error(path, encoding):
@@ -396,16 +399,20 @@ def write_rd_samples_csv(path, rows):
 def read_rd_samples_csv(path):
     """-> {(clip_id, codec, platform, metric): {resolution: [RDPoint]}}."""
     out = {}
+    groups = {}  # (*key, width cell, height cell) -> that resolution's point list in `out`
     with _csv_rows(path, "RD sample file") as (header, rows):
         if header != RD_SAMPLE_HEADER.split(","):
             raise ValidationError("bad RD sample header")
         for clip_id, codec, platform, w, h, qp, bitrate, metric, quality in rows:
-            key = (clip_id, codec, platform, metric)
-            if key not in out:
+            cells = (clip_id, codec, platform, metric, w, h)
+            points = groups.get(cells)
+            if points is None and cells[:4] not in out:
                 check_clip_id(clip_id)
-                out[key] = {}
+                out[cells[:4]] = {}
             point = RDPoint(_positive(bitrate), _finite(quality), int(qp) if qp else None)
-            out[key].setdefault((int(w), int(h)), []).append(point)
+            if points is None:
+                points = groups[cells] = out[cells[:4]].setdefault((int(w), int(h)), [])
+            points.append(point)
     return out
 
 
@@ -421,23 +428,52 @@ def build_curves(samples_by_key):
     return out
 
 
+# A curve file's document as json.dump(doc, sort_keys=True, indent=1) lays it out.
+_CURVE_HEAD = (
+    '{{\n "clip_id": {},\n "codec": {},\n "metric": {},\n "platform": {},\n "resolutions": {{'
+)
+# How json.dump writes a float and an int; repr() of an np.float64 is "np.float64(...)".
+_float_json = float.__repr__
+_int_json = int.__repr__
+
+
+def _curve_points_json(points):
+    """The JSON of a curve's point list between its brackets, as in a curve file."""
+    text = ",".join([
+        f'\n   {{\n    "bitrate_kbps": {_float_json(p.bitrate)},'
+        f'\n    "qp": {"null" if p.qp is None else _int_json(p.qp)},'
+        f'\n    "quality": {_float_json(p.quality)}\n   }}'
+        for p in points
+    ])
+    # float.__repr__ writes inf and nan, which JSON lacks; no other text here holds them.
+    if "inf" in text or "nan" in text:
+        key, value = next((k, v) for p in points
+                          for k, v in (("bitrate_kbps", p.bitrate), ("quality", p.quality))
+                          if not math.isfinite(v))
+        raise ContractError(f"{key} must be finite to be written as JSON, got {value}")
+    return f"[{text}\n  ]" if text else "[]"
+
+
 def write_curves_dir(dirpath, curves_by_key):
+    """One curve file per key, holding the bytes json.dump(doc, sort_keys=True,
+    indent=1) would write for its document, plus a newline.
+
+    The document is rendered from fixed templates: keys in sorted order,
+    resolutions sorted as the strings "WxH", the header strings encoded
+    by json.dumps, each float written by float.__repr__ and each qp as an
+    integer or null.
+    """
     os.makedirs(dirpath, exist_ok=True)
     for (clip_id, codec, platform, metric), by_res in sorted(curves_by_key.items()):
-        doc = {
-            "clip_id": clip_id,
-            "codec": codec,
-            "platform": platform,
-            "metric": metric,
-            "resolutions": {
-                f"{w}x{h}": [
-                    {"bitrate_kbps": p.bitrate, "quality": p.quality, "qp": p.qp}
-                    for p in curve.points
-                ]
-                for (w, h), curve in sorted(by_res.items())
-            },
-        }
-        write_json(os.path.join(dirpath, f"{clip_id}__{codec}__{platform}__{metric}.json"), doc)
+        named = sorted((f"{w}x{h}", curve) for (w, h), curve in by_res.items())
+        text = _CURVE_HEAD.format(*map(json.dumps, (clip_id, codec, metric, platform)))
+        text += ",".join(
+            f'\n  "{res}": {_curve_points_json(curve.points)}' for res, curve in named
+        )
+        text += "\n }\n}\n" if named else "}\n}\n"
+        name = f"{clip_id}__{codec}__{platform}__{metric}.json"
+        with open(os.path.join(dirpath, name), "w") as f:
+            f.write(text)
 
 
 def read_curves_dir(dirpath):
@@ -459,7 +495,10 @@ def read_curves_dir(dirpath):
             for res_str, pts in json_object(doc["resolutions"], "resolutions").items():
                 w, h = (int(v) for v in res_str.split("x"))
                 points = [
-                    RDPoint(_positive(p["bitrate_kbps"]), _finite(p["quality"]), p.get("qp"))
+                    RDPoint(_positive(p["bitrate_kbps"]), _finite(p["quality"]),
+                            # Integers pass without a call; type(True) is bool, not int.
+                            qp if (qp := p.get("qp")) is None or type(qp) is int
+                            else _integer(p, "qp"))
                     for p in (json_object(q, "a point") for q in pts)
                 ]
                 by_res[(w, h)] = build_rd_curve(points, (w, h), doc["metric"])

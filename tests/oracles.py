@@ -2,13 +2,15 @@
 
 The oracles are written as straight-line loops or explicit basis
 matrices, deliberately avoiding the vectorized/library paths the
-package uses.  Three former implementations are kept as references for
+package uses.  Four former implementations are kept as references for
 rewrites that must keep their bits: the float64 VoD descriptors, the
-one-bitrate-at-a-time hull queries and the one-column-at-a-time tree
-builder.
+one-bitrate-at-a-time hull queries, the one-column-at-a-time tree
+builder and the json.dump curve-file writer.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 
@@ -529,3 +531,32 @@ class ScalarTreeBuilder:
         gain = sse_parent - float(child[best])
         thr = 0.5 * (xs[k[best] - 1] + xs[k[best]])
         return float(thr), gain
+
+
+# ------------------------------------------------ json.dump curve files
+#
+# `pipeline.write_curves_dir` as it was when it built each document as a
+# dict and wrote it with `pipeline.write_json` (inlined here), kept
+# verbatim as the reference for the bytes of its template writer.
+
+
+def json_dump_write_curves_dir(dirpath, curves_by_key):
+    os.makedirs(dirpath, exist_ok=True)
+    for (clip_id, codec, platform, metric), by_res in sorted(curves_by_key.items()):
+        doc = {
+            "clip_id": clip_id,
+            "codec": codec,
+            "platform": platform,
+            "metric": metric,
+            "resolutions": {
+                f"{w}x{h}": [
+                    {"bitrate_kbps": p.bitrate, "quality": p.quality, "qp": p.qp}
+                    for p in curve.points
+                ]
+                for (w, h), curve in sorted(by_res.items())
+            },
+        }
+        path = os.path.join(dirpath, f"{clip_id}__{codec}__{platform}__{metric}.json")
+        with open(path, "w") as f:
+            json.dump(doc, f, sort_keys=True, indent=1)
+            f.write("\n")

@@ -580,13 +580,18 @@ def _first_point(field, value):
     ("profile", lambda doc: {**doc, "metric_template": "met {bitrate}"},
      "metric_template: 'met {bitrate}' may use only the placeholders"),
     ("params", lambda doc: {**doc, "seed": 2.7}, "seed must be an integer, got 2.7"),
+    ("curve", _first_point("qp", "not a qp"), "qp: invalid literal for int()"),
+    ("curve", _first_point("qp", [1, 2]), "qp: int() argument must be"),
+    ("curve", _first_point("qp", True), "qp must be an integer, got True"),
+    ("curve", _first_point("qp", 30.0), "qp must be an integer, got 30.0"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
         "params-unknown-key", "params-negative-seed", "curve-truncated", "curve-bitrate--1",
         "curve-quality-abc", "curve-resolutions-list", "curve-point-null", "params-law-list",
         "model-hyperparams-int", "profile-positional-field", "profile-attribute-field",
-        "profile-lone-brace", "profile-unknown-field", "params-float-seed"])
+        "profile-lone-brace", "profile-unknown-field", "params-float-seed", "curve-qp-string",
+        "curve-qp-list", "curve-qp-true", "curve-qp-float"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:
@@ -687,6 +692,24 @@ def test_evaluate_rejects_out_that_names_its_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--pred", "--eel", "--sl-from-train"])
+def test_evaluate_rejects_out_whose_csv_is_an_input(tmp_path, capsys, flag):
+    _, curves, ladders = _codec_inputs(tmp_path, "avc")
+    victim = tmp_path / "in.csv"
+    victim.write_bytes(ladders.read_bytes())
+    inputs = {"--pred": ladders, "--eel": ladders, "--sl-from-train": ladders, flag: victim}
+    out = tmp_path / "sub" / ".." / "in.json"
+    (tmp_path / "sub").mkdir()
+    capsys.readouterr()
+    assert main(["evaluate", *(str(a) for kv in inputs.items() for a in kv),
+                 "--curves", str(curves), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"error: --out {out}: evaluate would write " in err and f"the {flag} input" in err
+    assert victim.read_bytes() == ladders.read_bytes()
+    assert not (tmp_path / "in.json").exists()
+
+
 def test_synth_clip_rejects_clip_id_already_in_manifest(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
 
@@ -703,6 +726,28 @@ def test_synth_clip_rejects_clip_id_already_in_manifest(tmp_path, capsys):
     assert err.count("error:") == 1 and f"error: {manifest}: already holds clip_id 'a'" in err
     assert not (tmp_path / "a2.yuv").exists()
     assert manifest.read_bytes() == before
+    assert main(["features", "vod", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "f.csv")]) == 0
+
+
+def test_synth_clip_rejects_out_of_another_listed_clip(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+
+    def synth_clip(clip_id, width, out):
+        return main(["synth", "clip", "--out", str(out), "--clip-id", clip_id,
+                     "--width", width, "--height", "64", "--frames", "3",
+                     "--manifest", str(manifest)])
+
+    assert synth_clip("a", "64", tmp_path / "a.yuv") == 0
+    before = manifest.read_bytes(), (tmp_path / "a.yuv").read_bytes()
+    link = tmp_path / "link.yuv"
+    link.symlink_to(tmp_path / "a.yuv")
+    capsys.readouterr()
+    assert synth_clip("b", "32", link) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"error: --out {link}: {manifest} lists it as the file of clip 'a'" in err
+    assert (manifest.read_bytes(), (tmp_path / "a.yuv").read_bytes()) == before
     assert main(["features", "vod", "--manifest", str(manifest),
                  "--out", str(tmp_path / "f.csv")]) == 0
 

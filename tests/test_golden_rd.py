@@ -4,8 +4,11 @@
 wrote for a small seeded `synth.corpus_specs` RD set when rd_core still
 interpolated with `scipy.interpolate.PchipInterpolator`.  Any change to
 the interpolant's arithmetic or to the cross-over search shows up here.
+`tests/golden/curves.sha256` holds the digest of every curve file that
+`rd build` wrote there with `json.dump(doc, sort_keys=True, indent=1)`.
 """
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -58,3 +61,11 @@ def test_rd_stages_match_golden_bytes(tmp_path):
         assert main(argv) == 0
     for name in ("ladders.csv", "report.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((tmp_path / "curves").iterdir())
+    }
+    golden = dict(
+        line.split()[::-1] for line in (GOLDEN / "curves.sha256").read_text().splitlines()
+    )
+    assert digests == golden

@@ -1,19 +1,24 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from ladderlab.errors import DegenerateCurveError, ValidationError
+from ladderlab.errors import ContractError, DegenerateCurveError, ValidationError
 from ladderlab.evaluation import _average_ranks, ladder_accuracy
+from ladderlab.pipeline import write_curves_dir
 from ladderlab.rd_core import (
-    LADDER_RESOLUTIONS, BitrateLadder, CrossOverSet, RDPoint, _Pchip, build_rd_curve,
-    convex_hull, hull_resolution_index, monotone_clamp,
+    LADDER_RESOLUTIONS, BitrateLadder, CrossOverSet, RDCurve, RDPoint, _Pchip,
+    build_rd_curve, convex_hull, hull_resolution_index, monotone_clamp,
 )
 from ladderlab.stats import ten_stats
 from oracles import (
-    loop_average_ranks, scalar_hull_quality, scalar_hull_resolution_index,
-    scalar_ladder_accuracy,
+    json_dump_write_curves_dir, loop_average_ranks, scalar_hull_quality,
+    scalar_hull_resolution_index, scalar_ladder_accuracy,
 )
 
 finite = st.floats(
@@ -176,3 +181,75 @@ def test_hull_queries_bitwise_equal_scalar_reference(case):
 def test_average_ranks_bitwise_equal_loop(xs):
     x = np.array(xs, dtype=np.float64)
     assert _bits(_average_ranks(x)) == _bits(loop_average_ranks(x))
+
+
+# Clip ids as check_clip_id allows them: JSON escapes ", \ and tabs, and
+# writes non-ASCII characters as \u escapes.
+clip_ids = st.text(
+    st.one_of(st.sampled_from('"\\\t\u00e9\u5b57\U0001f600'),
+              st.characters(codec="utf-8", exclude_characters=",/\r\n\x00")),
+    min_size=1, max_size=10,
+)
+magnitudes = st.floats(min_value=1e-7, max_value=1e16)
+bitrates = st.one_of(magnitudes, magnitudes.map(np.float64))
+qualities = st.one_of(
+    st.sampled_from([0.0, -0.0]), magnitudes, magnitudes.map(lambda v: -v),
+    magnitudes.map(np.float64), magnitudes.map(lambda v: np.float64(-v)),
+)
+curve_points = st.builds(
+    RDPoint, bitrates, qualities, st.one_of(st.none(), st.just(0), st.integers(0, 2**70)),
+)
+# The ladder's own resolutions sort differently as strings ("1280x720" <
+# "720x480") than as tuples; others add more such pairs.
+resolutions = st.one_of(
+    st.sampled_from(LADDER_RESOLUTIONS), st.tuples(st.integers(1, 20000), st.integers(1, 20000))
+)
+curve_keys = st.tuples(
+    clip_ids, st.sampled_from(["avc", "hevc", "vvc"]),
+    st.sampled_from(["software", "hardware"]), st.sampled_from(["ypsnr", "vmaf"]),
+)
+
+
+@st.composite
+def curve_sets(draw):
+    out = {}
+    for key in draw(st.lists(curve_keys, min_size=1, max_size=3, unique=True)):
+        out[key] = {
+            res: RDCurve(res, key[3], draw(st.lists(curve_points, max_size=6)))
+            for res in draw(st.lists(resolutions, max_size=5, unique=True))
+        }
+    return out
+
+
+def _written_files(write, curves):
+    with tempfile.TemporaryDirectory() as d:
+        write(d, curves)
+        return {p.name: p.read_bytes() for p in Path(d).iterdir()}
+
+
+@settings(max_examples=300)
+@given(curve_sets())
+@example({("a\t\"\\\u00e9", "avc", "software", "ypsnr"): {
+    res: RDCurve(res, "ypsnr", [RDPoint(np.float64(1e-7), -0.0, None), RDPoint(1e16, 1.5, 2**64)])
+    for res in ((10, 1), (9, 10), (720, 480), (1280, 720))
+}})
+@example({("c1", "vvc", "hardware", "vmaf"): {
+    (720, 480): RDCurve((720, 480), "vmaf", [RDPoint(150.0, 40.0, 0), RDPoint(900.0, 80.0, 0)]),
+}})
+def test_curve_files_byte_equal_json_dump_writer(curves):
+    assert _written_files(write_curves_dir, curves) == _written_files(
+        json_dump_write_curves_dir, curves)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bitrate_kbps", math.inf), ("quality", math.nan), ("quality", -math.inf),
+    ("quality", np.float64(math.inf)),
+])
+def test_curve_writer_rejects_non_finite_values(tmp_path, field, value):
+    good = RDPoint(100.0, 30.0, 40)
+    bad = RDPoint(value, 31.0, 30) if field == "bitrate_kbps" else RDPoint(200.0, value, 30)
+    key = ("c1", "avc", "software", "ypsnr")
+    curves = {key: {(720, 480): RDCurve((720, 480), "ypsnr", [good, bad])}}
+    with pytest.raises(ContractError, match=f"{field} must be finite"):
+        write_curves_dir(tmp_path, curves)
+    assert not list(tmp_path.iterdir())
