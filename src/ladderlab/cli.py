@@ -32,21 +32,21 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1, help="worker count (never changes output)")
-    p.set_defaults(func=_cmd_features)
+    p.set_defaults(func=_cmd_features, inputs=("manifest",))
 
     p = sub.add_parser("rd", help="rate-distortion curve tools")
     rd_sub = p.add_subparsers(dest="rd_command", required=True)
     pb = rd_sub.add_parser("build", help="build Pareto-cleaned curves from samples")
     pb.add_argument("--samples", required=True)
     pb.add_argument("--out", required=True)
-    pb.set_defaults(func=_cmd_rd_build)
+    pb.set_defaults(func=_cmd_rd_build, inputs=("samples",))
 
     p = sub.add_parser("hull", help="compute exhaustive-encoding ladders")
     p.add_argument("--curves", required=True)
     p.add_argument("--metric", choices=rd_core.METRICS, required=True)
     p.add_argument("--max-bitrate", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_hull)
+    p.set_defaults(func=_cmd_hull, inputs=("curves",))
 
     p = sub.add_parser("train", help="train a cross-over regressor")
     p.add_argument("--features", required=True)
@@ -56,7 +56,7 @@ def build_parser():
     p.add_argument("--n-trees", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, inputs=("features", "ladders"))
 
     p = sub.add_parser("select", help="recursive feature elimination report")
     p.add_argument("--features", required=True)
@@ -65,7 +65,7 @@ def build_parser():
     p.add_argument("--model-kind", choices=learning.MODEL_KINDS, default="extratrees")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_select)
+    p.set_defaults(func=_cmd_select, inputs=("features", "ladders"))
 
     p = sub.add_parser("predict", help="predict ladders from feature vectors")
     p.add_argument("--model", action="append", required=True,
@@ -74,7 +74,7 @@ def build_parser():
     p.add_argument("--codec", default="avc")
     p.add_argument("--platform", default="software")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, inputs=("model", "features"))
 
     p = sub.add_parser("evaluate", help="score predicted ladders")
     p.add_argument("--pred", required=True)
@@ -83,7 +83,8 @@ def build_parser():
                    help="training-set ladder CSV used to build the static ladder")
     p.add_argument("--curves", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate,
+                   inputs=("pred", "eel", "sl_from_train", "curves"))
 
     p = sub.add_parser("bdbr", help="BD-BR between two (rate, quality) sample sets")
     p.add_argument("--ref", required=True)
@@ -97,7 +98,7 @@ def build_parser():
     p.add_argument("--metric-name", choices=rd_core.METRICS, default="ypsnr")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1, help="worker count (never changes output)")
-    p.set_defaults(func=_cmd_encode)
+    p.set_defaults(func=_cmd_encode, inputs=("profile", "manifest"))
 
     p = sub.add_parser("synth", help="synthetic oracles")
     synth_sub = p.add_subparsers(dest="synth_command", required=True)
@@ -110,7 +111,7 @@ def build_parser():
     pr.add_argument("--metric", choices=rd_core.METRICS, default="ypsnr")
     pr.add_argument("--seed", type=int, default=0, help="used when the params file has none")
     pr.add_argument("--out", required=True)
-    pr.set_defaults(func=_cmd_synth_rd)
+    pr.set_defaults(func=_cmd_synth_rd, inputs=("params",))
     pc = synth_sub.add_parser("clip", help="synthetic raw clip")
     pc.add_argument("--out", required=True)
     pc.add_argument("--clip-id", default="synth")
@@ -122,7 +123,7 @@ def build_parser():
     pc.add_argument("--fps", type=float, default=60.0)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--manifest", default=None, help="manifest to append the clip to")
-    pc.set_defaults(func=_cmd_synth_clip)
+    pc.set_defaults(func=_cmd_synth_clip, inputs=("manifest",))
 
     return parser
 
@@ -150,7 +151,7 @@ def _cmd_features(args):
 
 def _cmd_rd_build(args):
     samples = pipeline.read_rd_samples_csv(args.samples)
-    curves = pipeline.build_curves(samples)
+    curves = pipeline.build_curves(samples, args.samples)
     pipeline.write_curves_dir(args.out, curves)
 
 
@@ -254,19 +255,45 @@ def _cmd_predict(args):
     pipeline.write_ladders_csv(args.out, rows)
 
 
+def _table_path(out):
+    """Where `evaluate --out out` writes its per-clip table."""
+    return os.path.splitext(out)[0] + ".csv"
+
+
+def _check_outputs(args):
+    """Reject, before the command runs, an output file that is one of its inputs.
+
+    Every command but `bdbr` writes --out, and `evaluate` also writes its
+    per-clip table; each subcommand lists its input options as `inputs`.
+    Paths are compared after resolving symlinks and `..`.
+    """
+    if not hasattr(args, "out"):
+        return
+    inputs = {}
+    for dest in args.inputs:
+        paths = getattr(args, dest)
+        for path in paths if isinstance(paths, list) else [paths]:
+            if path is not None:
+                inputs[os.path.realpath(path)] = "--" + dest.replace("_", "-")
+    outputs = [args.out]
+    if args.func is _cmd_evaluate:
+        outputs.append(_table_path(args.out))
+    command = " ".join(
+        name for name in (args.command, getattr(args, "rd_command", None),
+                          getattr(args, "synth_command", None)) if name)
+    for out in outputs:
+        flag = inputs.get(os.path.realpath(out))
+        if flag:
+            raise ValidationError(
+                f"--out {args.out}: {command} would write {out}, which is the {flag} input")
+
+
 def _cmd_evaluate(args):
-    csv_path = os.path.splitext(args.out)[0] + ".csv"
+    csv_path = _table_path(args.out)
     if csv_path == args.out:
         raise ValidationError(
             f"--out {args.out}: the per-clip table goes to {csv_path}, "
             "so the report needs another extension")
-    inputs = {os.path.realpath(path): flag for flag, path in (
-        ("--pred", args.pred), ("--eel", args.eel), ("--sl-from-train", args.sl_from_train))}
-    for out in (args.out, csv_path):
-        flag = inputs.get(os.path.realpath(out))
-        if flag:
-            raise ValidationError(
-                f"--out {args.out}: evaluate would write {out}, which is the {flag} input")
     pred = pipeline.read_ladders_csv(args.pred)
     combo = _one_combination(args.pred, pred)
     eel, train_l = (pipeline.read_ladders_csv(p) for p in (args.eel, args.sl_from_train))
@@ -380,6 +407,7 @@ def _cmd_synth_clip(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         args.func(args)
     except DriverError as exc:
         sys.stderr.write(f"error: {exc}\n")

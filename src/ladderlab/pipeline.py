@@ -24,6 +24,7 @@ from .rd_core import (
     CrossOverSet,
     RDPoint,
     build_rd_curve,
+    check_metric,
 )
 
 RD_SAMPLE_HEADER = (
@@ -397,9 +398,9 @@ def write_rd_samples_csv(path, rows):
 
 
 def read_rd_samples_csv(path):
-    """-> {(clip_id, codec, platform, metric): {resolution: [RDPoint]}}."""
+    """-> {(clip_id, codec, platform, metric): {resolution: [(bitrate, quality, qp)]}}."""
     out = {}
-    groups = {}  # (*key, width cell, height cell) -> that resolution's point list in `out`
+    groups = {}  # (*key, width cell, height cell) -> that resolution's row list in `out`
     with _csv_rows(path, "RD sample file") as (header, rows):
         if header != RD_SAMPLE_HEADER.split(","):
             raise ValidationError("bad RD sample header")
@@ -408,23 +409,31 @@ def read_rd_samples_csv(path):
             points = groups.get(cells)
             if points is None and cells[:4] not in out:
                 check_clip_id(clip_id)
+                check_metric(metric)
                 out[cells[:4]] = {}
-            point = RDPoint(_positive(bitrate), _finite(quality), int(qp) if qp else None)
+            point = (_positive(bitrate), _finite(quality), int(qp) if qp else None)
             if points is None:
                 points = groups[cells] = out[cells[:4]].setdefault((int(w), int(h)), [])
             points.append(point)
     return out
 
 
-def build_curves(samples_by_key):
-    """Group RD samples into Pareto-cleaned curves per key/resolution."""
+def build_curves(samples_by_key, path):
+    """Group RD samples into Pareto-cleaned curves per key/resolution.
+
+    An error names `path`, the sample file, and the clip's
+    (clip_id, codec, platform).
+    """
     out = {}
     for key, by_res in samples_by_key.items():
         metric = key[3]
-        out[key] = {
-            res: build_rd_curve(points, res, metric)
-            for res, points in by_res.items()
-        }
+        try:
+            out[key] = {
+                res: build_rd_curve(points, res, metric)
+                for res, points in by_res.items()
+            }
+        except ValidationError as exc:
+            raise type(exc)(f"{path}: {key[:3]}: {exc}") from exc
     return out
 
 
@@ -438,17 +447,18 @@ _int_json = int.__repr__
 
 
 def _curve_points_json(points):
-    """The JSON of a curve's point list between its brackets, as in a curve file."""
+    """The JSON of a curve's point columns between their brackets, as in a curve file."""
+    bitrates, qualities = points.bitrate.tolist(), points.quality.tolist()
     text = ",".join([
-        f'\n   {{\n    "bitrate_kbps": {_float_json(p.bitrate)},'
-        f'\n    "qp": {"null" if p.qp is None else _int_json(p.qp)},'
-        f'\n    "quality": {_float_json(p.quality)}\n   }}'
-        for p in points
+        f'\n   {{\n    "bitrate_kbps": {_float_json(bitrate)},'
+        f'\n    "qp": {"null" if qp is None else _int_json(qp)},'
+        f'\n    "quality": {_float_json(quality)}\n   }}'
+        for bitrate, qp, quality in zip(bitrates, points.qp, qualities)
     ])
     # float.__repr__ writes inf and nan, which JSON lacks; no other text here holds them.
     if "inf" in text or "nan" in text:
-        key, value = next((k, v) for p in points
-                          for k, v in (("bitrate_kbps", p.bitrate), ("quality", p.quality))
+        key, value = next((k, v) for b, q in zip(bitrates, qualities)
+                          for k, v in (("bitrate_kbps", b), ("quality", q))
                           if not math.isfinite(v))
         raise ContractError(f"{key} must be finite to be written as JSON, got {value}")
     return f"[{text}\n  ]" if text else "[]"
@@ -463,16 +473,24 @@ def write_curves_dir(dirpath, curves_by_key):
     by json.dumps, each float written by float.__repr__ and each qp as an
     integer or null.
     """
+    names = {key: "__".join(key) + ".json" for key in curves_by_key}
+    # Every *.json file in the directory is read back as a curve file.
+    stale = sorted(name for name in os.listdir(dirpath) if name.endswith(".json")
+                   and name not in names.values()) if os.path.isdir(dirpath) else []
+    if stale:
+        raise ValidationError(
+            f"{dirpath}: holds {len(stale)} curve file(s) this run does not write, "
+            f"first {stale[0]}; use an empty directory")
     os.makedirs(dirpath, exist_ok=True)
-    for (clip_id, codec, platform, metric), by_res in sorted(curves_by_key.items()):
+    for key, by_res in sorted(curves_by_key.items()):
+        clip_id, codec, platform, metric = key
         named = sorted((f"{w}x{h}", curve) for (w, h), curve in by_res.items())
         text = _CURVE_HEAD.format(*map(json.dumps, (clip_id, codec, metric, platform)))
         text += ",".join(
             f'\n  "{res}": {_curve_points_json(curve.points)}' for res, curve in named
         )
         text += "\n }\n}\n" if named else "}\n}\n"
-        name = f"{clip_id}__{codec}__{platform}__{metric}.json"
-        with open(os.path.join(dirpath, name), "w") as f:
+        with open(os.path.join(dirpath, names[key]), "w") as f:
             f.write(text)
 
 
@@ -495,10 +513,10 @@ def read_curves_dir(dirpath):
             for res_str, pts in json_object(doc["resolutions"], "resolutions").items():
                 w, h = (int(v) for v in res_str.split("x"))
                 points = [
-                    RDPoint(_positive(p["bitrate_kbps"]), _finite(p["quality"]),
-                            # Integers pass without a call; type(True) is bool, not int.
-                            qp if (qp := p.get("qp")) is None or type(qp) is int
-                            else _integer(p, "qp"))
+                    (_positive(p["bitrate_kbps"]), _finite(p["quality"]),
+                     # Integers pass without a call; type(True) is bool, not int.
+                     qp if (qp := p.get("qp")) is None or type(qp) is int
+                     else _integer(p, "qp"))
                     for p in (json_object(q, "a point") for q in pts)
                 ]
                 by_res[(w, h)] = build_rd_curve(points, (w, h), doc["metric"])

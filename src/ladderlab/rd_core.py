@@ -7,6 +7,7 @@ well-conditioned across the kbps-to-Mbps range.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,37 +21,68 @@ METRICS = ("ypsnr", "vmaf")
 CROSS_OVER_REL_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class RDPoint:
+def check_metric(metric):
+    """Reject a quality metric other than those in METRICS."""
+    if metric not in METRICS:
+        raise ValidationError(f"unknown metric {metric!r}")
+
+
+class RDPoint(NamedTuple):
+    """One encoded sample, as encoders and synthetic laws report it."""
+
     bitrate: float  # kbps
     quality: float
     qp: int | None = None
 
+
+def _read_only(values):
+    column = np.array(values, dtype=np.float64)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class RDColumns:
+    """A curve's points as columns, one entry per point.
+
+    `bitrate` (kbps) and `quality` are read-only float64 arrays; `qp`
+    holds a Python int or None per point, because curve files accept
+    any JSON integer.  Records with equal values compare equal.
+    """
+
+    bitrate: np.ndarray
+    quality: np.ndarray
+    qp: tuple
+
     def __post_init__(self):
-        if self.bitrate <= 0:
-            raise ValidationError(f"bitrate must be positive, got {self.bitrate}")
+        object.__setattr__(self, "bitrate", _read_only(self.bitrate))
+        object.__setattr__(self, "quality", _read_only(self.quality))
+        object.__setattr__(self, "qp", tuple(self.qp))
+
+    def __eq__(self, other):
+        return (isinstance(other, RDColumns) and self.qp == other.qp
+                and np.array_equal(self.bitrate, other.bitrate)
+                and np.array_equal(self.quality, other.quality))
 
 
 @dataclass
 class RDCurve:
     resolution: tuple
     metric: str
-    points: list  # RDPoint, strictly increasing in bitrate and quality
+    points: RDColumns  # strictly increasing in bitrate and quality
     _interp: object = field(default=None, repr=False, compare=False)
 
     @property
     def min_bitrate(self):
-        return self.points[0].bitrate
+        return float(self.points.bitrate[0])
 
     @property
     def max_bitrate(self):
-        return self.points[-1].bitrate
+        return float(self.points.bitrate[-1])
 
     def _interpolator(self):
         if self._interp is None:
-            lb = np.log([p.bitrate for p in self.points])
-            q = np.array([p.quality for p in self.points])
-            self._interp = _Pchip(lb, q)
+            self._interp = _Pchip(np.log(self.points.bitrate), self.points.quality)
         return self._interp
 
 
@@ -120,34 +152,36 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 
 def build_rd_curve(samples, resolution, metric):
-    """Sort samples by bitrate and keep only the Pareto frontier.
+    """Sort (bitrate, quality, qp) rows by bitrate and keep only the Pareto frontier.
 
     A point is dropped when some other point has no higher bitrate and
-    no lower quality.  The survivors are strictly increasing in both
-    coordinates.
+    no lower quality; of identical points the first given is kept.  The
+    survivors are strictly increasing in both coordinates.
     """
-    if metric not in METRICS:
-        raise ValidationError(f"unknown metric {metric!r}")
+    check_metric(metric)
     if len(samples) < 2:
         raise DegenerateCurveError(
             f"{resolution}/{metric}: need at least 2 samples, got {len(samples)}"
         )
+    bitrates, qualities, qps = zip(*samples)
+    bitrate = np.array(bitrates, dtype=np.float64)
+    quality = np.array(qualities, dtype=np.float64)
     if metric == "vmaf":
-        for p in samples:
-            if not 0.0 <= p.quality <= 100.0:
-                raise ValidationError(f"VMAF quality out of range: {p.quality}")
-    ordered = sorted(samples, key=lambda p: (p.bitrate, -p.quality))
-    kept = []
-    best_quality = -math.inf
-    for p in ordered:
-        if p.quality > best_quality:
-            kept.append(p)
-            best_quality = p.quality
+        outside = np.flatnonzero(~((quality >= 0.0) & (quality <= 100.0)))
+        if outside.size:
+            raise ValidationError(f"VMAF quality out of range: {qualities[outside[0]]}")
+    # Bitrate ascending, then quality descending; lexsort is stable, so
+    # equal points keep their given order.
+    order = np.lexsort((-quality, bitrate))
+    ordered = quality[order]
+    earlier_best = np.maximum.accumulate(np.concatenate(([-np.inf], ordered[:-1])))
+    kept = order[ordered > earlier_best]
     if len(kept) < 2:
         raise DegenerateCurveError(
             f"{resolution}/{metric}: fewer than 2 points survive Pareto cleaning"
         )
-    return RDCurve(resolution=tuple(resolution), metric=metric, points=kept)
+    points = RDColumns(bitrate[kept], quality[kept], [qps[i] for i in kept.tolist()])
+    return RDCurve(resolution=tuple(resolution), metric=metric, points=points)
 
 
 def interpolate_quality(curve, bitrates):

@@ -2,10 +2,11 @@
 
 The oracles are written as straight-line loops or explicit basis
 matrices, deliberately avoiding the vectorized/library paths the
-package uses.  Four former implementations are kept as references for
+package uses.  Five former implementations are kept as references for
 rewrites that must keep their bits: the float64 VoD descriptors, the
 one-bitrate-at-a-time hull queries, the one-column-at-a-time tree
-builder and the json.dump curve-file writer.
+builder, the json.dump curve-file writer and the sort-and-loop Pareto
+filter.
 """
 
 import json
@@ -15,7 +16,7 @@ import os
 import numpy as np
 
 from ladderlab import stats
-from ladderlab.errors import ContractError
+from ladderlab.errors import ContractError, DegenerateCurveError, ValidationError
 from ladderlab.features_vod import (
     _HALF_WEIGHTS,
     _SPECTRUM_COUNT,
@@ -23,7 +24,7 @@ from ladderlab.features_vod import (
     TC_BLOCK,
     yuv420_to_rgb,
 )
-from ladderlab.rd_core import LADDER_RESOLUTIONS
+from ladderlab.rd_core import LADDER_RESOLUTIONS, METRICS, RDCurve
 
 
 def glcm_oracle(plane, levels=32):
@@ -550,8 +551,9 @@ def json_dump_write_curves_dir(dirpath, curves_by_key):
             "metric": metric,
             "resolutions": {
                 f"{w}x{h}": [
-                    {"bitrate_kbps": p.bitrate, "quality": p.quality, "qp": p.qp}
-                    for p in curve.points
+                    {"bitrate_kbps": bitrate, "quality": quality, "qp": qp}
+                    for bitrate, quality, qp in zip(
+                        curve.points.bitrate, curve.points.quality, curve.points.qp)
                 ]
                 for (w, h), curve in sorted(by_res.items())
             },
@@ -560,3 +562,42 @@ def json_dump_write_curves_dir(dirpath, curves_by_key):
         with open(path, "w") as f:
             json.dump(doc, f, sort_keys=True, indent=1)
             f.write("\n")
+
+
+# ------------------------------------------------- sort-and-loop Pareto filter
+#
+# `rd_core.build_rd_curve` as it was when curves held lists of RDPoint
+# records, kept verbatim as the reference for the survivors, their
+# order and their qp under the array filter.  It reads `.bitrate`,
+# `.quality` and `.qp`, so give it RDPoints; its curve holds their list.
+
+
+def loop_build_rd_curve(samples, resolution, metric):
+    """Sort samples by bitrate and keep only the Pareto frontier.
+
+    A point is dropped when some other point has no higher bitrate and
+    no lower quality.  The survivors are strictly increasing in both
+    coordinates.
+    """
+    if metric not in METRICS:
+        raise ValidationError(f"unknown metric {metric!r}")
+    if len(samples) < 2:
+        raise DegenerateCurveError(
+            f"{resolution}/{metric}: need at least 2 samples, got {len(samples)}"
+        )
+    if metric == "vmaf":
+        for p in samples:
+            if not 0.0 <= p.quality <= 100.0:
+                raise ValidationError(f"VMAF quality out of range: {p.quality}")
+    ordered = sorted(samples, key=lambda p: (p.bitrate, -p.quality))
+    kept = []
+    best_quality = -math.inf
+    for p in ordered:
+        if p.quality > best_quality:
+            kept.append(p)
+            best_quality = p.quality
+    if len(kept) < 2:
+        raise DegenerateCurveError(
+            f"{resolution}/{metric}: fewer than 2 points survive Pareto cleaning"
+        )
+    return RDCurve(resolution=tuple(resolution), metric=metric, points=kept)

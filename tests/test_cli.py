@@ -763,3 +763,91 @@ def test_hull_rejects_bad_max_bitrate(tmp_path, capsys, value):
     assert err.count("error:") == 1
     assert "--max-bitrate must be a positive, finite bitrate" in err
     assert not out.exists()
+
+
+_SAMPLE_ROW = "c1,avc,software,{w},{h},{qp},{bitrate},{metric},{quality}"
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([(720, 480, 30, 100.0, "ypsnr", 30.0)],
+     "{path}: ('c1', 'avc', 'software'): (720, 480)/ypsnr: need at least 2 samples, got 1"),
+    ([(720, 480, 30, 100.0, "ypsnr", 30.0), (720, 480, 28, 200.0, "ypsnr", 30.0)],
+     "{path}: ('c1', 'avc', 'software'): (720, 480)/ypsnr: fewer than 2 points survive"),
+    ([(720, 480, 30, 100.0, "vmaf", 30.0), (720, 480, 28, 200.0, "vmaf", 100.5)],
+     "{path}: ('c1', 'avc', 'software'): VMAF quality out of range: 100.5"),
+    ([(720, 480, 30, 100.0, "ypsnr", 30.0), (720, 480, 28, 200.0, "psnr", 31.0)],
+     "{path}:3: unknown metric 'psnr'"),
+], ids=["one-sample", "all-dominated", "vmaf-range", "unknown-metric"])
+def test_rd_build_errors_name_file_and_clip(tmp_path, capsys, rows, want):
+    samples = tmp_path / "rd.csv"
+    samples.write_text("\n".join(
+        ["clip_id,codec,platform,width,height,qp,bitrate_kbps,quality_metric,quality_value"]
+        + [_SAMPLE_ROW.format(w=w, h=h, qp=qp, bitrate=b, metric=m, quality=q)
+           for w, h, qp, b, m, q in rows]) + "\n")
+    out = tmp_path / "curves"
+    capsys.readouterr()
+    assert main(["rd", "build", "--samples", str(samples), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: {want.format(path=samples)}" in err
+    assert not out.exists()
+
+
+# Each command with its --out naming one of its inputs, given as {input};
+# the check runs before any input is read, so the inputs hold any bytes.
+@pytest.mark.parametrize("argv, flag", [
+    ("features vod --manifest {input} --out {input}", "--manifest"),
+    ("rd build --samples {input} --out {input}", "--samples"),
+    ("hull --curves {dir} --metric ypsnr --out {dir}", "--curves"),
+    ("train --features {other} --ladders {input} --target p1 --out {input}", "--ladders"),
+    ("select --features {input} --ladders {other} --out {input}", "--features"),
+    ("predict --model {other} --model {input} --features {other} --out {input}", "--model"),
+    ("evaluate --pred {other} --eel {input} --sl-from-train {other} --curves {dir} "
+     "--out {input}", "--eel"),
+    ("encode --profile {other} --manifest {input} --out {input}", "--manifest"),
+    ("synth rd --params {input} --out {input}", "--params"),
+    ("synth clip --out {input} --width 8 --height 8 --frames 1 --manifest {input}",
+     "--manifest"),
+], ids=["features", "rd-build", "hull", "train", "select", "predict", "evaluate", "encode",
+        "synth-rd", "synth-clip"])
+def test_out_naming_an_input_exit_1(tmp_path, capsys, argv, flag):
+    victim, other, directory = tmp_path / "in.txt", tmp_path / "other.txt", tmp_path / "d"
+    victim.write_text("keep\n")
+    other.write_text("keep\n")
+    directory.mkdir()
+    (directory / "keep.json").write_text("{}\n")
+    # A path spelled with "..", and the directory spelled with a trailing slash.
+    args = argv.format(input=tmp_path / "d" / ".." / "in.txt", other=other, dir=f"{directory}/")
+    capsys.readouterr()
+    assert main(args.split()) == 1
+    err = capsys.readouterr().err
+    command = argv.split(" --")[0].removesuffix(" vod")
+    assert err.count("error:") == 1
+    assert f"{command} would write " in err and f"which is the {flag} input" in err
+    assert victim.read_text() == other.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "in.txt", "other.txt"]
+    assert [p.name for p in directory.iterdir()] == ["keep.json"]
+
+
+def test_rd_build_refuses_curves_of_other_clips_in_out(tmp_path, capsys):
+    params = write_params(tmp_path)
+    curves = tmp_path / "curves"
+    for clip_id in ("c1", "c2"):
+        assert main(["synth", "rd", "--params", str(params), "--clip-id", clip_id,
+                     "--qp-set", "5:50", "--out", str(tmp_path / f"{clip_id}.csv")]) == 0
+
+    def rd_build(clip_id):
+        return main(["rd", "build", "--samples", str(tmp_path / f"{clip_id}.csv"),
+                     "--out", str(curves)])
+
+    assert rd_build("c1") == 0
+    before = {p.name: p.read_bytes() for p in curves.iterdir()}
+    assert rd_build("c1") == 0  # rewriting the same keys is allowed
+    assert {p.name: p.read_bytes() for p in curves.iterdir()} == before
+    capsys.readouterr()
+    assert rd_build("c2") == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert (f"error: {curves}: holds 1 curve file(s) this run does not write, "
+            "first c1__avc__software__ypsnr.json") in err
+    assert {p.name: p.read_bytes() for p in curves.iterdir()} == before

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,8 +217,8 @@ def test_rd_samples_round_trip_and_curves(tmp_path):
     key = ("c1", "avc", "software", "ypsnr")
     assert set(loaded) == {key}
     assert {r for r in loaded[key]} == {(720, 480), (1280, 720)}
-    curves = build_curves(loaded)
-    assert curves[key][(720, 480)].points[0].bitrate == 100.0
+    curves = build_curves(loaded, path)
+    assert curves[key][(720, 480)].points.bitrate[0] == 100.0
 
 
 def test_curves_dir_round_trip(tmp_path):
@@ -226,16 +228,15 @@ def test_curves_dir_round_trip(tmp_path):
     ]
     path = tmp_path / "rd.csv"
     write_rd_samples_csv(path, rows)
-    curves = build_curves(read_rd_samples_csv(path))
+    curves = build_curves(read_rd_samples_csv(path), path)
     cdir = tmp_path / "curves"
     write_curves_dir(cdir, curves)
     loaded = read_curves_dir(cdir)
     key = ("c1", "avc", "software", "ypsnr")
     got = loaded[key][(720, 480)]
     want = curves[key][(720, 480)]
-    assert [(p.bitrate, p.quality, p.qp) for p in got.points] == [
-        (p.bitrate, p.quality, p.qp) for p in want.points
-    ]
+    assert list(zip(got.points.bitrate.tolist(), got.points.quality.tolist(), got.points.qp)) == (
+        list(zip(want.points.bitrate.tolist(), want.points.quality.tolist(), want.points.qp)))
 
 
 def test_ladders_csv_round_trip(tmp_path):
@@ -255,3 +256,21 @@ def test_csv_writes_are_byte_stable(tmp_path):
     write_feature_csv(p1, "vod", [("x", vec)])
     write_feature_csv(p2, "vod", [("x", vec)])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_benchmark_probe_of_rd_evaluation_and_pipeline_runs(tmp_path):
+    """The benchmark's traced probe drives the RD, evaluation and curve-file
+    API (build_rd_curve on RDPoint lists, RDCurve from another curve's
+    points, cross_over, the readers and writers); run it as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace_run", path)
+    trace_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_run)
+    metrics = trace_run.probe_rd_and_evaluation(trace_run.Tracer("test"), str(tmp_path), 5)
+    assert set(metrics) == {
+        "rd_core.build_rd_curve_us", "rd_core.cross_over_us", "rd_core.eel_ladder_us",
+        "evaluation.evaluate_ms_per_clip", "evaluation.ladder_accuracy_us",
+        "evaluation.bd_rate_us", "pipeline.read_rd_samples_rows_per_s",
+        "pipeline.write_curves_dir_ms_per_file", "pipeline.read_curves_dir_ms_per_file",
+    }
+    assert all(np.isfinite(v) and v > 0 for v in metrics.values())

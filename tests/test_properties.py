@@ -12,12 +12,12 @@ from ladderlab.errors import ContractError, DegenerateCurveError, ValidationErro
 from ladderlab.evaluation import _average_ranks, ladder_accuracy
 from ladderlab.pipeline import write_curves_dir
 from ladderlab.rd_core import (
-    LADDER_RESOLUTIONS, BitrateLadder, CrossOverSet, RDCurve, RDPoint, _Pchip,
+    LADDER_RESOLUTIONS, METRICS, BitrateLadder, CrossOverSet, RDColumns, RDCurve, RDPoint, _Pchip,
     build_rd_curve, convex_hull, hull_resolution_index, monotone_clamp,
 )
 from ladderlab.stats import ten_stats
 from oracles import (
-    json_dump_write_curves_dir, loop_average_ranks, scalar_hull_quality,
+    json_dump_write_curves_dir, loop_average_ranks, loop_build_rd_curve, scalar_hull_quality,
     scalar_hull_resolution_index, scalar_ladder_accuracy,
 )
 
@@ -77,18 +77,64 @@ def test_pareto_cleaning_invariants(raw):
         }
         assert len(survivors) < 2
         return
-    rates = [p.bitrate for p in curve.points]
-    quals = [p.quality for p in curve.points]
+    rates = curve.points.bitrate.tolist()
+    quals = curve.points.quality.tolist()
     assert all(a < b for a, b in zip(rates, rates[1:]))
     assert all(a < b for a, b in zip(quals, quals[1:]))
     # no survivor is dominated by any input point
-    for p in curve.points:
+    for p in map(RDPoint, rates, quals):
         assert not any(
             (q.bitrate, q.quality) != (p.bitrate, p.quality)
             and q.bitrate <= p.bitrate
             and q.quality >= p.quality
             for q in points
         )
+
+
+# Bitrates and qualities come often from small pools, so that equal
+# bitrates, equal qualities and ±0.0 qualities at one bitrate are common;
+# the qualities include the VMAF range's ends and the floats just outside.
+sample_bitrates = st.one_of(
+    st.sampled_from([0.5, 100.0, 250.0, 1e5]), st.floats(1e-3, 1e6),
+    st.floats(1e-3, 1e6).map(np.float64),
+)
+sample_qualities = st.one_of(
+    st.sampled_from([0.0, -0.0, 30.0, 100.0, np.nextafter(0.0, -1.0), np.nextafter(100.0, 200.0),
+                     np.float64(-0.0), np.float64(100.0)]),
+    st.floats(-50.0, 150.0), st.floats(-50.0, 150.0).map(np.float64),
+)
+sample_qps = st.one_of(st.none(), st.integers(0, 2**70))
+
+
+@st.composite
+def rd_sample_lists(draw):
+    """RDPoints, some of them repeated with another qp at a drawn place."""
+    points = draw(st.lists(st.builds(RDPoint, sample_bitrates, sample_qualities, sample_qps),
+                           max_size=24))
+    for p in draw(st.lists(st.sampled_from(points), max_size=6)) if points else []:
+        points.insert(draw(st.integers(0, len(points))), p._replace(qp=draw(sample_qps)))
+    return points
+
+
+@settings(max_examples=500)
+@given(rd_sample_lists(), st.sampled_from(METRICS + ("psnr",)))
+@example([RDPoint(100.0, 30.0, 1), RDPoint(100.0, 30.0, 2), RDPoint(200.0, 31.0, 3)], "ypsnr")
+@example([RDPoint(100.0, 0.0, 1), RDPoint(100.0, -0.0, 2), RDPoint(200.0, 31.0, 3)], "vmaf")
+@example([RDPoint(100.0, 30.0, 1), RDPoint(100.0, 31.0, 2), RDPoint(200.0, 32.0, 3)], "ypsnr")
+@example([RDPoint(100.0, 30.0), RDPoint(200.0, 30.0), RDPoint(50.0, 31.0)], "ypsnr")
+@example([RDPoint(100.0, 0.0), RDPoint(200.0, np.nextafter(100.0, 200.0))], "vmaf")
+def test_pareto_filter_equals_sort_and_loop(samples, metric):
+    try:
+        want = loop_build_rd_curve(samples, (720, 480), metric)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as raised:
+            build_rd_curve(samples, (720, 480), metric)
+        assert type(raised.value) is type(exc)
+        return
+    got = build_rd_curve(samples, (720, 480), metric)
+    assert _bits(got.points.bitrate) == _bits([p.bitrate for p in want.points])
+    assert _bits(got.points.quality) == _bits([p.quality for p in want.points])
+    assert got.points.qp == tuple(p.qp for p in want.points)
 
 
 @st.composite
@@ -210,12 +256,18 @@ curve_keys = st.tuples(
 )
 
 
+def columns(points):
+    """The column record of a list of RDPoints."""
+    return RDColumns([p.bitrate for p in points], [p.quality for p in points],
+                     [p.qp for p in points])
+
+
 @st.composite
 def curve_sets(draw):
     out = {}
     for key in draw(st.lists(curve_keys, min_size=1, max_size=3, unique=True)):
         out[key] = {
-            res: RDCurve(res, key[3], draw(st.lists(curve_points, max_size=6)))
+            res: RDCurve(res, key[3], columns(draw(st.lists(curve_points, max_size=6))))
             for res in draw(st.lists(resolutions, max_size=5, unique=True))
         }
     return out
@@ -230,11 +282,13 @@ def _written_files(write, curves):
 @settings(max_examples=300)
 @given(curve_sets())
 @example({("a\t\"\\\u00e9", "avc", "software", "ypsnr"): {
-    res: RDCurve(res, "ypsnr", [RDPoint(np.float64(1e-7), -0.0, None), RDPoint(1e16, 1.5, 2**64)])
+    res: RDCurve(res, "ypsnr", columns([RDPoint(np.float64(1e-7), -0.0, None),
+                                        RDPoint(1e16, 1.5, 2**64)]))
     for res in ((10, 1), (9, 10), (720, 480), (1280, 720))
 }})
 @example({("c1", "vvc", "hardware", "vmaf"): {
-    (720, 480): RDCurve((720, 480), "vmaf", [RDPoint(150.0, 40.0, 0), RDPoint(900.0, 80.0, 0)]),
+    (720, 480): RDCurve((720, 480), "vmaf",
+                        columns([RDPoint(150.0, 40.0, 0), RDPoint(900.0, 80.0, 0)])),
 }})
 def test_curve_files_byte_equal_json_dump_writer(curves):
     assert _written_files(write_curves_dir, curves) == _written_files(
@@ -249,7 +303,7 @@ def test_curve_writer_rejects_non_finite_values(tmp_path, field, value):
     good = RDPoint(100.0, 30.0, 40)
     bad = RDPoint(value, 31.0, 30) if field == "bitrate_kbps" else RDPoint(200.0, value, 30)
     key = ("c1", "avc", "software", "ypsnr")
-    curves = {key: {(720, 480): RDCurve((720, 480), "ypsnr", [good, bad])}}
+    curves = {key: {(720, 480): RDCurve((720, 480), "ypsnr", columns([good, bad]))}}
     with pytest.raises(ContractError, match=f"{field} must be finite"):
         write_curves_dir(tmp_path, curves)
     assert not list(tmp_path.iterdir())
