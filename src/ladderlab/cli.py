@@ -261,11 +261,14 @@ def _table_path(out):
 
 
 def _check_outputs(args):
-    """Reject, before the command runs, an output file that is one of its inputs.
+    """Reject, before the command runs, an output it must not or cannot write.
 
     Every command but `bdbr` writes --out, and `evaluate` also writes its
-    per-clip table; each subcommand lists its input options as `inputs`.
-    Paths are compared after resolving symlinks and `..`.
+    per-clip table.  An output may not be one of the command's inputs
+    (each subcommand lists its input options as `inputs`) or a clip file
+    its --manifest lists; paths are compared after resolving symlinks and
+    `..`.  `rd build` writes a directory and the others a file, and an
+    existing output must be of that kind.
     """
     if not hasattr(args, "out"):
         return
@@ -281,11 +284,23 @@ def _check_outputs(args):
     command = " ".join(
         name for name in (args.command, getattr(args, "rd_command", None),
                           getattr(args, "synth_command", None)) if name)
+    want = "directory" if args.func is _cmd_rd_build else "file"
     for out in outputs:
         flag = inputs.get(os.path.realpath(out))
         if flag:
             raise ValidationError(
                 f"--out {args.out}: {command} would write {out}, which is the {flag} input")
+        found = "directory" if os.path.isdir(out) else "file"
+        if os.path.exists(out) and found != want:
+            raise ValidationError(
+                f"--out {args.out}: {command} writes a {want}, but {out} is a {found}")
+    manifest = getattr(args, "manifest", None)
+    if manifest and os.path.isfile(manifest):
+        out = os.path.realpath(args.out)
+        for c in pipeline.load_manifest(manifest).clips:
+            if os.path.realpath(c.path) == out:
+                raise ValidationError(
+                    f"--out {args.out}: {manifest} lists it as the file of clip {c.clip_id!r}")
 
 
 def _cmd_evaluate(args):
@@ -390,11 +405,6 @@ def _cmd_synth_clip(args):
         manifest = pipeline.load_manifest(args.manifest)
     if any(c.clip_id == args.clip_id for c in manifest.clips):
         raise ValidationError(f"{args.manifest}: already holds clip_id {args.clip_id!r}")
-    out = os.path.realpath(args.out)
-    for c in manifest.clips:
-        if os.path.realpath(c.path) == out:
-            raise ValidationError(
-                f"--out {args.out}: {args.manifest} lists it as the file of clip {c.clip_id!r}")
     clip = synth.synth_clip(
         args.out, args.clip_id, args.width, args.height, args.frames,
         args.sigma, args.motion, args.seed, fps=args.fps,

@@ -10,7 +10,7 @@ results do not depend on scheduling.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .pipeline import json_object, read_input, write_json
 from .rd_core import METRICS
 from .stats import check_seed, pearson, seeded_rng
 
-MODEL_FORMAT_TAG = "ladderlab-model-v1"
+MODEL_FORMAT_TAG = "ladderlab-model-v2"
 
 TARGET_IDS = ("p1", "p2", "p3")
 MODEL_KINDS = ("extratrees", "rf")
@@ -94,25 +94,15 @@ class TrainingMatrix:
 
 @dataclass
 class Tree:
-    """Flattened decision tree: feature < 0 marks a leaf."""
+    """One decision tree, its nodes in pre-order: an inner node's left child
+    is the node after it.  `feature` holds every node, -1 for a leaf;
+    `threshold` and `right` (a node index within the tree) hold the inner
+    nodes, and `value` the leaves, each in node order."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    def predict(self, X):
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            cur = node[idx]
-            go_left = X[idx, self.feature[cur]] <= self.threshold[cur]
-            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active = self.feature[node] >= 0
-        return self.value[node]
 
 
 @dataclass
@@ -123,8 +113,6 @@ class TrainedModel:
     feature_names: list
     target_id: str
     metric: str
-    y_min: float
-    y_max: float
     feature_gains: np.ndarray = field(repr=False)  # summed impurity decrease
 
 
@@ -139,38 +127,33 @@ class _TreeBuilder:
         self.extra = extra
         self.feature = []
         self.threshold = []
-        self.left = []
         self.right = []
         self.value = []
         self.gains = np.zeros(self.d)
 
-    def _new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
     def build(self, idx):
-        node = self._new_node()
+        """Grow the subtree of rows `idx`, appending its nodes in pre-order."""
+        node = len(self.feature)
+        self.feature.append(-1)
         y = self.y[idx]
         n = len(idx)
-        # np.add.reduce(y) / n gives the bits of y.mean() without its wrapper.
-        self.value[node] = float(np.add.reduce(y) / n)
-        if n < self.min_split or np.maximum.reduce(y) <= np.minimum.reduce(y):
-            return node
-        split = self._best_split(idx, y)
+        split = None
+        if n >= self.min_split and np.maximum.reduce(y) > np.minimum.reduce(y):
+            split = self._best_split(idx, y)
         if split is None:
-            return node
+            # np.add.reduce(y) / n gives the bits of y.mean() without its wrapper.
+            self.value.append(float(np.add.reduce(y) / n))
+            return
         f, thr, gain = split
-        mask = self.X[idx, f] <= thr
         self.feature[node] = f
-        self.threshold[node] = thr
+        self.threshold.append(thr)
+        slot = len(self.right)
+        self.right.append(-1)
         self.gains[f] += gain
-        self.left[node] = self.build(idx[mask])
-        self.right[node] = self.build(idx[~mask])
-        return node
+        mask = self.X[idx, f] <= thr
+        self.build(idx[mask])
+        self.right[slot] = len(self.feature)
+        self.build(idx[~mask])
 
     def _candidates(self):
         m = min(self.max_features, self.d)
@@ -308,15 +291,10 @@ def train(matrix, hyperparams=Hyperparams(), kind="extratrees", target_id="p3",
             rng, extra=(kind == "extratrees"),
         )
         builder.build(idx)
-        trees.append(
-            Tree(
-                np.asarray(builder.feature, dtype=np.int64),
-                np.asarray(builder.threshold, dtype=np.float64),
-                np.asarray(builder.left, dtype=np.int64),
-                np.asarray(builder.right, dtype=np.int64),
-                np.asarray(builder.value, dtype=np.float64),
-            )
-        )
+        trees.append(Tree(np.asarray(builder.feature, dtype=np.int64),
+                          np.asarray(builder.threshold, dtype=np.float64),
+                          np.asarray(builder.right, dtype=np.int64),
+                          np.asarray(builder.value, dtype=np.float64)))
         gains += builder.gains
     return TrainedModel(
         kind=kind,
@@ -325,8 +303,6 @@ def train(matrix, hyperparams=Hyperparams(), kind="extratrees", target_id="p3",
         feature_names=list(matrix.feature_names),
         target_id=target_id,
         metric=metric,
-        y_min=float(matrix.y.min()),
-        y_max=float(matrix.y.max()),
         feature_gains=gains,
     )
 
@@ -349,10 +325,28 @@ def predict_log(model, X, feature_names=None):
         raise ContractError(
             f"expected {len(model.feature_names)} features, got {X.shape[1]}"
         )
+    trees = model.trees
+    first = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])  # each tree's root
+    # The trees side by side, every array holding an entry per node.
+    feature = np.concatenate([t.feature for t in trees])
+    inner = feature >= 0
+    threshold = np.zeros(feature.size)
+    threshold[inner] = np.concatenate([t.threshold for t in trees])
+    right = np.zeros(feature.size, dtype=np.int64)
+    right[inner] = np.concatenate([t.right + s for t, s in zip(trees, first)])
+    value = np.zeros(feature.size)
+    value[~inner] = np.concatenate([t.value for t in trees])
+    # node[t, i] is where row i stands in tree t; each step moves every walk.
+    node = np.repeat(first, X.shape[0]).reshape(len(trees), X.shape[0])
+    f = feature[node]
+    while np.any(f >= 0):
+        go_left = X[np.arange(X.shape[0]), f] <= threshold[node]
+        node = np.where(f < 0, node, np.where(go_left, node + 1, right[node]))
+        f = feature[node]
     acc = np.zeros(X.shape[0])
-    for tree in model.trees:
-        acc += tree.predict(X)
-    return acc / len(model.trees)
+    for leaves in value[node]:  # tree by tree, in order
+        acc += leaves
+    return acc / len(trees)
 
 
 def predict(model, X, feature_names=None):
@@ -464,31 +458,22 @@ def stratified_split(clip_ids, strata, test_fraction, seed):
     return train_ids, test_ids
 
 
-#: The dtype of each Tree array, in field order; the keys of a tree in a model file.
-_TREE_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
-                "right": np.int64, "value": np.float64}
-
-
 def save_model(model, path):
-    """Serialize to versioned JSON; floats round-trip bit-exactly."""
-    doc = {
+    """Serialize to versioned JSON; floats round-trip bit-exactly.  Each node
+    array holds the trees' `Tree` arrays one after another."""
+    trees = model.trees
+    write_json(path, {
         "format": MODEL_FORMAT_TAG,
         "kind": model.kind,
         "target_id": model.target_id,
         "metric": model.metric,
-        "hyperparams": {
-            "n_trees": model.hyperparams.n_trees,
-            "max_features": model.hyperparams.max_features,
-            "min_samples_split": model.hyperparams.min_samples_split,
-            "seed": model.hyperparams.seed,
-        },
+        "hyperparams": asdict(model.hyperparams),
         "feature_names": list(model.feature_names),
-        "y_min": model.y_min,
-        "y_max": model.y_max,
         "feature_gains": model.feature_gains.tolist(),
-        "trees": [{k: getattr(t, k).tolist() for k in _TREE_DTYPES} for t in model.trees],
-    }
-    write_json(path, doc, indent=None)
+        "tree_sizes": [len(t.feature) for t in trees],
+        **{k: np.concatenate([getattr(t, k) for t in trees]).tolist()
+           for k in ("feature", "threshold", "right", "value")},
+    }, indent=None)
 
 
 def load_model(path):
@@ -496,42 +481,62 @@ def load_model(path):
         doc = source.json()
         if doc.get("format") != MODEL_FORMAT_TAG:
             raise ValidationError(f"unknown model format {doc.get('format')!r}")
-        if not doc["trees"]:
-            raise ValidationError("model has no trees")
-        trees = [Tree(*(np.asarray(t[k], dtype=dt) for k, dt in _TREE_DTYPES.items()))
-                 for t in doc["trees"]]
-        fields = {k: doc[k] for k in ("kind", "target_id", "metric", "y_min", "y_max")}
+        kind, target_id, metric = doc["kind"], doc["target_id"], doc["metric"]
+        if kind not in MODEL_KINDS or target_id not in TARGET_IDS or metric not in METRICS:
+            raise ValidationError(
+                f"unknown kind, target or metric: {kind!r}, {target_id!r}, {metric!r}")
         hyperparams = Hyperparams(**json_object(doc["hyperparams"], "hyperparams"))
-        feature_names = list(doc["feature_names"])
-        feature_gains = np.asarray(doc["feature_gains"], dtype=np.float64)
-    model = TrainedModel(trees=trees, hyperparams=hyperparams, feature_names=feature_names,
-                         feature_gains=feature_gains, **fields)
-    if (model.kind not in MODEL_KINDS or model.target_id not in TARGET_IDS
-            or model.metric not in METRICS):
-        raise ValidationError(f"{path}: unknown kind, target or metric: "
-                              f"{model.kind!r}, {model.target_id!r}, {model.metric!r}")
-    d = len(feature_names)
-    if feature_gains.shape != (d,):
-        raise ValidationError(f"{path}: feature_gains must hold {d} values, one per feature")
-    for i, tree in enumerate(trees):
-        problem = _tree_problem(tree, d)
-        if problem:
-            raise ValidationError(f"{path}: tree {i}: {problem}")
-    return model
+        names = doc["feature_names"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                and len(set(names)) == len(names)):
+            raise ValidationError("feature_names must be a list of distinct strings")
+        gains = np.asarray(doc["feature_gains"], dtype=np.float64)
+        if gains.shape != (len(names),):
+            raise ValidationError(f"feature_gains must hold {len(names)} values, one per feature")
+        sizes, feature, right = (np.asarray(doc[k], dtype=np.int64)
+                                 for k in ("tree_sizes", "feature", "right"))
+        threshold, value = (np.asarray(doc[k], dtype=np.float64) for k in ("threshold", "value"))
+        _check_trees(sizes, feature, threshold, right, value, len(names))
+        if len(sizes) != hyperparams.n_trees:
+            raise ValidationError(f"hyperparams.n_trees is {hyperparams.n_trees}, "
+                                  f"but the model holds {len(sizes)} tree(s)")
+    cuts = np.cumsum(sizes)[:-1]
+    inner_before = np.cumsum(feature >= 0)[cuts - 1]  # inner nodes before each cut
+    trees = [Tree(*parts) for parts in zip(
+        np.split(feature, cuts), np.split(threshold, inner_before),
+        np.split(right, inner_before), np.split(value, cuts - inner_before))]
+    return TrainedModel(kind, trees, hyperparams, names, target_id, metric, gains)
 
 
-def _tree_problem(tree, d):
-    """Why `Tree.predict` could index outside `tree` or not reach a leaf, or None."""
-    n = tree.feature.size
-    if n == 0 or any(getattr(tree, k).shape != (n,) for k in _TREE_DTYPES):
-        return "arrays must be flat, non-empty and of equal length"
-    if not np.all((tree.feature >= -1) & (tree.feature < d)):
-        return f"a feature index lies outside [-1, {d})"
-    inner = np.flatnonzero(tree.feature >= 0)
-    # With each child after its node, every walk moves forward and so stops.
-    for child in (tree.left[inner], tree.right[inner]):
-        if not np.all((inner < child) & (child < n)):
-            return "a child index does not lie after its node within the tree"
-    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
-        return "thresholds and values must be finite"
-    return None
+def _check_trees(sizes, feature, threshold, right, value, d):
+    """Reject node arrays that `predict_log` could index outside or not walk to a leaf."""
+    if any(a.ndim != 1 for a in (sizes, feature, threshold, right, value)):
+        raise ValidationError("tree_sizes, feature, threshold, right and value must be lists")
+    if sizes.size == 0:
+        raise ValidationError("model has no trees")
+    if np.any((sizes < 1) | (sizes > feature.size)) or sizes.sum() != feature.size:
+        raise ValidationError(
+            f"tree_sizes must be positive and add up to the {feature.size} nodes of feature")
+    tree = np.repeat(np.arange(sizes.size), sizes)  # the tree of each node
+    outside = (feature < -1) | (feature >= d)
+    if outside.any():
+        raise ValidationError(
+            f"tree {tree[outside.argmax()]}: a feature index lies outside [-1, {d})")
+    inner = feature >= 0
+    if not (np.count_nonzero(inner) == threshold.size == right.size
+            and np.count_nonzero(~inner) == value.size):
+        raise ValidationError(
+            "threshold and right need one entry per inner node, and value one per leaf")
+    # With both children after their node (the left one is the next node),
+    # every walk moves forward and so stops.
+    node = np.flatnonzero(inner) - (np.cumsum(sizes) - sizes)[tree[inner]]
+    misplaced = ~((node < right) & (right < sizes[tree[inner]]))
+    if misplaced.any():
+        raise ValidationError(f"tree {tree[inner][misplaced.argmax()]}: "
+                              "a child index does not lie after its node within the tree")
+    finite = np.empty(feature.size, dtype=bool)
+    finite[inner] = np.isfinite(threshold)
+    finite[~inner] = np.isfinite(value)
+    if not finite.all():
+        raise ValidationError(
+            f"tree {tree[finite.argmin()]}: thresholds and values must be finite")

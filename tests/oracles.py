@@ -2,16 +2,19 @@
 
 The oracles are written as straight-line loops or explicit basis
 matrices, deliberately avoiding the vectorized/library paths the
-package uses.  Five former implementations are kept as references for
+package uses.  Six former implementations are kept as references for
 rewrites that must keep their bits: the float64 VoD descriptors, the
 one-bitrate-at-a-time hull queries, the one-column-at-a-time tree
-builder, the json.dump curve-file writer and the sort-and-loop Pareto
+builder, the one-tree-at-a-time predictor with its ladderlab-model-v1
+writer, the json.dump curve-file writer and the sort-and-loop Pareto
 filter.
 """
 
 import json
 import math
 import os
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from ladderlab.features_vod import (
     TC_BLOCK,
     yuv420_to_rgb,
 )
+from ladderlab.pipeline import write_json
 from ladderlab.rd_core import LADDER_RESOLUTIONS, METRICS, RDCurve
 
 
@@ -427,7 +431,9 @@ class ScalarTreeBuilder:
 
     Same constructor and output attributes as `learning._TreeBuilder`,
     so `learning.train` can run with it in place of the package's
-    builder and the two saved models compared byte for byte.
+    builder and the two saved models compared byte for byte.  The split
+    search is the former builder's; the node bookkeeping follows the
+    package's pre-order arrays.
     """
 
     def __init__(self, X, y, max_features, min_samples_split, rng, extra):
@@ -440,37 +446,31 @@ class ScalarTreeBuilder:
         self.extra = extra
         self.feature = []
         self.threshold = []
-        self.left = []
         self.right = []
         self.value = []
         self.gains = np.zeros(self.d)
 
-    def _new_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
     def build(self, idx):
-        node = self._new_node()
+        node = len(self.feature)
+        self.feature.append(-1)
         y = self.y[idx]
-        self.value[node] = float(y.mean())
         n = len(idx)
-        if n < self.min_split or float(y.max() - y.min()) <= 0.0:
-            return node
-        split = self._best_split(idx)
+        split = None
+        if n >= self.min_split and float(y.max() - y.min()) > 0.0:
+            split = self._best_split(idx)
         if split is None:
-            return node
+            self.value.append(float(y.mean()))
+            return
         f, thr, gain = split
         mask = self.X[idx, f] <= thr
         self.feature[node] = f
-        self.threshold[node] = thr
+        self.threshold.append(thr)
+        slot = len(self.right)
+        self.right.append(-1)
         self.gains[f] += gain
-        self.left[node] = self.build(idx[mask])
-        self.right[node] = self.build(idx[~mask])
-        return node
+        self.build(idx[mask])
+        self.right[slot] = len(self.feature)
+        self.build(idx[~mask])
 
     def _candidates(self):
         m = min(self.max_features, self.d)
@@ -532,6 +532,113 @@ class ScalarTreeBuilder:
         gain = sse_parent - float(child[best])
         thr = 0.5 * (xs[k[best] - 1] + xs[k[best]])
         return float(thr), gain
+
+
+# ------------------------------------------- ladderlab-model-v1 models
+#
+# The per-tree model layout, its `Tree.predict` and its `save_model`,
+# kept verbatim as the reference for the one walk over all trees in
+# `learning.predict_log` and for the trees behind tests/golden/models.json.
+# v1 stored every node's threshold, left and right child (leaves: 0.0, -1,
+# -1) and the mean target of the training rows reaching it; v2 keeps only
+# what a walk reads, so `v1_model` rebuilds the rest from the training data.
+
+V1_FORMAT_TAG = "ladderlab-model-v1"
+
+
+@dataclass
+class V1Tree:
+    """Flattened decision tree: feature < 0 marks a leaf."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def predict(self, X):
+        n = X.shape[0]
+        node = np.zeros(n, dtype=np.int64)
+        active = self.feature[node] >= 0
+        while np.any(active):
+            idx = np.nonzero(active)[0]
+            cur = node[idx]
+            go_left = X[idx, self.feature[cur]] <= self.threshold[cur]
+            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
+            active = self.feature[node] >= 0
+        return self.value[node]
+
+
+def v1_predict_log(model, X):
+    """The ensemble mean of `V1Tree.predict`, summed tree by tree."""
+    acc = np.zeros(X.shape[0])
+    for tree in model.trees:
+        acc += tree.predict(X)
+    return acc / len(model.trees)
+
+
+def v1_model(model, matrix):
+    """A trained `learning.TrainedModel` in the v1 layout.
+
+    `y_min` and `y_max` are the training targets' range.  An inner node's
+    value is the mean of the training rows reaching it, in the order the
+    builder held them: all rows for ExtraTrees, tree t's sorted bootstrap
+    draw for RF.
+    """
+    n = len(matrix.y)
+    trees = []
+    for t, tree in enumerate(model.trees):
+        size = len(tree.feature)
+        inner = tree.feature >= 0
+        threshold = np.zeros(size)
+        threshold[inner] = tree.threshold
+        left = np.where(inner, np.arange(1, size + 1), -1)
+        right = np.full(size, -1, dtype=np.int64)
+        right[inner] = tree.right
+        value = np.zeros(size)
+        value[~inner] = tree.value
+        v1 = V1Tree(tree.feature, threshold, left, right, value)
+
+        def fill(node, idx):
+            if v1.feature[node] >= 0:
+                y = matrix.y[idx]
+                v1.value[node] = float(np.add.reduce(y) / len(idx))
+                mask = matrix.X[idx, v1.feature[node]] <= v1.threshold[node]
+                fill(v1.left[node], idx[mask])
+                fill(v1.right[node], idx[~mask])
+
+        rng = stats.seeded_rng(model.hyperparams.seed, t)
+        fill(0, np.sort(rng.integers(0, n, size=n)) if model.kind == "rf" else np.arange(n))
+        trees.append(v1)
+    return SimpleNamespace(**{**vars(model), "trees": trees, "y_min": float(matrix.y.min()),
+                              "y_max": float(matrix.y.max())})
+
+
+#: The dtype of each Tree array, in field order; the keys of a tree in a model file.
+_TREE_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+                "right": np.int64, "value": np.float64}
+
+
+def save_model_v1(model, path):
+    """Serialize to versioned JSON; floats round-trip bit-exactly."""
+    doc = {
+        "format": V1_FORMAT_TAG,
+        "kind": model.kind,
+        "target_id": model.target_id,
+        "metric": model.metric,
+        "hyperparams": {
+            "n_trees": model.hyperparams.n_trees,
+            "max_features": model.hyperparams.max_features,
+            "min_samples_split": model.hyperparams.min_samples_split,
+            "seed": model.hyperparams.seed,
+        },
+        "feature_names": list(model.feature_names),
+        "y_min": model.y_min,
+        "y_max": model.y_max,
+        "feature_gains": model.feature_gains.tolist(),
+        "trees": [{k: getattr(t, k).tolist() for k in _TREE_DTYPES} for t in model.trees],
+    }
+    write_json(path, doc, indent=None)
 
 
 # ------------------------------------------------ json.dump curve files

@@ -499,7 +499,7 @@ def test_train_rejects_bad_hyperparams(tmp_path, capsys, flags, want):
 def test_predict_rejects_model_without_trees(tmp_path, capsys):
     paths = [_tiny_model(tmp_path, t) for t in ("p1", "p2", "p3")]
     doc = json.loads(open(paths[1]).read())
-    doc["trees"] = []
+    doc["tree_sizes"] = []
     with open(paths[1], "w") as f:
         json.dump(doc, f)
     assert _predict(tmp_path, paths) == 1
@@ -531,11 +531,33 @@ def _json_input(tmp_path, source):
 
 
 def _tree0(**arrays):
+    """Set the first entry of each named node array: that of tree 0's root,
+    an inner node."""
     def edit(doc):
         for name, value in arrays.items():
-            doc["trees"][0][name][0] = value
+            doc[name][0] = value
         return doc
     return edit
+
+
+def _inner_last_node(doc):
+    """Tree 0 with its last node, a leaf, made an inner node whose children
+    would be the next tree's root."""
+    last = doc["tree_sizes"][0] - 1
+    inner = sum(f >= 0 for f in doc["feature"][:last])
+    doc["feature"][last] = 0
+    doc["threshold"].insert(inner, 0.5)
+    doc["right"].insert(inner, last + 1)
+    del doc["value"][last - inner]
+    return doc
+
+
+def _first_tree_only(doc):
+    size = doc["tree_sizes"][0]
+    inner = sum(f >= 0 for f in doc["feature"][:size])
+    return {**doc, "tree_sizes": [size], "feature": doc["feature"][:size],
+            "threshold": doc["threshold"][:inner], "right": doc["right"][:inner],
+            "value": doc["value"][:size - inner]}
 
 
 def _first_point(field, value):
@@ -549,8 +571,8 @@ def _first_point(field, value):
     ("model", lambda doc: None, "model file not found: "),
     ("model", lambda doc: "{", "Expecting property name"),
     ("model", lambda doc: [], "expected a JSON object, got list"),
-    ("model", _tree0(left=0, right=0), "tree 0: a child index does not lie after its node"),
-    ("model", _tree0(left=-5), "tree 0: a child index does not lie after its node"),
+    ("model", _tree0(right=0), "tree 0: a child index does not lie after its node"),
+    ("model", _tree0(right=-5), "tree 0: a child index does not lie after its node"),
     ("model", _tree0(right=10**6), "tree 0: a child index does not lie after its node"),
     ("model", _tree0(feature=3), "tree 0: a feature index lies outside [-1, 3)"),
     ("model", _tree0(threshold=None), "tree 0: thresholds and values must be finite"),
@@ -584,6 +606,12 @@ def _first_point(field, value):
     ("curve", _first_point("qp", [1, 2]), "qp: int() argument must be"),
     ("curve", _first_point("qp", True), "qp must be an integer, got True"),
     ("curve", _first_point("qp", 30.0), "qp must be an integer, got 30.0"),
+    ("model", _inner_last_node, "tree 0: a child index does not lie after its node"),
+    ("model", _first_tree_only, "hyperparams.n_trees is 3, but the model holds 1 tree(s)"),
+    ("model", lambda doc: {**doc, "feature_names": "abc"},
+     "feature_names must be a list of distinct strings"),
+    ("model", lambda doc: {**doc, "format": "ladderlab-model-v1"},
+     "unknown model format 'ladderlab-model-v1'"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
@@ -591,7 +619,8 @@ def _first_point(field, value):
         "curve-quality-abc", "curve-resolutions-list", "curve-point-null", "params-law-list",
         "model-hyperparams-int", "profile-positional-field", "profile-attribute-field",
         "profile-lone-brace", "profile-unknown-field", "params-float-seed", "curve-qp-string",
-        "curve-qp-list", "curve-qp-true", "curve-qp-float"])
+        "curve-qp-list", "curve-qp-true", "curve-qp-float", "model-inner-last-node",
+        "model-n-trees-mismatch", "model-feature-names-string", "model-format-v1"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:
@@ -750,6 +779,61 @@ def test_synth_clip_rejects_out_of_another_listed_clip(tmp_path, capsys):
     assert (manifest.read_bytes(), (tmp_path / "a.yuv").read_bytes()) == before
     assert main(["features", "vod", "--manifest", str(manifest),
                  "--out", str(tmp_path / "f.csv")]) == 0
+
+
+def _one_clip_manifest(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    assert main(["synth", "clip", "--out", str(tmp_path / "c0.yuv"), "--clip-id", "c0",
+                 "--width", "32", "--height", "32", "--frames", "2",
+                 "--manifest", str(manifest)]) == 0
+    return manifest, tmp_path / "c0.yuv"
+
+
+@pytest.mark.parametrize("command", ["features", "encode"])
+def test_out_naming_a_listed_clip_file_exit_1(tmp_path, capsys, command):
+    manifest, clip = _one_clip_manifest(tmp_path)
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"codec": "avc", "platform": "software",
+                                   "encode_template": "enc", "metric_template": "met"}))
+    argv = {"features": ["features", "vod"], "encode": ["encode", "--profile", str(profile)]}
+    before = clip.read_bytes()
+    capsys.readouterr()
+    assert main([*argv[command], "--manifest", str(manifest), "--out", str(clip)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"error: --out {clip}: {manifest} lists it as the file of clip 'c0'" in err
+    assert clip.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["features", "rd build", "evaluate"])
+def test_out_of_the_wrong_kind_exit_1(tmp_path, capsys, command):
+    """Files go where a directory is, or a curves directory where a file is."""
+    manifest, _ = _one_clip_manifest(tmp_path)
+    samples = tmp_path / "rd.csv"
+    assert main(["synth", "rd", "--params", str(write_params(tmp_path)), "--clip-id", "c1",
+                 "--qp-set", "5:50", "--out", str(samples)]) == 0
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    (tmp_path / "report.csv").mkdir()
+    ladders = str(tmp_path / "ladders.csv")
+    argv, out, want = {
+        "features": (["features", "vod", "--manifest", str(manifest)], taken,
+                     f"features writes a file, but {taken} is a directory"),
+        "rd build": (["rd", "build", "--samples", str(samples)], samples.with_suffix(".txt"),
+                     f"rd build writes a directory, but {samples.with_suffix('.txt')} is a file"),
+        "evaluate": (["evaluate", "--pred", ladders, "--eel", ladders, "--sl-from-train",
+                      ladders, "--curves", str(taken)], tmp_path / "report.json",
+                     f"evaluate writes a file, but {tmp_path / 'report.csv'} is a directory"),
+    }[command]
+    if command == "rd build":
+        out.write_text("keep\n")
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: --out {out}: {want}" in err
+    assert not list(taken.iterdir()) and not (tmp_path / "report.json").exists()
+    assert command != "rd build" or out.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

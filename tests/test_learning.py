@@ -21,10 +21,11 @@ from ladderlab.learning import (
     stratified_split,
     train,
 )
-from oracles import ScalarTreeBuilder
+from oracles import ScalarTreeBuilder, save_model_v1, v1_model, v1_predict_log
 
 
 GOLDEN_MODELS = Path(__file__).parent / "golden" / "models.json"
+GOLDEN_MODELS_V2 = Path(__file__).parent / "golden" / "models_v2.json"
 
 
 def make_matrix(X, y, names=None):
@@ -33,9 +34,9 @@ def make_matrix(X, y, names=None):
     return TrainingMatrix([f"c{i}" for i in range(n)], names, X, y)
 
 
-def model_bytes(model, tmp_path, name="model.json"):
+def model_bytes(model, tmp_path, name="model.json", save=save_model):
     path = tmp_path / name
-    save_model(model, path)
+    save(model, path)
     return path.read_bytes()
 
 
@@ -49,11 +50,14 @@ def reference_train(matrix, hp, kind):
 def golden_model_cases():
     """(case id, matrix, hyperparams, kind) of the golden model digests.
 
-    tests/golden/models.json holds the sha256 of each case's `save_model`
-    bytes as written by the one-column-at-a-time builder, now
-    `ScalarTreeBuilder` in tests/oracles.py.  `dense` is shaped like the corpus training matrix (100 clips x 30
-    features); `tied` has four integer levels per column, so many
-    candidate thresholds tie, and a `min_samples_split` above 2.
+    tests/golden/models.json holds the sha256 of each case's
+    ladderlab-model-v1 bytes (`save_model_v1` in tests/oracles.py) as
+    written by the one-column-at-a-time builder, now `ScalarTreeBuilder`
+    there; tests/golden/models_v2.json holds those of the same trees in
+    today's `save_model` format.  `dense` is shaped like the corpus
+    training matrix (100 clips x 30 features); `tied` has four integer
+    levels per column, so many candidate thresholds tie, and a
+    `min_samples_split` above 2.
     """
     rng = np.random.default_rng(np.random.SeedSequence([6, 0x90]))
     X = rng.normal(size=(100, 30))
@@ -162,12 +166,15 @@ def test_too_few_rows_rejected():
 
 
 def test_models_match_golden_bytes(tmp_path):
-    golden = json.loads(GOLDEN_MODELS.read_text())
-    found = {
-        case: hashlib.sha256(model_bytes(train(matrix, hp, kind), tmp_path)).hexdigest()
-        for case, matrix, hp, kind in golden_model_cases()
-    }
-    assert found == golden
+    """The trees are those of the v1 golden models, and their v2 bytes are pinned."""
+    v1, v2 = {}, {}
+    for case, matrix, hp, kind in golden_model_cases():
+        model = train(matrix, hp, kind)
+        v1[case] = hashlib.sha256(
+            model_bytes(v1_model(model, matrix), tmp_path, save=save_model_v1)).hexdigest()
+        v2[case] = hashlib.sha256(model_bytes(model, tmp_path)).hexdigest()
+    assert v1 == json.loads(GOLDEN_MODELS.read_text())
+    assert v2 == json.loads(GOLDEN_MODELS_V2.read_text())
 
 
 @st.composite
@@ -218,6 +225,23 @@ def test_vectorized_split_search_matches_scalar_reference(problem, tmp_path_fact
         ours = model_bytes(train(matrix, hp, kind), tmp, "ours.json")
         ref = model_bytes(reference_train(matrix, hp, kind), tmp, "ref.json")
         assert ours == ref, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=tree_problems())
+def test_predict_matches_one_tree_at_a_time_reference(problem, tmp_path_factory):
+    """predict_log, on the trained and on the saved and loaded model, equals
+    the v1 per-tree walk summed tree by tree, bit for bit."""
+    matrix, hp = problem
+    path = tmp_path_factory.mktemp("models") / "model.json"
+    rng = np.random.default_rng(hp.seed)
+    X = np.vstack([matrix.X, rng.normal(size=(20, matrix.X.shape[1])), matrix.X[:5] + 0.25])
+    for kind in ("extratrees", "rf"):
+        model = train(matrix, hp, kind)
+        save_model(model, path)
+        want = v1_predict_log(v1_model(model, matrix), X)
+        for ours in (model, load_model(path)):
+            assert np.array_equal(predict_log(ours, X), want), kind
 
 
 # ---------------------------------------------------------- importances

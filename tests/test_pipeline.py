@@ -258,19 +258,27 @@ def test_csv_writes_are_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_benchmark_probe_of_rd_evaluation_and_pipeline_runs(tmp_path):
-    """The benchmark's traced probe drives the RD, evaluation and curve-file
+@pytest.mark.parametrize("probe, keys", [
+    ("probe_rd_and_evaluation", {
+        "rd_core.build_rd_curve_us", "rd_core.cross_over_us", "rd_core.eel_ladder_us",
+        "evaluation.evaluate_ms_per_clip", "evaluation.ladder_accuracy_us",
+        "evaluation.bd_rate_us", "pipeline.read_rd_samples_rows_per_s",
+        "pipeline.write_curves_dir_ms_per_file", "pipeline.read_curves_dir_ms_per_file"}),
+    ("probe_learning", {
+        "learning.train_us_per_node", "learning.nodes_per_tree",
+        "learning.predict_rows_per_s", "learning.predict_single_row_ms",
+        "learning.save_model_ms", "learning.model_bytes", "learning.load_model_ms",
+        "pipeline.read_feature_csv_ms", "pipeline.parallel_map_speedup_jobs2"}),
+], ids=["rd-evaluation", "learning"])
+def test_benchmark_probes_run(tmp_path, probe, keys):
+    """The benchmark's traced probes drive the RD, evaluation and curve-file
     API (build_rd_curve on RDPoint lists, RDCurve from another curve's
-    points, cross_over, the readers and writers); run it as it is."""
+    points, cross_over, the readers and writers) and the learning API
+    (`train`, `model.trees`, `predict`, the model file); run them as they are."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
     spec = importlib.util.spec_from_file_location("perfbench_trace_run", path)
     trace_run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace_run)
-    metrics = trace_run.probe_rd_and_evaluation(trace_run.Tracer("test"), str(tmp_path), 5)
-    assert set(metrics) == {
-        "rd_core.build_rd_curve_us", "rd_core.cross_over_us", "rd_core.eel_ladder_us",
-        "evaluation.evaluate_ms_per_clip", "evaluation.ladder_accuracy_us",
-        "evaluation.bd_rate_us", "pipeline.read_rd_samples_rows_per_s",
-        "pipeline.write_curves_dir_ms_per_file", "pipeline.read_curves_dir_ms_per_file",
-    }
+    metrics = getattr(trace_run, probe)(trace_run.Tracer("test"), str(tmp_path), 5)
+    assert set(metrics) == keys
     assert all(np.isfinite(v) and v > 0 for v in metrics.values())
