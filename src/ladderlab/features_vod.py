@@ -18,6 +18,8 @@ from .media_io import read_frames
 
 GLCM_LEVELS = 32
 TC_BLOCK = 32
+_TC_BAND_ROWS = 8  # least block rows in a band of `temporal_coherence`
+_CF_BAND_ROWS = 64  # chroma rows `colorfulness` converts at a time
 
 VOD_FEATURE_NAMES = (
     # GLCM: correlation, contrast, energy, homogeneity, entropy
@@ -55,9 +57,10 @@ def _exact(plane):
     """`plane` itself if uint8, else as float64.
 
     The kernels widen a uint8 plane to int16 (`np.result_type(plane,
-    np.int16)`), in which Sobel sums, Laplacian and frame differences are
-    exact integers, so their float64 results carry the same bits as a
-    float64 computation would; any other plane runs in float64.
+    np.int16)`), in which Sobel sums and the Laplacian are exact integers,
+    or subtract uint8 planes straight into float64, also exactly; so their
+    float64 results carry the same bits as a float64 computation would.
+    Any other plane runs in float64.
     """
     plane = np.asarray(plane)
     return plane if plane.dtype == np.uint8 else plane.astype(np.float64, copy=False)
@@ -139,18 +142,8 @@ _HALF_WEIGHTS = _half_weights()
 _SPECTRUM_COUNT = TC_BLOCK * TC_BLOCK - 1  # full spectrum minus DC
 
 
-def temporal_coherence(prev, curr):
-    """(mean, std, skw, kur, entr) of per-block temporal coherence.
-
-    TC of a block is the zero-mean normalized correlation between the
-    DC-excluded FFT magnitude spectra of the co-located 32x32 blocks; a
-    zero-variance spectrum makes that block's TC 1.  Entropy uses a
-    16-bin histogram over [-1, 1].
-    """
-    prev = np.asarray(prev)
-    curr = np.asarray(curr)
-    if prev.shape != curr.shape:
-        raise ContractError("temporal coherence needs equal-size planes")
+def _block_tc(prev, curr):
+    """Per-block TC of two equal-size planes, blocks in row-major order."""
     sa = _block_half_spectra(prev)
     sb = _block_half_spectra(curr)
     w = _HALF_WEIGHTS
@@ -167,6 +160,37 @@ def temporal_coherence(prev, curr):
     tc = np.ones(sa.shape[0])
     ok = (na > 1e-12) & (nb > 1e-12)
     tc[ok] = cov[ok] / (na[ok] * nb[ok])
+    return tc
+
+
+def temporal_coherence(prev, curr):
+    """(mean, std, skw, kur, entr) of per-block temporal coherence.
+
+    TC of a block is the zero-mean normalized correlation between the
+    DC-excluded FFT magnitude spectra of the co-located 32x32 blocks; a
+    zero-variance spectrum makes that block's TC 1.  Entropy uses a
+    16-bin histogram over [-1, 1].
+
+    The spectra are taken in `max(1, nh // 8)` near-equal bands of block
+    rows, so only a band's spectra are held at a time.  Every band is at
+    least 8 block rows tall: the spectra of a one-row band come out of
+    `_block_half_spectra` as a strided view, whose per-block sums round
+    differently from those of the copy a taller band gets.
+    """
+    prev = np.asarray(prev)
+    curr = np.asarray(curr)
+    if prev.shape != curr.shape:
+        raise ContractError("temporal coherence needs equal-size planes")
+    bands = prev.shape[0] // TC_BLOCK // _TC_BAND_ROWS
+    if bands < 2:
+        tc = _block_tc(prev, curr)
+    else:
+        nh = prev.shape[0] // TC_BLOCK
+        edges = [TC_BLOCK * (nh * i // bands) for i in range(bands)] + [prev.shape[0]]
+        tc = np.concatenate([
+            _block_tc(prev[top:bottom], curr[top:bottom])
+            for top, bottom in zip(edges, edges[1:])
+        ])
     tc = np.clip(tc, -1.0, 1.0)
     return (
         float(tc.mean()),
@@ -189,14 +213,20 @@ def spatial_information(luma):
     sx += luma[1:-1]
     sx += luma[1:-1]
     gx = sx[:, 2:] - sx[:, :-2]
+    del sx
     sy = np.add(luma[:, :-2], luma[:, 2:], dtype=work)
     sy += luma[:, 1:-1]
     sy += luma[:, 1:-1]
     gy = sy[2:] - sy[:-2]
+    del sy
     wide = np.result_type(work, np.int32)  # |g|^2 of a uint8 plane needs 21 bits
     mag2 = np.multiply(gx, gx, dtype=wide)
+    del gx
     mag2 += np.multiply(gy, gy, dtype=wide)
-    return stats.pop_std(np.sqrt(mag2))
+    del gy
+    mag = np.sqrt(mag2)
+    del mag2
+    return _mean_std(mag, out=mag)[1]
 
 
 def temporal_information(prev, curr):
@@ -205,7 +235,9 @@ def temporal_information(prev, curr):
     curr = _exact(curr)
     if prev.shape != curr.shape:
         raise ContractError("TI needs equal-size planes")
-    return stats.pop_std(np.subtract(curr, prev, dtype=np.result_type(prev, curr, np.int16)))
+    # a difference of uint8 planes is exact in float64
+    diff = np.subtract(curr, prev, dtype=np.float64)
+    return _mean_std(diff, out=diff)[1]
 
 
 def yuv420_to_rgb(luma, cb, cr):
@@ -238,14 +270,43 @@ def colorfulness_rgb(r, g, b):
     r = np.asarray(r)
     g = np.asarray(g)
     b = np.asarray(b)
-    mean_rg, std_rg = _mean_std(r - g)
-    mean_yb, std_yb = _mean_std(0.5 * (r + g) - b)
+    return _hasler(_mean_std(r - g), _mean_std(0.5 * (r + g) - b))
+
+
+def _hasler(rg, yb):
+    """Colorfulness from the (mean, std) of the opponent planes rg and yb."""
+    (mean_rg, std_rg), (mean_yb, std_yb) = rg, yb
     return float(np.hypot(std_rg, std_yb) + 0.3 * np.hypot(mean_rg, mean_yb))
 
 
 def colorfulness(luma, cb, cr):
-    """CF of a 4:2:0 frame via nearest-neighbor chroma upsampling."""
-    return colorfulness_rgb(*yuv420_to_rgb(luma, cb, cr))
+    """CF of a 4:2:0 frame via nearest-neighbor chroma upsampling.
+
+    The opponent planes of `colorfulness_rgb` are filled 64 chroma rows
+    at a time, so no whole RGB frame is held; their moments are still
+    taken over whole planes, whose float64 sums carry the same bits.
+    """
+    cb = np.asarray(cb)
+    if cb.ndim != 2 or cb.shape[0] <= _CF_BAND_ROWS:
+        # one band: holding preallocated planes only slows a small frame
+        return colorfulness_rgb(*yuv420_to_rgb(luma, cb, cr))
+    luma = np.asarray(luma)
+    cr = np.asarray(cr)
+    if cb.shape != cr.shape or luma.shape != (2 * cb.shape[0], 2 * cb.shape[1]):
+        raise ContractError("chroma planes are not half-size of luma")
+    rg = np.empty(luma.shape, dtype=np.float32)
+    yb = np.empty(luma.shape, dtype=np.float32)
+    for top in range(0, cb.shape[0], _CF_BAND_ROWS):
+        chroma = slice(top, top + _CF_BAND_ROWS)
+        rows = slice(2 * top, 2 * (top + _CF_BAND_ROWS))
+        r, g, b = yuv420_to_rgb(luma[rows], cb[chroma], cr[chroma])
+        np.subtract(r, g, out=rg[rows])
+        band = yb[rows]
+        np.add(r, g, out=band)
+        band *= 0.5
+        band -= b
+    scratch = np.empty(luma.shape)
+    return _hasler(_mean_std(rg, out=scratch), _mean_std(yb, out=scratch))
 
 
 def noise_estimate(luma):
@@ -281,26 +342,37 @@ def ncc(prev, curr):
         raise ContractError("NCC needs equal-size planes")
     # a uint8 plane's mean is an exact integer sum over n, so the mean
     # and the centred planes equal those of its float64 copy
-    da = np.subtract(prev, prev.mean(), dtype=np.float64)
+    mean_a = prev.mean()
     db = np.subtract(curr, curr.mean(), dtype=np.float64)
-    na = np.sqrt(np.sum(da * da))
-    nb = np.sqrt(np.sum(db * db))
+    # two float64 planes hold da*db, db*db and da*da in turn; da is
+    # centred twice rather than kept
+    prod = np.subtract(prev, mean_a, dtype=np.float64)
+    prod *= db
+    cross = np.sum(prod)
+    del prod
+    db *= db
+    nb = np.sqrt(np.sum(db))
+    da = np.subtract(prev, mean_a, out=db, dtype=np.float64)
+    da *= da
+    na = np.sqrt(np.sum(da))
     if na <= 1e-12 and nb <= 1e-12:
         return 1.0
     if na <= 1e-12 or nb <= 1e-12:
         return 0.0
-    return float(np.clip(np.sum(da * db) / (na * nb), -1.0, 1.0))
+    return float(np.clip(cross / (na * nb), -1.0, 1.0))
 
 
-def _mean_std(values):
+def _mean_std(values, out=None):
     """float64 mean and population std, the mean computed once.
 
     Repeats np.mean's and np.std's own steps (float64 accumulation,
     centring in float64, sum of squares over n), so both carry their bits.
+    The squared deviations go to `out`, a float64 array of the shape of
+    `values` that may be `values` itself, else to a new array.
     """
     v = np.asarray(values)
     mean = np.mean(v, dtype=np.float64)
-    d = np.subtract(v, mean, dtype=np.float64)
+    d = np.subtract(v, mean, out=out, dtype=np.float64)
     d *= d
     return float(mean), float(np.sqrt(np.add.reduce(d, axis=None) / d.size))
 

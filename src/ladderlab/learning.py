@@ -25,6 +25,8 @@ TARGET_IDS = ("p1", "p2", "p3")
 MODEL_KINDS = ("extratrees", "rf")
 
 _VAR_EPS = 1e-12
+# Leaf values `predict` accepts: exp() of a mean of them is a positive normal float.
+_LEAF_RANGE = (math.log(np.finfo(np.float64).tiny), math.log(np.finfo(np.float64).max))
 # Window, relative to the node's sum of squares, within which an
 # ExtraTrees gain screen value is confirmed exactly.  The screen's
 # rounding stayed below 1e-14 of that sum on nodes of up to 3000 rows,
@@ -350,7 +352,22 @@ def predict_log(model, X, feature_names=None):
 
 
 def predict(model, X, feature_names=None):
-    """Predicted cross-over bitrates in kbps."""
+    """Predicted cross-over bitrates in kbps.
+
+    Any finite leaf serves `predict_log`, but exp() of a leaf outside
+    `_LEAF_RANGE` is inf or below the least normal float, so such a model
+    is rejected, naming its tree.
+    """
+    values = np.concatenate([t.value for t in model.trees])
+    lo, hi = _LEAF_RANGE
+    outside = (values < lo) | (values > hi)
+    if outside.any():
+        leaf = int(outside.argmax())
+        tree = int(np.searchsorted(np.cumsum([t.value.size for t in model.trees]), leaf,
+                                   side="right"))
+        raise ValidationError(
+            f"{model.target_id} model, tree {tree}: leaf value {float(values[leaf])!r} lies "
+            f"outside [{lo!r}, {hi!r}], where exp() is a positive finite float")
     return np.exp(predict_log(model, X, feature_names))
 
 
@@ -493,8 +510,7 @@ def load_model(path):
         gains = np.asarray(doc["feature_gains"], dtype=np.float64)
         if gains.shape != (len(names),):
             raise ValidationError(f"feature_gains must hold {len(names)} values, one per feature")
-        sizes, feature, right = (np.asarray(doc[k], dtype=np.int64)
-                                 for k in ("tree_sizes", "feature", "right"))
+        sizes, feature, right = (_integers(doc, k) for k in ("tree_sizes", "feature", "right"))
         threshold, value = (np.asarray(doc[k], dtype=np.float64) for k in ("threshold", "value"))
         _check_trees(sizes, feature, threshold, right, value, len(names))
         if len(sizes) != hyperparams.n_trees:
@@ -506,6 +522,16 @@ def load_model(path):
         np.split(feature, cuts), np.split(threshold, inner_before),
         np.split(right, inner_before), np.split(value, cuts - inner_before))]
     return TrainedModel(kind, trees, hyperparams, names, target_id, metric, gains)
+
+
+def _integers(doc, key):
+    """doc[key] as int64s; np.asarray alone would truncate 12.7 and take true as 1."""
+    values = doc[key]
+    if isinstance(values, list):
+        for v in values:
+            if isinstance(v, (bool, float)):
+                raise ValidationError(f"{key} must hold integers, got {v!r}")
+    return np.asarray(values, dtype=np.int64)
 
 
 def _check_trees(sizes, feature, threshold, right, value, d):

@@ -508,6 +508,22 @@ def test_predict_rejects_model_without_trees(tmp_path, capsys):
     assert not (tmp_path / "pred.csv").exists()
 
 
+@pytest.mark.parametrize("value", [710.0, -709.0], ids=["exp-overflow", "exp-underflow"])
+def test_predict_rejects_leaf_whose_exp_is_no_normal_float(tmp_path, capsys, value):
+    # ln(float max) = 709.78 and ln(least normal float) = -708.40; a leaf
+    # above the first once made `predict` write inf and exit 0
+    paths = [_tiny_model(tmp_path, t) for t in ("p1", "p2", "p3")]
+    doc = json.loads(open(paths[2]).read())
+    doc["value"][-1] = value  # the last leaf of tree 2
+    with open(paths[2], "w") as f:
+        json.dump(doc, f)
+    assert _predict(tmp_path, paths) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"error: p3 model, tree 2: leaf value {value!r} lies outside [-708.39" in err
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def _json_input(tmp_path, source):
     """(a valid JSON document of `source`, the argv of a command that reads it)."""
     out = str(tmp_path / "out.csv")
@@ -612,6 +628,10 @@ def _first_point(field, value):
      "feature_names must be a list of distinct strings"),
     ("model", lambda doc: {**doc, "format": "ladderlab-model-v1"},
      "unknown model format 'ladderlab-model-v1'"),
+    ("model", _tree0(right=12.7), "right must hold integers, got 12.7"),
+    ("model", _tree0(feature=True), "feature must hold integers, got True"),
+    ("model", lambda doc: {**doc, "tree_sizes": [float(n) for n in doc["tree_sizes"]]},
+     "tree_sizes must hold integers, got "),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
@@ -620,7 +640,8 @@ def _first_point(field, value):
         "model-hyperparams-int", "profile-positional-field", "profile-attribute-field",
         "profile-lone-brace", "profile-unknown-field", "params-float-seed", "curve-qp-string",
         "curve-qp-list", "curve-qp-true", "curve-qp-float", "model-inner-last-node",
-        "model-n-trees-mismatch", "model-feature-names-string", "model-format-v1"])
+        "model-n-trees-mismatch", "model-feature-names-string", "model-format-v1",
+        "model-child-float", "model-feature-bool", "model-tree-sizes-float"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:

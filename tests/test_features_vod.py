@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import gray_frames
 from ladderlab import features_vod
 from ladderlab.features_vod import (
+    TC_BLOCK,
     VOD_FEATURE_NAMES,
     colorfulness,
     colorfulness_rgb,
@@ -76,6 +79,54 @@ def test_tc_equals_float64_reference_bit_for_bit(data, h, w):
     # most sides are no multiple of the 32x32 block, so the crop is covered
     prev, curr = data.draw(uint8_planes((h, w), 2))
     assert_equals_float64_reference("temporal_coherence", prev, curr)
+
+
+@pytest.mark.parametrize("nh", [15, 16, 17, 33, 67])
+def test_tc_on_tall_planes_equals_float64_reference_bit_for_bit(nh):
+    # nh block rows split into bands of 8 or more rows from nh = 16 on; a
+    # band of one block row would sum its spectra in another order
+    rng = np.random.default_rng(nh)
+    prev, curr = rng.integers(0, 256, (2, TC_BLOCK * nh + 13, 7 * TC_BLOCK + 19), dtype=np.uint8)
+    assert_equals_float64_reference("temporal_coherence", prev, curr)
+
+
+@pytest.mark.parametrize("chroma_rows", [65, 128, 135])
+def test_cf_on_tall_planes_equals_float64_reference_bit_for_bit(chroma_rows):
+    # more than 64 chroma rows are converted 64 at a time
+    rng = np.random.default_rng(chroma_rows)
+    luma = rng.integers(0, 256, (2 * chroma_rows, 74), dtype=np.uint8)
+    cb, cr = rng.integers(0, 256, (2, chroma_rows, 37), dtype=np.uint8)
+    assert_equals_float64_reference("colorfulness", luma, cb, cr)
+
+
+# ------------------------------------------------------- peak memory
+
+_DESCRIPTOR_ARITY = {"glcm_descriptors": 1, "spatial_information": 1, "colorfulness": 3,
+                     "noise_estimate": 1, "temporal_coherence": 2, "temporal_information": 2,
+                     "ncc": 2}
+
+
+@pytest.fixture(scope="module")
+def hd_frame_args():
+    """{arity: the arguments of a descriptor on seeded random 1920x1080 frames}."""
+    rng = np.random.default_rng(3)
+    luma = rng.integers(0, 256, (2, 1080, 1920), dtype=np.uint8)
+    chroma = rng.integers(0, 256, (2, 540, 960), dtype=np.uint8)
+    return {1: (luma[0],), 2: (luma[0], luma[1]), 3: (luma[0], chroma[0], chroma[1])}
+
+
+@pytest.mark.parametrize("name", sorted(_DESCRIPTOR_ARITY))
+def test_descriptor_peak_memory_per_luma_pixel(hd_frame_args, name):
+    # whole-plane temporaries are freed early, reused or banded; a float64
+    # copy of the frame alone is 8 bytes per pixel
+    args = hd_frame_args[_DESCRIPTOR_ARITY[name]]
+    tracemalloc.start()
+    try:
+        getattr(features_vod, name)(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / args[0].size <= 18.0
 
 
 # ---------------------------------------------------------------- GLCM

@@ -269,12 +269,21 @@ def test_csv_writes_are_byte_stable(tmp_path):
         "learning.predict_rows_per_s", "learning.predict_single_row_ms",
         "learning.save_model_ms", "learning.model_bytes", "learning.load_model_ms",
         "pipeline.read_feature_csv_ms", "pipeline.parallel_map_speedup_jobs2"}),
-], ids=["rd-evaluation", "learning"])
+    ("probe_features", {"synth.synth_clip_mb_per_s", "media_io.read_frames_mb_per_s"} | {
+        f"{layer}.{name}_ms_per_frame.{size}"
+        for size in ("96p", "360p", "1080p", "2160p")
+        for layer, name in [
+            *(("features_vod", d) for d in ("glcm", "si", "cf", "noise", "tc", "ti", "ncc",
+                                             "extract")),
+            ("features_live", "block_energies"), ("features_live", "extract")]}),
+], ids=["rd-evaluation", "learning", "features"])
 def test_benchmark_probes_run(tmp_path, probe, keys):
     """The benchmark's traced probes drive the RD, evaluation and curve-file
     API (build_rd_curve on RDPoint lists, RDCurve from another curve's
-    points, cross_over, the readers and writers) and the learning API
-    (`train`, `model.trees`, `predict`, the model file); run them as they are."""
+    points, cross_over, the readers and writers), the learning API
+    (`train`, `model.trees`, `predict`, the model file) and the feature
+    extractors (each VoD descriptor by its arity, from 96p to 2160p); run
+    them as they are."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
     spec = importlib.util.spec_from_file_location("perfbench_trace_run", path)
     trace_run = importlib.util.module_from_spec(spec)
