@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 external tool failure.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -71,8 +72,8 @@ def build_parser():
     p.add_argument("--model", action="append", required=True,
                    help="model file; repeat for p1/p2/p3")
     p.add_argument("--features", required=True)
-    p.add_argument("--codec", default="avc")
-    p.add_argument("--platform", default="software")
+    p.add_argument("--codec", choices=pipeline.CODECS, default="avc")
+    p.add_argument("--platform", choices=pipeline.PLATFORMS, default="software")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict, inputs=("model", "features"))
 
@@ -106,8 +107,8 @@ def build_parser():
     pr.add_argument("--params", required=True)
     pr.add_argument("--clip-id", default="synth")
     pr.add_argument("--qp-set", default="15:45", help="lo:hi[:step], inclusive")
-    pr.add_argument("--codec", default="avc")
-    pr.add_argument("--platform", default="software")
+    pr.add_argument("--codec", choices=pipeline.CODECS, default="avc")
+    pr.add_argument("--platform", choices=pipeline.PLATFORMS, default="software")
     pr.add_argument("--metric", choices=rd_core.METRICS, default="ypsnr")
     pr.add_argument("--seed", type=int, default=0, help="used when the params file has none")
     pr.add_argument("--out", required=True)
@@ -264,11 +265,11 @@ def _check_outputs(args):
     """Reject, before the command runs, an output it must not or cannot write.
 
     Every command but `bdbr` writes --out, and `evaluate` also writes its
-    per-clip table.  An output may not be one of the command's inputs
-    (each subcommand lists its input options as `inputs`) or a clip file
-    its --manifest lists; paths are compared after resolving symlinks and
-    `..`.  `rd build` writes a directory and the others a file, and an
-    existing output must be of that kind.
+    per-clip table, which may not be --out itself.  An output may not be
+    one of the command's inputs (each subcommand lists its input options
+    as `inputs`) or a clip file its --manifest lists; paths are compared
+    after resolving symlinks and `..`.  `rd build` writes a directory and
+    the others a file, and an existing output must be of that kind.
     """
     if not hasattr(args, "out"):
         return
@@ -280,7 +281,12 @@ def _check_outputs(args):
                 inputs[os.path.realpath(path)] = "--" + dest.replace("_", "-")
     outputs = [args.out]
     if args.func is _cmd_evaluate:
-        outputs.append(_table_path(args.out))
+        table = _table_path(args.out)
+        if table == args.out:
+            raise ValidationError(
+                f"--out {args.out}: the per-clip table goes to {table}, "
+                "so the report needs another extension")
+        outputs.append(table)
     command = " ".join(
         name for name in (args.command, getattr(args, "rd_command", None),
                           getattr(args, "synth_command", None)) if name)
@@ -304,11 +310,6 @@ def _check_outputs(args):
 
 
 def _cmd_evaluate(args):
-    csv_path = _table_path(args.out)
-    if csv_path == args.out:
-        raise ValidationError(
-            f"--out {args.out}: the per-clip table goes to {csv_path}, "
-            "so the report needs another extension")
     pred = pipeline.read_ladders_csv(args.pred)
     combo = _one_combination(args.pred, pred)
     eel, train_l = (pipeline.read_ladders_csv(p) for p in (args.eel, args.sl_from_train))
@@ -327,8 +328,8 @@ def _cmd_evaluate(args):
     eel_by_clip = {k[0]: v for k, v in eel.items() if k[0] in pred_by_clip}
     curves_by_clip = {k[0]: v for k, v in curves.items() if k[0] in pred_by_clip}
     report = evaluation.evaluate_method(pred_by_clip, eel_by_clip, sl, curves_by_clip)
-    pipeline.write_json(args.out, report.to_dict())
-    with open(csv_path, "w") as f:
+    pipeline.write_json(args.out, dataclasses.asdict(report))
+    with open(_table_path(args.out), "w") as f:
         f.write("clip_id,bdbr_vs_eel,bdbr_vs_sl\n")
         for clip_id, vs_eel, vs_sl in report.per_clip_bdbr:
             f.write(f"{clip_id},{repr(vs_eel)},{repr(vs_sl)}\n")

@@ -1,7 +1,7 @@
 """Baselines, correlation metrics, ladder accuracy, and BD-BR reports."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,6 +11,8 @@ from .rd_core import (
     monotone_clamp,
 )
 from .stats import pearson
+
+_GRID_POINTS = 100
 
 
 def static_ladder(train_ladders):
@@ -58,12 +60,12 @@ def _average_ranks(x):
     return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
-def default_accuracy_grid(ladders, n_points=100):
-    """Log-spaced bitrates spanning the ladders' cross-over range +/-10%."""
+def default_accuracy_grid(ladders):
+    """_GRID_POINTS log-spaced bitrates spanning the ladders' cross-over range +/-10%."""
     values = [v for l in ladders for v in l.cross_overs.as_tuple()]
     lo = min(values) / 1.1
     hi = max(values) * 1.1
-    return np.exp(np.linspace(math.log(lo), math.log(hi), n_points))
+    return np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
 
 
 def ladder_accuracy(predicted, reference, grid=None):
@@ -114,26 +116,13 @@ def bd_rate(reference, test):
 
 @dataclass
 class EvalReport:
-    """Per-iteration evaluation against the EEL ground truth and SL baseline."""
+    """One evaluation against the EEL ground truth and SL baseline."""
 
     per_target: dict  # "p1"/"p2"/"p3" -> {"r2", "srocc", "plcc"}
     accuracy: float
     bdbr_vs_eel: float
     bdbr_vs_sl: float
-    per_clip_bdbr: list = field(default_factory=list)  # (clip_id, vs_eel, vs_sl)
-    iterations: int = 1
-    aggregation: str = "median"
-
-    def to_dict(self):
-        return {
-            "per_target": self.per_target,
-            "accuracy": self.accuracy,
-            "bdbr_vs_eel": self.bdbr_vs_eel,
-            "bdbr_vs_sl": self.bdbr_vs_sl,
-            "per_clip_bdbr": [list(row) for row in self.per_clip_bdbr],
-            "iterations": self.iterations,
-            "aggregation": self.aggregation,
-        }
+    per_clip_bdbr: list  # (clip_id, vs_eel, vs_sl)
 
 
 def _ladder_rd_set(curves, ladder, grid):
@@ -185,24 +174,4 @@ def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves):
         bdbr_vs_eel=float(np.mean([row[1] for row in per_clip])),
         bdbr_vs_sl=float(np.mean([row[2] for row in per_clip])),
         per_clip_bdbr=per_clip,
-    )
-
-
-def aggregate_reports(reports):
-    """Median aggregation of per-iteration reports."""
-    if not reports:
-        raise ContractError("no reports to aggregate")
-    per_target = {}
-    for k in ("p1", "p2", "p3"):
-        per_target[k] = {
-            m: float(np.median([r.per_target[k][m] for r in reports]))
-            for m in ("r2", "srocc", "plcc")
-        }
-    return EvalReport(
-        per_target=per_target,
-        accuracy=float(np.median([r.accuracy for r in reports])),
-        bdbr_vs_eel=float(np.median([r.bdbr_vs_eel for r in reports])),
-        bdbr_vs_sl=float(np.median([r.bdbr_vs_sl for r in reports])),
-        per_clip_bdbr=[row for r in reports for row in r.per_clip_bdbr],
-        iterations=len(reports),
     )

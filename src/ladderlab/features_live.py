@@ -67,15 +67,6 @@ def block_energies(luma):
     return _energies_from_trimmed(*_trimmed_plane(luma))
 
 
-def block_texture_energy(luma):
-    """(E, br): mean block texture energy and mean luma of the tiled area."""
-    trimmed, nh, nw = _trimmed_plane(luma)
-    return (
-        float(_energies_from_trimmed(trimmed, nh, nw).mean()),
-        float(trimmed.mean()),
-    )
-
-
 def temporal_energy(prev_blocks, curr_blocks):
     """h: mean absolute difference of co-located block energies."""
     prev_blocks = np.asarray(prev_blocks, dtype=np.float64)

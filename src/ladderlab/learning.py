@@ -25,6 +25,7 @@ TARGET_IDS = ("p1", "p2", "p3")
 MODEL_KINDS = ("extratrees", "rf")
 
 _VAR_EPS = 1e-12
+_VALIDATION_FRACTION = 0.2  # share of rows `rfe_select` holds out
 # Leaf values `predict` accepts: exp() of a mean of them is a positive normal float.
 _LEAF_RANGE = (math.log(np.finfo(np.float64).tiny), math.log(np.finfo(np.float64).max))
 # Window, relative to the node's sum of squares, within which an
@@ -386,21 +387,20 @@ class SelectionReport:
     importances: list  # impurity importances aligned with `kept`
 
 
-def rfe_select(matrix, kind="extratrees", hyperparams=Hyperparams(),
-               validation_fraction=0.2, seed=0):
+def rfe_select(matrix, kind="extratrees", hyperparams=Hyperparams(), seed=0):
     """Recursive feature elimination with a held-out PLCC stopping rule.
 
-    Each stage fits on the current feature set, records validation
-    PLCC, and drops the ceil(10%) lowest impurity-importance features.
-    The kept set is the stage with maximum PLCC; ties prefer fewer
-    features.
+    Each stage fits on the current feature set, records PLCC on the
+    _VALIDATION_FRACTION of rows held out, and drops the ceil(10%) lowest
+    impurity-importance features.  The kept set is the stage with maximum
+    PLCC; ties prefer fewer features.
     """
     n, d = matrix.X.shape
     if d < 2:
         raise ContractError("RFE needs at least 2 features")
     rng = seeded_rng(seed, 0xFE)
     perm = rng.permutation(n)
-    n_val = max(3, int(round(validation_fraction * n)))
+    n_val = max(3, int(round(_VALIDATION_FRACTION * n)))
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
 
@@ -434,45 +434,6 @@ def rfe_select(matrix, kind="extratrees", hyperparams=Hyperparams(),
     )
     kept, _, imp = stages[best]
     return SelectionReport(kept=kept, trace=trace, importances=imp)
-
-
-def stratified_split(clip_ids, strata, test_fraction, seed):
-    """Seeded per-stratum split with largest-remainder rounding.
-
-    Returns (train_ids, test_ids); they are disjoint and cover all clip
-    ids.  Any stratum with a single clip is an error.
-    """
-    if len(clip_ids) != len(strata):
-        raise ContractError("clip_ids and strata must align")
-    if not 0.0 < test_fraction < 1.0:
-        raise ContractError("test_fraction must be in (0, 1)")
-    groups = {}
-    for cid, s in zip(clip_ids, strata):
-        groups.setdefault(s, []).append(cid)
-    singletons = sorted(str(s) for s, members in groups.items() if len(members) < 2)
-    if singletons:
-        raise ValidationError(f"strata with fewer than 2 clips: {singletons}")
-
-    labels = sorted(groups, key=str)
-    quotas = {s: test_fraction * len(groups[s]) for s in labels}
-    base = {s: int(math.floor(quotas[s])) for s in labels}
-    total_target = int(round(test_fraction * len(clip_ids)))
-    leftover = total_target - sum(base.values())
-    remainders = sorted(
-        labels, key=lambda s: (-(quotas[s] - base[s]), str(s))
-    )
-    counts = dict(base)
-    for s in remainders[: max(0, leftover)]:
-        counts[s] += 1
-    rng = seeded_rng(seed, 0x57)
-    train_ids, test_ids = [], []
-    for s in labels:
-        members = list(groups[s])
-        order = rng.permutation(len(members))
-        k = min(counts[s], len(members) - 1)
-        for j, oi in enumerate(order):
-            (test_ids if j < k else train_ids).append(members[oi])
-    return train_ids, test_ids
 
 
 def save_model(model, path):

@@ -30,7 +30,6 @@ class VideoClip:
     height: int
     fps: float
     frame_count: int
-    bit_depth: int = 8
     pixel_format: str = "yuv420p"
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class VideoClip:
             raise ValidationError(
                 f"{self.clip_id}: fps must be positive and finite, got {self.fps}"
             )
-        if self.bit_depth != 8:
-            raise ValidationError(f"{self.clip_id}: only 8-bit supported")
         if self.pixel_format.lower() != "yuv420p":
             raise ValidationError(f"{self.clip_id}: only yuv420p supported")
 

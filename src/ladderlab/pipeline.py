@@ -49,6 +49,17 @@ def _fmt(x):
     return repr(float(x))
 
 
+def check_encoder(codec, platform):
+    """Reject a codec or platform outside CODECS and PLATFORMS.
+
+    Both go into CSV cells and curve file names unquoted.
+    """
+    if codec not in CODECS:
+        raise ValidationError(f"unknown codec {codec!r}")
+    if platform not in PLATFORMS:
+        raise ValidationError(f"unknown platform {platform!r}")
+
+
 @dataclass
 class Manifest:
     clips: list  # VideoClip
@@ -205,10 +216,7 @@ class EncoderProfile:
     fps: float = 60.0
 
     def __post_init__(self):
-        if self.codec not in CODECS:
-            raise ValidationError(f"unknown codec {self.codec!r}")
-        if self.platform not in PLATFORMS:
-            raise ValidationError(f"unknown platform {self.platform!r}")
+        check_encoder(self.codec, self.platform)
         if not self.qp_set or list(self.qp_set) != sorted(set(self.qp_set)):
             raise ValidationError("qp_set must be non-empty and strictly increasing")
         for name in ("encode_template", "metric_template"):
@@ -308,15 +316,18 @@ def run_encode(profile, clip, resolution, qp, workdir):
 
 
 def parallel_map(fn, items, jobs):
-    """Ordered map, optionally across processes.
+    """Ordered map across at most `jobs` processes, and at most one per item.
 
     Results are collected in input order so the worker count never
     changes any output.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -409,6 +420,7 @@ def read_rd_samples_csv(path):
             points = groups.get(cells)
             if points is None and cells[:4] not in out:
                 check_clip_id(clip_id)
+                check_encoder(codec, platform)
                 check_metric(metric)
                 out[cells[:4]] = {}
             point = (_positive(bitrate), _finite(quality), int(qp) if qp else None)
@@ -506,6 +518,7 @@ def read_curves_dir(dirpath):
             doc = source.json()
             key = (doc["clip_id"], doc["codec"], doc["platform"], doc["metric"])
             check_clip_id(key[0])
+            check_encoder(key[1], key[2])
             if key in names:
                 raise ValidationError(f"{names[key]} already holds the curves of {key}")
             names[key] = name
@@ -546,6 +559,8 @@ def read_ladders_csv(path):
             key = (clip_id, codec, platform, metric)
             if key in out:
                 raise ValidationError(f"duplicate row for {key}")
+            check_encoder(codec, platform)
+            check_metric(metric)
             out[key] = BitrateLadder(CrossOverSet(*map(_positive, (p1, p2, p3)), metric))
     return out
 

@@ -18,6 +18,7 @@ from .rd_core import LADDER_RESOLUTIONS, RDPoint
 from .stats import check_seed, seeded_rng
 
 SYNTH_REF_QP = 32
+_CORPUS_RD_NOISE = 0.15
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,13 @@ class CorpusClipSpec:
     params: SynthParams = field(repr=False)
 
 
-def corpus_specs(n_clips, seed, rd_noise_sigma=0.15):
+def corpus_specs(n_clips, seed):
     """Design a corpus whose cross-overs are driven by clip complexity.
 
     Texture and motion strengths are drawn per clip; the RD laws are
     derived so every cross-over sits at ln P_k = base_k + complexity,
-    which the extracted features can recover.
+    which the extracted features can recover.  Each law adds Gaussian
+    quality noise of standard deviation _CORPUS_RD_NOISE.
     """
     rng = seeded_rng(seed, 0xC0)
     slopes = (2.0, 3.2, 4.6, 6.4)
@@ -160,7 +162,7 @@ def corpus_specs(n_clips, seed, rd_noise_sigma=0.15):
                 q_cap=caps[k],
                 intercept=intercepts[k],
                 slope=slopes[k],
-                noise_sigma=rd_noise_sigma,
+                noise_sigma=_CORPUS_RD_NOISE,
                 rate_at_ref_qp=anchors[k],
             )
             for k, res in enumerate(LADDER_RESOLUTIONS)

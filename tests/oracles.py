@@ -7,7 +7,8 @@ rewrites that must keep their bits: the float64 VoD descriptors, the
 one-bitrate-at-a-time hull queries, the one-column-at-a-time tree
 builder, the one-tree-at-a-time predictor with its ladderlab-model-v1
 writer, the json.dump curve-file writer and the sort-and-loop Pareto
-filter.
+filter.  `stratified_split` is the held-out split the acceptance tests
+draw.
 """
 
 import json
@@ -29,6 +30,7 @@ from ladderlab.features_vod import (
 )
 from ladderlab.pipeline import write_json
 from ladderlab.rd_core import LADDER_RESOLUTIONS, METRICS, RDCurve
+from ladderlab.stats import seeded_rng
 
 
 def glcm_oracle(plane, levels=32):
@@ -708,3 +710,48 @@ def loop_build_rd_curve(samples, resolution, metric):
             f"{resolution}/{metric}: fewer than 2 points survive Pareto cleaning"
         )
     return RDCurve(resolution=tuple(resolution), metric=metric, points=kept)
+
+
+# ------------------------------------------------------ stratified split
+#
+# The seeded held-out split of A3 (tests/test_acceptance.py).  No command
+# splits a corpus, so the split lives with the tests that draw it.
+
+
+def stratified_split(clip_ids, strata, test_fraction, seed):
+    """Seeded per-stratum split with largest-remainder rounding.
+
+    Returns (train_ids, test_ids); they are disjoint and cover all clip
+    ids.  Any stratum with a single clip is an error.
+    """
+    if len(clip_ids) != len(strata):
+        raise ContractError("clip_ids and strata must align")
+    if not 0.0 < test_fraction < 1.0:
+        raise ContractError("test_fraction must be in (0, 1)")
+    groups = {}
+    for cid, s in zip(clip_ids, strata):
+        groups.setdefault(s, []).append(cid)
+    singletons = sorted(str(s) for s, members in groups.items() if len(members) < 2)
+    if singletons:
+        raise ValidationError(f"strata with fewer than 2 clips: {singletons}")
+
+    labels = sorted(groups, key=str)
+    quotas = {s: test_fraction * len(groups[s]) for s in labels}
+    base = {s: int(math.floor(quotas[s])) for s in labels}
+    total_target = int(round(test_fraction * len(clip_ids)))
+    leftover = total_target - sum(base.values())
+    remainders = sorted(
+        labels, key=lambda s: (-(quotas[s] - base[s]), str(s))
+    )
+    counts = dict(base)
+    for s in remainders[: max(0, leftover)]:
+        counts[s] += 1
+    rng = seeded_rng(seed, 0x57)
+    train_ids, test_ids = [], []
+    for s in labels:
+        members = list(groups[s])
+        order = rng.permutation(len(members))
+        k = min(counts[s], len(members) - 1)
+        for j, oi in enumerate(order):
+            (test_ids if j < k else train_ids).append(members[oi])
+    return train_ids, test_ids

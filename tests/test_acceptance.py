@@ -50,6 +50,7 @@ from oracles import (
     ncc_oracle,
     noise_oracle,
     sobel_si_oracle,
+    stratified_split,
     temporal_energy_oracle,
     ti_oracle,
 )
@@ -191,7 +192,7 @@ def test_a3_synthetic_end_to_end(capsys, corpus):
     bdbr_method = []
     bdbr_sl = []
     for seed in (0, 1, 2):
-        train_ids, test_ids = learning.stratified_split(clip_ids, strata, 0.2, seed)
+        train_ids, test_ids = stratified_split(clip_ids, strata, 0.2, seed)
         idx = {c: i for i, c in enumerate(clip_ids)}
         preds = {}
         for target in ("p1", "p2", "p3"):

@@ -269,6 +269,24 @@ def test_commands_reject_options_they_do_not_read(argv, capsys):
     assert err.count("error:") == 1 and "unrecognized arguments: --" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "rd", "--params", "p.json", "--codec", "x,y", "--out", "rd.csv"], "--codec"),
+    (["synth", "rd", "--params", "p.json", "--platform", "gpu", "--out", "rd.csv"],
+     "--platform"),
+    (["predict", "--model", "m.json", "--features", "f.csv", "--codec", "av1",
+      "--out", "l.csv"], "--codec"),
+    (["predict", "--model", "m.json", "--features", "f.csv", "--platform", "a/b",
+      "--out", "l.csv"], "--platform"),
+], ids=["synth-rd-codec", "synth-rd-platform", "predict-codec", "predict-platform"])
+def test_commands_take_only_known_codecs_and_platforms(argv, flag, capsys):
+    """A codec or platform goes unquoted into CSV cells and curve file names."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"argument {flag}: invalid choice: " in err
+
+
 def _codec_inputs(tmp_path, codec):
     """Samples, curves and EEL ladders for clips c1..c3 encoded with `codec`."""
     samples = tmp_path / f"rd_{codec}.csv"
@@ -351,7 +369,7 @@ def test_evaluate_takes_pred_combination_from_mixed_curves(tmp_path, capsys):
 @pytest.mark.parametrize("column, value", [
     ("bitrate_kbps", "inf"), ("quality_value", "nan"), ("quality_value", "-inf"),
     ("quality_value", "abc"), ("width", "wide"), ("bitrate_kbps", "-3.0"),
-    ("clip_id", "a/b"), ("clip_id", ""),
+    ("clip_id", "a/b"), ("clip_id", ""), ("codec", "a/b"), ("platform", "gpu"),
 ])
 def test_rd_build_rejects_bad_sample_cells(tmp_path, capsys, column, value):
     samples, _, _ = _codec_inputs(tmp_path, "avc")
@@ -397,9 +415,12 @@ def _set_cell(row, col, value):
     ("bdbr", "samples", lambda lines: lines[:2] + ["300"] + lines[3:], 3),
     ("bdbr", "samples", _set_cell(1, 1, "abc"), 2),
     ("bdbr", "samples", _set_cell(4, 0, "0"), 5),
+    ("evaluate", "ladders", _set_cell(2, 1, "av1"), 3),
+    ("train", "ladders", _set_cell(1, 2, "cloud"), 2),
+    ("train", "ladders", _set_cell(3, 3, "psnr"), 4),
 ], ids=["pred-P1-abc", "ladder-P1-0", "ladder-P3-inf", "ladder-duplicate", "feature-ragged",
         "feature-nan", "feature-duplicate", "bdbr-short-row", "bdbr-quality-abc",
-        "bdbr-rate-0"])
+        "bdbr-rate-0", "pred-codec-av1", "ladder-platform-cloud", "ladder-metric-psnr"])
 def test_bad_table_cells_exit_1_naming_line(tmp_path, capsys, command, table, edit, line):
     _, curves, ladders = _codec_inputs(tmp_path, "avc")
     paths = {"ladders": ladders, "features": tmp_path / "features.csv",
@@ -632,6 +653,8 @@ def _first_point(field, value):
     ("model", _tree0(feature=True), "feature must hold integers, got True"),
     ("model", lambda doc: {**doc, "tree_sizes": [float(n) for n in doc["tree_sizes"]]},
      "tree_sizes must hold integers, got "),
+    ("curve", lambda doc: {**doc, "codec": "a,b"}, "unknown codec 'a,b'"),
+    ("curve", lambda doc: {**doc, "platform": "cloud"}, "unknown platform 'cloud'"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
@@ -641,7 +664,8 @@ def _first_point(field, value):
         "profile-lone-brace", "profile-unknown-field", "params-float-seed", "curve-qp-string",
         "curve-qp-list", "curve-qp-true", "curve-qp-float", "model-inner-last-node",
         "model-n-trees-mismatch", "model-feature-names-string", "model-format-v1",
-        "model-child-float", "model-feature-bool", "model-tree-sizes-float"])
+        "model-child-float", "model-feature-bool", "model-tree-sizes-float", "curve-codec-comma",
+        "curve-platform-cloud"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:
@@ -694,6 +718,21 @@ def test_features_truncated_clip_names_clip_and_frame(tmp_path, capsys, kind, jo
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
     assert f"error: c1: {clip}: truncated read at frame index 3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_features_rejects_jobs_below_1(tmp_path, capsys, jobs):
+    manifest = tmp_path / "manifest.jsonl"
+    assert main(["synth", "clip", "--out", str(tmp_path / "c0.yuv"), "--clip-id", "c0",
+                 "--width", "64", "--height", "64", "--frames", "3",
+                 "--manifest", str(manifest)]) == 0
+    out = tmp_path / "features.csv"
+    capsys.readouterr()
+    assert main(["features", "vod", "--manifest", str(manifest), "--out", str(out),
+                 "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: jobs must be at least 1, got {jobs}" in err
     assert not out.exists()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from ladderlab.errors import ContractError, MetricUndefinedError
 from ladderlab.evaluation import (
-    aggregate_reports,
     bd_rate,
     correlation_metrics,
     default_accuracy_grid,
@@ -199,15 +198,3 @@ def test_evaluate_sl_worse_than_perfect():
     report = evaluate_method(dict(eel_ladders), eel_ladders, sl, rd_curves)
     # perfect predictions cannot cost more rate than the static baseline
     assert report.bdbr_vs_sl <= report.bdbr_vs_eel + 1e-9
-
-
-def test_aggregate_median():
-    rd_curves, eel_ladders = build_eval_inputs()
-    sl = static_ladder([l.cross_overs for l in eel_ladders.values()])
-    r = evaluate_method(dict(eel_ladders), eel_ladders, sl, rd_curves)
-    agg = aggregate_reports([r, r, r])
-    assert agg.iterations == 3
-    assert agg.accuracy == r.accuracy
-    assert agg.per_target["p3"]["plcc"] == r.per_target["p3"]["plcc"]
-    with pytest.raises(ContractError):
-        aggregate_reports([])

@@ -6,7 +6,6 @@ from ladderlab.errors import ContractError, ValidationError
 from ladderlab.features_live import (
     LIVE_FEATURE_NAMES,
     block_energies,
-    block_texture_energy,
     energy_gradient,
     extract_live,
     temporal_energy,
@@ -14,17 +13,22 @@ from ladderlab.features_live import (
 from oracles import dct_energy_oracle, temporal_energy_oracle
 
 
-def test_constant_plane_energy_zero_brightness_value():
+def test_constant_plane_energy_zero_brightness_value(make_clip):
     plane = np.full((32, 64), 200, dtype=np.uint8)
-    e, br = block_texture_energy(plane)
-    assert e == 0.0
-    assert br == 200.0
+    assert block_energies(plane).mean() == 0.0
+    # BR is the mean luma of the tiled area: the margin beyond the last
+    # full 32x32 block is left out.
+    framed = np.zeros((40, 72), dtype=np.uint8)
+    framed[:32, :64] = plane
+    f = dict(zip(LIVE_FEATURE_NAMES, extract_live(make_clip(gray_frames([framed] * 3))).values))
+    assert f["mean_E"] == 0.0
+    assert f["mean_BR"] == 200.0
 
 
 def test_checkerboard_block_matches_dct_oracle():
     i, j = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
     plane = (255 * ((i + j) % 2)).astype(np.uint8)
-    e, _ = block_texture_energy(plane)
+    e = block_energies(plane).mean()
     want = dct_energy_oracle(plane)[0]
     assert e == pytest.approx(want, rel=1e-9)
 

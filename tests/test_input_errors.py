@@ -243,6 +243,7 @@ def test_malformed_json_documents_end_in_one_error_line(inputs, data):
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ladderlab"
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 
 def _enclosing_functions(tree):
@@ -282,6 +283,26 @@ def test_input_files_are_read_only_through_read_input():
     assert sorted(json_loads) == [("pipeline", "json", "self.file"), ("pipeline", "json", "text")]
     assert sorted(read_opens) == [("media_io", "read_frames"), ("pipeline", "_decode_error"),
                                   ("pipeline", "read_input")]
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level function and class of the package is named
+    (as `name` or `.name`) outside its own definition, by the package or
+    the benchmark; a name that only tests reach belongs in the tests."""
+    defined, references = [], set()
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            if path.parent == SRC and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)) and not owner.startswith("_"):
+                defined.append((path, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    references.add((name, path, owner))
+    uncalled = [name for path, name in defined
+                if not any(n == name and (p, o) != (path, name) for n, p, o in references)]
+    assert uncalled == []
 
 
 @pytest.mark.parametrize("text, read, error", [

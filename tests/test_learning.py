@@ -18,10 +18,11 @@ from ladderlab.learning import (
     predict_log,
     rfe_select,
     save_model,
-    stratified_split,
     train,
 )
-from oracles import ScalarTreeBuilder, save_model_v1, v1_model, v1_predict_log
+from oracles import (
+    ScalarTreeBuilder, save_model_v1, stratified_split, v1_model, v1_predict_log,
+)
 
 
 GOLDEN_MODELS = Path(__file__).parent / "golden" / "models.json"

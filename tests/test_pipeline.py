@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ladderlab import pipeline
 from ladderlab.errors import DriverError, ValidationError
 from ladderlab.pipeline import (
     EncoderProfile,
@@ -179,6 +180,31 @@ def test_parallel_map_order_independent_of_jobs():
     items = list(range(20))
     assert parallel_map(_square, items, jobs=1) == [x * x for x in items]
     assert parallel_map(_square, items, jobs=3) == [x * x for x in items]
+
+
+@pytest.mark.parametrize("jobs, n_items, workers", [
+    (64, 3, 3), (2, 3, 2), (64, 1, None), (1, 3, None),
+])
+def test_parallel_map_starts_no_more_workers_than_items(monkeypatch, jobs, n_items, workers):
+    """The pool is capped at the item count; one worker runs in this process."""
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", Recorder)
+    assert parallel_map(_square, range(n_items), jobs) == [x * x for x in range(n_items)]
+    assert started == ([] if workers is None else [workers])
 
 
 # ------------------------------------------------------------ CSV formats
