@@ -14,6 +14,7 @@ from .media_io import read_frames
 from .stats import ten_stats
 
 ENERGY_BLOCK = 32
+_BAND_BLOCK_ROWS = 8  # least block rows in a band of `block_energies`
 
 _STAT_SUFFIXES = ("mean", "std", "min", "max", "p25", "p50", "p75", "iqr", "skw", "kur")
 
@@ -33,24 +34,16 @@ class LiveFeatureVector:
             raise ValidationError("non-finite feature value")
 
 
-def _trimmed_plane(plane):
-    """Float64 plane cropped to full 32x32 blocks, plus the tiling shape."""
-    plane = np.asarray(plane, dtype=np.float64)
-    h, w = plane.shape
-    nh, nw = h // ENERGY_BLOCK, w // ENERGY_BLOCK
-    if nh == 0 or nw == 0:
-        raise ContractError(
-            f"plane {w}x{h} smaller than one {ENERGY_BLOCK}x{ENERGY_BLOCK} block"
-        )
-    return plane[: nh * ENERGY_BLOCK, : nw * ENERGY_BLOCK], nh, nw
-
-
-def _energies_from_trimmed(trimmed, nh, nw):
+def _band_energies(band, nw):
+    """Block energies of a band of whole block rows, `nw` blocks wide."""
     from scipy import fft as sfft  # imported on use: the CLI loads this module for its names
 
+    # cropped to whole blocks after the conversion, as a view, the layout
+    # the DCT saw when whole planes were converted
+    plane = np.asarray(band, dtype=np.float64)[:, : nw * ENERGY_BLOCK]
     # DCT over a strided 4-D view avoids materializing per-block copies.
     coef = sfft.dctn(
-        trimmed.reshape(nh, ENERGY_BLOCK, nw, ENERGY_BLOCK),
+        plane.reshape(-1, ENERGY_BLOCK, nw, ENERGY_BLOCK),
         axes=(1, 3),
         norm="ortho",
     )
@@ -62,9 +55,22 @@ def _energies_from_trimmed(trimmed, nh, nw):
 def block_energies(luma):
     """Per-block texture energies: mean |AC coefficient| of the orthonormal DCT-II.
 
-    Blocks are ordered row-major over the tiling.
+    Blocks are ordered row-major over the tiling.  The DCT is taken in
+    `max(1, nh // 8)` near-equal bands of the nh block rows, so only one
+    band is held as float64 at a time.
     """
-    return _energies_from_trimmed(*_trimmed_plane(luma))
+    luma = np.asarray(luma)
+    h, w = luma.shape
+    nh, nw = h // ENERGY_BLOCK, w // ENERGY_BLOCK
+    if nh == 0 or nw == 0:
+        raise ContractError(
+            f"plane {w}x{h} smaller than one {ENERGY_BLOCK}x{ENERGY_BLOCK} block"
+        )
+    bands = max(1, nh // _BAND_BLOCK_ROWS)
+    edges = [ENERGY_BLOCK * (nh * i // bands) for i in range(bands + 1)]
+    return np.concatenate([
+        _band_energies(luma[top:bottom], nw) for top, bottom in zip(edges, edges[1:])
+    ])
 
 
 def temporal_energy(prev_blocks, curr_blocks):
@@ -98,10 +104,12 @@ def extract_live(clip):
     h_series = []
     prev_blocks = None
     for y, _, _ in read_frames(clip):
-        trimmed, nh, nw = _trimmed_plane(y)
-        energies = _energies_from_trimmed(trimmed, nh, nw)
+        energies = block_energies(y)
         e_series.append(float(energies.mean()))
-        br_series.append(float(trimmed.mean()))
+        # BR: mean luma of the tiled area, an exact integer sum over n
+        nh, nw = y.shape[0] // ENERGY_BLOCK, y.shape[1] // ENERGY_BLOCK
+        tiled = y[: nh * ENERGY_BLOCK, : nw * ENERGY_BLOCK]
+        br_series.append(int(tiled.sum(dtype=np.int64)) / tiled.size)
         if prev_blocks is not None:
             h_series.append(temporal_energy(prev_blocks, energies))
         prev_blocks = energies

@@ -19,7 +19,7 @@ from .media_io import read_frames
 GLCM_LEVELS = 32
 TC_BLOCK = 32
 _TC_BAND_ROWS = 8  # least block rows in a band of `temporal_coherence`
-_CF_BAND_ROWS = 64  # chroma rows `colorfulness` converts at a time
+_BAND_PIXELS = 1 << 16  # least luma pixels in a row band of GLCM, SI, CF and noise
 
 VOD_FEATURE_NAMES = (
     # GLCM: correlation, contrast, energy, homogeneity, entropy
@@ -66,27 +66,34 @@ def _exact(plane):
     return plane if plane.dtype == np.uint8 else plane.astype(np.float64, copy=False)
 
 
-def glcm_descriptors(luma, offsets=((0, 1), (1, 0))):
+def _band_rows(width):
+    """Rows of a `width`-pixel plane in one band of at least `_BAND_PIXELS`."""
+    return -(-_BAND_PIXELS // width)
+
+
+def glcm_descriptors(luma):
     """(contrast, correlation, energy, homogeneity, entropy) of the luma plane.
 
-    32 gray levels; by default offsets (0,1) and (1,0) pooled into one
-    symmetric co-occurrence distribution; entropy base 2 with 0*log0 := 0.
+    32 gray levels; offsets (0,1) and (1,0) pooled into one symmetric
+    co-occurrence distribution; entropy base 2 with 0*log0 := 0.  The
+    pairs are counted in row bands, each with the next band's first row
+    for its (1,0) pairs; integer counts add up the same in any order.
     """
     luma = np.asarray(luma)
     if luma.shape[0] < 2 or luma.shape[1] < 2:
         raise ContractError("GLCM needs a plane of at least 2x2")
-    # uint16 holds every code a * GLCM_LEVELS + b below
-    q = (luma >> 3).astype(np.uint16) if luma.dtype == np.uint8 else (
-        np.clip(luma, 0, 255).astype(np.int64) * GLCM_LEVELS // 256
-    )
-    h, w = q.shape
+    h, w = luma.shape
+    rows = _band_rows(w)
     counts = np.zeros(GLCM_LEVELS**2, dtype=np.int64)
-    for di, dj in offsets:
-        a = q[: h - di, : w - dj]
-        b = q[di:, dj:]
-        counts += np.bincount(
-            (a * GLCM_LEVELS + b).ravel(), minlength=GLCM_LEVELS**2
+    for top in range(0, h, rows):
+        band = luma[top : top + rows + 1]
+        # uint16 holds every code a * GLCM_LEVELS + b below
+        q = (band >> 3).astype(np.uint16) if band.dtype == np.uint8 else (
+            np.clip(band, 0, 255).astype(np.int64) * GLCM_LEVELS // 256
         )
+        own = q[:rows]
+        for codes in (own[:, :-1] * GLCM_LEVELS + own[:, 1:], q[:-1] * GLCM_LEVELS + q[1:]):
+            counts += np.bincount(codes.ravel(), minlength=GLCM_LEVELS**2)
     m = counts.reshape(GLCM_LEVELS, GLCM_LEVELS).astype(np.float64)
     m = m + m.T
     p = m / m.sum()
@@ -202,31 +209,40 @@ def temporal_coherence(prev, curr):
 
 
 def spatial_information(luma):
-    """SI: population std of the Sobel gradient magnitude on interior pixels."""
+    """SI: population std of the Sobel gradient magnitude on interior pixels.
+
+    |g|^2 is filled in row bands; the magnitude and its deviations are
+    taken one leaf of `stats.tree_sums` at a time.
+    """
     luma = _exact(luma)
-    if luma.shape[0] < 3 or luma.shape[1] < 3:
+    h, w = luma.shape
+    if h < 3 or w < 3:
         raise ContractError("SI needs a plane of at least 3x3")
     work = np.result_type(luma, np.int16)
-    # separable Sobel ([1,2,1] smoothing, [-1,0,1] difference) evaluated
-    # only on the interior, where the boundary mode is irrelevant
-    sx = np.add(luma[:-2], luma[2:], dtype=work)
-    sx += luma[1:-1]
-    sx += luma[1:-1]
-    gx = sx[:, 2:] - sx[:, :-2]
-    del sx
-    sy = np.add(luma[:, :-2], luma[:, 2:], dtype=work)
-    sy += luma[:, 1:-1]
-    sy += luma[:, 1:-1]
-    gy = sy[2:] - sy[:-2]
-    del sy
     wide = np.result_type(work, np.int32)  # |g|^2 of a uint8 plane needs 21 bits
-    mag2 = np.multiply(gx, gx, dtype=wide)
-    del gx
-    mag2 += np.multiply(gy, gy, dtype=wide)
-    del gy
-    mag = np.sqrt(mag2)
-    del mag2
-    return _mean_std(mag, out=mag)[1]
+    mag2 = np.empty((h - 2, w - 2), dtype=wide)
+    rows = _band_rows(w)
+    for top in range(0, h - 2, rows):
+        band = luma[top : top + rows + 2]
+        # separable Sobel ([1,2,1] smoothing, [-1,0,1] difference) evaluated
+        # only on the interior, where the boundary mode is irrelevant
+        sx = np.add(band[:-2], band[2:], dtype=work)
+        sx += band[1:-1]
+        sx += band[1:-1]
+        gx = sx[:, 2:] - sx[:, :-2]
+        sy = np.add(band[:, :-2], band[:, 2:], dtype=work)
+        sy += band[:, 1:-1]
+        sy += band[:, 1:-1]
+        gy = sy[2:] - sy[:-2]
+        out = mag2[top : top + rows]
+        np.multiply(gx, gx, out=out, dtype=wide)
+        out += np.multiply(gy, gy, dtype=wide)
+    mag2 = mag2.reshape(-1)
+
+    def magnitude(lo, hi, out):
+        np.sqrt(mag2[lo:hi], out=out[0])
+
+    return _moments(mag2.size, magnitude, None)[1]
 
 
 def temporal_information(prev, curr):
@@ -235,9 +251,18 @@ def temporal_information(prev, curr):
     curr = _exact(curr)
     if prev.shape != curr.shape:
         raise ContractError("TI needs equal-size planes")
-    # a difference of uint8 planes is exact in float64
-    diff = np.subtract(curr, prev, dtype=np.float64)
-    return _mean_std(diff, out=diff)[1]
+    a = prev.reshape(-1)
+    b = curr.reshape(-1)
+
+    def difference(lo, hi, out):
+        # a difference of uint8 planes is exact in float64
+        np.subtract(b[lo:hi], a[lo:hi], out=out[0], dtype=np.float64)
+
+    mean = None
+    if a.dtype == b.dtype == np.uint8:
+        # integer differences add up exactly in float64 in any order
+        mean = (int(b.sum(dtype=np.int64)) - int(a.sum(dtype=np.int64))) / a.size
+    return _moments(a.size, difference, mean)[1]
 
 
 def yuv420_to_rgb(luma, cb, cr):
@@ -282,31 +307,32 @@ def _hasler(rg, yb):
 def colorfulness(luma, cb, cr):
     """CF of a 4:2:0 frame via nearest-neighbor chroma upsampling.
 
-    The opponent planes of `colorfulness_rgb` are filled 64 chroma rows
-    at a time, so no whole RGB frame is held; their moments are still
-    taken over whole planes, whose float64 sums carry the same bits.
+    The float32 opponent planes of `colorfulness_rgb` are filled one row
+    band at a time, so no whole RGB frame is held, and their float64
+    deviations are summed one leaf of `stats.tree_sums` at a time.
     """
     cb = np.asarray(cb)
-    if cb.ndim != 2 or cb.shape[0] <= _CF_BAND_ROWS:
+    # each chroma pixel covers four luma pixels
+    if cb.ndim != 2 or 4 * cb.size <= _BAND_PIXELS:
         # one band: holding preallocated planes only slows a small frame
         return colorfulness_rgb(*yuv420_to_rgb(luma, cb, cr))
     luma = np.asarray(luma)
     cr = np.asarray(cr)
     if cb.shape != cr.shape or luma.shape != (2 * cb.shape[0], 2 * cb.shape[1]):
         raise ContractError("chroma planes are not half-size of luma")
+    rows = _band_rows(4 * cb.shape[1])
     rg = np.empty(luma.shape, dtype=np.float32)
     yb = np.empty(luma.shape, dtype=np.float32)
-    for top in range(0, cb.shape[0], _CF_BAND_ROWS):
-        chroma = slice(top, top + _CF_BAND_ROWS)
-        rows = slice(2 * top, 2 * (top + _CF_BAND_ROWS))
-        r, g, b = yuv420_to_rgb(luma[rows], cb[chroma], cr[chroma])
-        np.subtract(r, g, out=rg[rows])
-        band = yb[rows]
+    for top in range(0, cb.shape[0], rows):
+        chroma = slice(top, top + rows)
+        luma_rows = slice(2 * top, 2 * (top + rows))
+        r, g, b = yuv420_to_rgb(luma[luma_rows], cb[chroma], cr[chroma])
+        np.subtract(r, g, out=rg[luma_rows])
+        band = yb[luma_rows]
         np.add(r, g, out=band)
         band *= 0.5
         band -= b
-    scratch = np.empty(luma.shape)
-    return _hasler(_mean_std(rg, out=scratch), _mean_std(yb, out=scratch))
+    return _hasler(_mean_std(rg), _mean_std(yb))
 
 
 def noise_estimate(luma):
@@ -321,14 +347,19 @@ def noise_estimate(luma):
     h, w = luma.shape
     if h < 3 or w < 3:
         raise ContractError("noise estimate needs a plane of at least 3x3")
-    d = np.subtract(luma[:-2], luma[1:-1], dtype=np.result_type(luma, np.int16))
-    d -= luma[1:-1]
-    d += luma[2:]
-    conv = d[:, :-2] - d[:, 1:-1]
-    conv -= d[:, 1:-1]
-    conv += d[:, 2:]
-    total = float(np.abs(conv).sum(dtype=np.result_type(conv, np.int64)))
-    return float(np.sqrt(np.pi / 2.0) * total / (6.0 * (w - 2) * (h - 2)))
+    work = np.result_type(luma, np.int16)
+    total = 0
+    rows = _band_rows(w)
+    for top in range(0, h - 2, rows):
+        band = luma[top : top + rows + 2]
+        d = np.subtract(band[:-2], band[1:-1], dtype=work)
+        d -= band[1:-1]
+        d += band[2:]
+        conv = d[:, :-2] - d[:, 1:-1]
+        conv -= d[:, 1:-1]
+        conv += d[:, 2:]
+        total += np.abs(conv, out=conv).sum(dtype=np.result_type(conv, np.int64))
+    return float(np.sqrt(np.pi / 2.0) * float(total) / (6.0 * (w - 2) * (h - 2)))
 
 
 def ncc(prev, curr):
@@ -340,21 +371,21 @@ def ncc(prev, curr):
     curr = _exact(curr).ravel()
     if prev.shape != curr.shape:
         raise ContractError("NCC needs equal-size planes")
-    # a uint8 plane's mean is an exact integer sum over n, so the mean
-    # and the centred planes equal those of its float64 copy
+    # a uint8 plane's mean is an exact integer sum over n
     mean_a = prev.mean()
-    db = np.subtract(curr, curr.mean(), dtype=np.float64)
-    # two float64 planes hold da*db, db*db and da*da in turn; da is
-    # centred twice rather than kept
-    prod = np.subtract(prev, mean_a, dtype=np.float64)
-    prod *= db
-    cross = np.sum(prod)
-    del prod
-    db *= db
-    nb = np.sqrt(np.sum(db))
-    da = np.subtract(prev, mean_a, out=db, dtype=np.float64)
-    da *= da
-    na = np.sqrt(np.sum(da))
+    mean_b = curr.mean()
+
+    def centred(lo, hi, out):
+        da, db, cross = out
+        np.subtract(prev[lo:hi], mean_a, out=da, dtype=np.float64)
+        np.subtract(curr[lo:hi], mean_b, out=db, dtype=np.float64)
+        np.multiply(da, db, out=cross)
+        da *= da
+        db *= db
+
+    sa, sb, cross = stats.tree_sums(prev.size, 3, centred)
+    na = np.sqrt(sa)
+    nb = np.sqrt(sb)
     if na <= 1e-12 and nb <= 1e-12:
         return 1.0
     if na <= 1e-12 or nb <= 1e-12:
@@ -362,19 +393,36 @@ def ncc(prev, curr):
     return float(np.clip(cross / (na * nb), -1.0, 1.0))
 
 
-def _mean_std(values, out=None):
-    """float64 mean and population std, the mean computed once.
+def _moments(n, values, mean):
+    """float64 mean and population std of the n values `values` gives.
 
-    Repeats np.mean's and np.std's own steps (float64 accumulation,
-    centring in float64, sum of squares over n), so both carry their bits.
-    The squared deviations go to `out`, a float64 array of the shape of
-    `values` that may be `values` itself, else to a new array.
+    `values(lo, hi, out)` writes values lo..hi-1 as float64 to `out[0]`.
+    Repeats np.mean's and np.std's own steps (float64 pairwise sums,
+    centring in float64, sum of squares over n) one leaf of
+    `stats.tree_sums` at a time, so both carry the bits those calls give
+    on the whole array.  A `mean` of None is summed; any other is used.
     """
+    if mean is None:
+        mean = stats.tree_sums(n, 1, values)[0] / n
+
+    def squared_deviations(lo, hi, out):
+        values(lo, hi, out)
+        out -= mean
+        out *= out
+
+    return float(mean), float(np.sqrt(stats.tree_sums(n, 1, squared_deviations)[0] / n))
+
+
+def _mean_std(values):
+    """float64 mean and population std, the mean computed once, as np.mean
+    and np.std give them on a C-contiguous array."""
     v = np.asarray(values)
-    mean = np.mean(v, dtype=np.float64)
-    d = np.subtract(v, mean, out=out, dtype=np.float64)
-    d *= d
-    return float(mean), float(np.sqrt(np.add.reduce(d, axis=None) / d.size))
+    flat = v.reshape(-1)
+
+    def copy(lo, hi, out):
+        out[0] = flat[lo:hi]
+
+    return _moments(flat.size, copy, np.mean(v, dtype=np.float64))
 
 
 def extract_vod(clip):

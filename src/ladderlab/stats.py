@@ -10,6 +10,34 @@ import numpy as np
 from .errors import ValidationError
 
 _VAR_EPS = 1e-12
+_LEAF = 1 << 16  # most values one np.add.reduce call of `tree_sums` adds
+_PAIRWISE_BLOCK = 128  # numpy adds a run this short in one unrolled loop
+
+
+def tree_sums(n, k, values):
+    """np.add.reduce of k contiguous float64 arrays of n values, bit for bit,
+    without holding them.
+
+    numpy adds a contiguous float64 run pairwise: a run longer than 128
+    values is split after n // 2 - (n // 2) % 8 of them, and the sums of
+    the two parts are added.  This follows the same splits down to runs
+    of at most `_LEAF` values, has `values(lo, hi, out)` write values
+    lo..hi-1 of array i to row i of the (k, hi - lo) float64 array `out`,
+    adds each row with np.add.reduce and the halves' sums in tree order.
+    Returns the k sums as a float64 array.
+    """
+    return _walk(values, np.empty((k, min(n, max(_LEAF, _PAIRWISE_BLOCK)))), 0, n)
+
+
+def _walk(values, buf, lo, n):
+    # a module-level function, not a closure over itself, so that no
+    # reference cycle keeps `values` and the planes it reads alive
+    if n <= _LEAF or n <= _PAIRWISE_BLOCK:
+        out = buf[:, :n]
+        values(lo, lo + n, out)
+        return np.array([np.add.reduce(row) for row in out])
+    half = n // 2 - n // 2 % 8
+    return _walk(values, buf, lo, half) + _walk(values, buf, lo + half, n - half)
 
 
 def check_seed(seed):

@@ -2,13 +2,13 @@
 
 The oracles are written as straight-line loops or explicit basis
 matrices, deliberately avoiding the vectorized/library paths the
-package uses.  Six former implementations are kept as references for
+package uses.  Seven former implementations are kept as references for
 rewrites that must keep their bits: the float64 VoD descriptors, the
-one-bitrate-at-a-time hull queries, the one-column-at-a-time tree
-builder, the one-tree-at-a-time predictor with its ladderlab-model-v1
-writer, the json.dump curve-file writer and the sort-and-loop Pareto
-filter.  `stratified_split` is the held-out split the acceptance tests
-draw.
+whole-plane live block energies, the one-bitrate-at-a-time hull
+queries, the one-column-at-a-time tree builder, the one-tree-at-a-time
+predictor with its ladderlab-model-v1 writer, the json.dump curve-file
+writer and the sort-and-loop Pareto filter.  `stratified_split` is the
+held-out split the acceptance tests draw.
 """
 
 import json
@@ -21,6 +21,7 @@ import numpy as np
 
 from ladderlab import stats
 from ladderlab.errors import ContractError, DegenerateCurveError, ValidationError
+from ladderlab.features_live import ENERGY_BLOCK
 from ladderlab.features_vod import (
     _HALF_WEIGHTS,
     _SPECTRUM_COUNT,
@@ -184,6 +185,43 @@ def temporal_energy_oracle(prev, curr, block=32):
     ea = dct_energy_oracle(prev, block)
     eb = dct_energy_oracle(curr, block)
     return sum(abs(b - a) for a, b in zip(ea, eb)) / len(ea)
+
+
+# ------------------------------------------- whole-plane live energies
+#
+# `block_energies` as the package computed it on a float64 copy of the
+# whole plane, kept verbatim as the reference its banded DCT must
+# reproduce bit for bit.
+
+
+def _trimmed_plane(plane):
+    """Float64 plane cropped to full 32x32 blocks, plus the tiling shape."""
+    plane = np.asarray(plane, dtype=np.float64)
+    h, w = plane.shape
+    nh, nw = h // ENERGY_BLOCK, w // ENERGY_BLOCK
+    if nh == 0 or nw == 0:
+        raise ContractError(
+            f"plane {w}x{h} smaller than one {ENERGY_BLOCK}x{ENERGY_BLOCK} block"
+        )
+    return plane[: nh * ENERGY_BLOCK, : nw * ENERGY_BLOCK], nh, nw
+
+
+def _energies_from_trimmed(trimmed, nh, nw):
+    from scipy import fft as sfft  # imported on use: the CLI loads this module for its names
+
+    # DCT over a strided 4-D view avoids materializing per-block copies.
+    coef = sfft.dctn(
+        trimmed.reshape(nh, ENERGY_BLOCK, nw, ENERGY_BLOCK),
+        axes=(1, 3),
+        norm="ortho",
+    )
+    np.abs(coef, out=coef)
+    coef[:, 0, :, 0] = 0.0
+    return coef.sum(axis=(1, 3)).reshape(-1) / (ENERGY_BLOCK * ENERGY_BLOCK)
+
+
+def whole_plane_block_energies(luma):
+    return _energies_from_trimmed(*_trimmed_plane(luma))
 
 
 # ------------------------------------------------ float64 VoD descriptors

@@ -10,7 +10,7 @@ from ladderlab.features_live import (
     extract_live,
     temporal_energy,
 )
-from oracles import dct_energy_oracle, temporal_energy_oracle
+from oracles import dct_energy_oracle, temporal_energy_oracle, whole_plane_block_energies
 
 
 def test_constant_plane_energy_zero_brightness_value(make_clip):
@@ -39,6 +39,16 @@ def test_random_plane_matches_dct_oracle():
     got = block_energies(plane)
     want = dct_energy_oracle(plane)
     assert got == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("nh", [1, 7, 8, 15, 16, 17, 67])
+def test_block_energies_on_tall_planes_equal_whole_plane_reference_bit_for_bit(nh):
+    # nh block rows split into bands of 8 or more rows from nh = 16 on;
+    # neither side is a multiple of the 32x32 block, so the crop is covered
+    rng = np.random.default_rng(nh)
+    plane = rng.integers(0, 256, (32 * nh + 13, 32 * (nh % 5 + 1) + 19), dtype=np.uint8)
+    got = block_energies(plane)
+    assert got.tobytes() == whole_plane_block_energies(plane).tobytes()
 
 
 def test_temporal_energy_trivial_and_oracle():

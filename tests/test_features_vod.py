@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gray_frames
-from ladderlab import features_vod
+from ladderlab import features_live, features_vod, stats
 from ladderlab.features_vod import (
     TC_BLOCK,
     VOD_FEATURE_NAMES,
@@ -57,9 +59,7 @@ def assert_equals_float64_reference(name, *args):
     assert getattr(features_vod, name)(*args) == FLOAT64_VOD[name](*args), name
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(2, 70), st.integers(2, 70))
-def test_descriptors_equal_float64_reference_bit_for_bit(data, h, w):
+def assert_descriptors_equal_float64_reference(data, h, w):
     prev, curr = data.draw(uint8_planes((h, w), 2))
     assert_equals_float64_reference("glcm_descriptors", curr)
     if h >= 3 and w >= 3:
@@ -71,6 +71,50 @@ def test_descriptors_equal_float64_reference_bit_for_bit(data, h, w):
     assert_equals_float64_reference("colorfulness", curr[: h // 2 * 2, : w // 2 * 2], cb, cr)
     assert_equals_float64_reference(
         "colorfulness_rgb", *(p.astype(np.float64) for p in (prev, curr, 255 - curr)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(2, 70), st.integers(2, 70))
+def test_descriptors_equal_float64_reference_bit_for_bit(data, h, w):
+    assert_descriptors_equal_float64_reference(data, h, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(2, 70), st.integers(2, 70))
+def test_descriptors_on_16_value_leaves_equal_float64_reference_bit_for_bit(data, h, w):
+    # planes of more than 16 values (128 where numpy adds a run in one
+    # loop) are summed in several leaves of `stats.tree_sums`
+    with mock.patch.object(stats, "_LEAF", 16):
+        assert_descriptors_equal_float64_reference(data, h, w)
+
+
+@pytest.mark.parametrize("shape", [(777, 1001), (1080, 1920)])
+def test_descriptors_on_large_planes_equal_float64_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[1])
+    prev, curr = rng.integers(0, 256, (2,) + shape, dtype=np.uint8)
+    cb, cr = rng.integers(0, 256, (2, shape[0] // 2, shape[1] // 2), dtype=np.uint8)
+    even = curr[: shape[0] // 2 * 2, : shape[1] // 2 * 2]
+    for name in ("glcm_descriptors", "spatial_information", "noise_estimate"):
+        assert_equals_float64_reference(name, curr)
+    for name in ("temporal_coherence", "temporal_information", "ncc"):
+        assert_equals_float64_reference(name, prev, curr)
+    assert_equals_float64_reference("colorfulness", even, cb, cr)
+    assert_equals_float64_reference(
+        "colorfulness_rgb", *(p.astype(np.float64) for p in (prev, curr, 255 - curr)))
+
+
+@pytest.mark.parametrize("h", [16, 17, 18, 19, 33])
+def test_banded_descriptors_on_wide_planes_equal_float64_reference_bit_for_bit(h):
+    # a band of GLCM, SI and noise holds 16 rows of this width, so the last
+    # band has from 1 to 3 rows; TI and NCC sum more than one leaf
+    w = 4099
+    assert features_vod._band_rows(w) == 16
+    rng = np.random.default_rng(h)
+    prev, curr = rng.integers(0, 256, (2, h, w), dtype=np.uint8)
+    for name in ("glcm_descriptors", "spatial_information", "noise_estimate"):
+        assert_equals_float64_reference(name, curr)
+    for name in ("temporal_information", "ncc"):
+        assert_equals_float64_reference(name, prev, curr)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,20 +134,31 @@ def test_tc_on_tall_planes_equals_float64_reference_bit_for_bit(nh):
     assert_equals_float64_reference("temporal_coherence", prev, curr)
 
 
-@pytest.mark.parametrize("chroma_rows", [65, 128, 135])
+@pytest.mark.parametrize("chroma_rows", [15, 16, 17, 32, 33, 65, 128, 135])
 def test_cf_on_tall_planes_equals_float64_reference_bit_for_bit(chroma_rows):
-    # more than 64 chroma rows are converted 64 at a time
+    # a band holds 16 chroma rows of this width; more rows are converted
+    # a band at a time
+    assert features_vod._band_rows(4 * 1029) == 16
     rng = np.random.default_rng(chroma_rows)
-    luma = rng.integers(0, 256, (2 * chroma_rows, 74), dtype=np.uint8)
-    cb, cr = rng.integers(0, 256, (2, chroma_rows, 37), dtype=np.uint8)
+    luma = rng.integers(0, 256, (2 * chroma_rows, 2 * 1029), dtype=np.uint8)
+    cb, cr = rng.integers(0, 256, (2, chroma_rows, 1029), dtype=np.uint8)
     assert_equals_float64_reference("colorfulness", luma, cb, cr)
 
 
 # ------------------------------------------------------- peak memory
 
-_DESCRIPTOR_ARITY = {"glcm_descriptors": 1, "spatial_information": 1, "colorfulness": 3,
-                     "noise_estimate": 1, "temporal_coherence": 2, "temporal_information": 2,
-                     "ncc": 2}
+# name: (module, arity, peak traced bytes per luma pixel of one call on
+# the frames below, as measured; each bound allows 1 byte more)
+_PEAK_PER_PIXEL = {
+    "glcm_descriptors": (features_vod, 1, 0.47),
+    "spatial_information": (features_vod, 1, 4.49),
+    "colorfulness": (features_vod, 3, 10.01),
+    "noise_estimate": (features_vod, 1, 0.22),
+    "temporal_coherence": (features_vod, 2, 5.72),
+    "temporal_information": (features_vod, 2, 0.32),
+    "ncc": (features_vod, 2, 0.80),
+    "block_energies": (features_live, 1, 4.28),
+}
 
 
 @pytest.fixture(scope="module")
@@ -112,21 +167,30 @@ def hd_frame_args():
     rng = np.random.default_rng(3)
     luma = rng.integers(0, 256, (2, 1080, 1920), dtype=np.uint8)
     chroma = rng.integers(0, 256, (2, 540, 960), dtype=np.uint8)
+    features_live.block_energies(luma[0, :32, :32])  # imports scipy.fft before any trace
     return {1: (luma[0],), 2: (luma[0], luma[1]), 3: (luma[0], chroma[0], chroma[1])}
 
 
-@pytest.mark.parametrize("name", sorted(_DESCRIPTOR_ARITY))
+@pytest.mark.parametrize("name", sorted(_PEAK_PER_PIXEL))
 def test_descriptor_peak_memory_per_luma_pixel(hd_frame_args, name):
-    # whole-plane temporaries are freed early, reused or banded; a float64
-    # copy of the frame alone is 8 bytes per pixel
-    args = hd_frame_args[_DESCRIPTOR_ARITY[name]]
+    # no kernel holds a float64 copy of the frame (8 bytes per pixel):
+    # SI holds an int32 |g|^2 plane and CF two float32 opponent planes,
+    # and the rest work in row bands, block-row bands or summation leaves
+    module, arity, measured = _PEAK_PER_PIXEL[name]
+    args = hd_frame_args[arity]
+    gc.disable()
     tracemalloc.start()
     try:
-        getattr(features_vod, name)(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        getattr(module, name)(*args)
+        left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / args[0].size <= 18.0
+        gc.enable()
+    assert peak / args[0].size <= measured + 1.0
+    # all of it is freed without the cycle collector: a plane held by a
+    # reference cycle would stay until the next collection and add up
+    # over the frames of a clip
+    assert left < 1 << 16
 
 
 # ---------------------------------------------------------------- GLCM
@@ -142,14 +206,16 @@ def test_glcm_constant_plane():
 
 
 def test_glcm_two_level_hand_enumeration():
-    # quantized levels (0,0),(1,1); horizontal offset only
+    # quantized levels (0,0),(1,1): the (0,1) pairs are (0,0) and (1,1),
+    # the (1,0) pairs (0,1) twice; made symmetric, each of the four level
+    # pairs has p = 1/4, and the row marginal is (1/2, 1/2)
     plane = np.array([[0, 0], [8, 8]], dtype=np.uint8)
-    con, cor, enr, hom, ent = glcm_descriptors(plane, offsets=((0, 1),))
-    assert con == pytest.approx(0.0, abs=1e-12)
-    assert cor == pytest.approx(1.0, abs=1e-12)
-    assert enr == pytest.approx(0.5, abs=1e-12)
-    assert hom == pytest.approx(1.0, abs=1e-12)
-    assert ent == pytest.approx(1.0, abs=1e-12)
+    con, cor, enr, hom, ent = glcm_descriptors(plane)
+    assert con == pytest.approx(0.5, abs=1e-12)  # 2 * 1/4 * 1^2
+    assert cor == pytest.approx(0.0, abs=1e-12)  # cov 1/4 - (1/2)^2 = 0
+    assert enr == pytest.approx(0.25, abs=1e-12)  # 4 * (1/4)^2
+    assert hom == pytest.approx(0.75, abs=1e-12)  # 2 * 1/4 + 2 * 1/4 / 2
+    assert ent == pytest.approx(2.0, abs=1e-12)  # four equal cells
 
 
 def test_glcm_matches_pair_counting_oracle():

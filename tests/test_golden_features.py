@@ -2,21 +2,19 @@
 
 `tests/golden/features.json` holds the VoD and live vectors that the
 feature extractors computed for the clip built by `golden_frames`, and
-they still reproduce them bit for bit.  The comparison allows
-floating-point rounding only, so a faster kernel may reorder its sums,
-but a changed feature definition shows up here.
+they still reproduce them bit for bit: a kernel that reorders a float
+sum shows up here as surely as a changed feature definition.
 """
 
 import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from ladderlab import features_vod
+from ladderlab import features_live, features_vod
 from ladderlab.features_live import LIVE_FEATURE_NAMES, extract_live
 from ladderlab.features_vod import VOD_FEATURE_NAMES, extract_vod
-from oracles import FLOAT64_VOD
+from oracles import FLOAT64_VOD, whole_plane_block_energies
 
 GOLDEN = Path(__file__).parent / "golden" / "features.json"
 
@@ -56,7 +54,7 @@ def test_features_match_golden_vectors(make_clip):
     }
     for kind in ("vod", "live"):
         for name, want in golden[kind].items():
-            assert got[kind][name] == pytest.approx(want, rel=1e-9, abs=1e-12), (kind, name)
+            assert got[kind][name] == want, (kind, name)
 
 
 def test_vod_vector_equals_float64_reference(make_clip, monkeypatch):
@@ -66,3 +64,11 @@ def test_vod_vector_equals_float64_reference(make_clip, monkeypatch):
     for name, reference in FLOAT64_VOD.items():
         monkeypatch.setattr(features_vod, name, reference)
     assert got == extract_vod(clip).values
+
+
+def test_live_vector_equals_whole_plane_reference(make_clip, monkeypatch):
+    # the banded DCT gives the whole-plane energies' vector, bit for bit
+    clip = make_clip(golden_frames())
+    got = extract_live(clip).values
+    monkeypatch.setattr(features_live, "block_energies", whole_plane_block_energies)
+    assert got == extract_live(clip).values

@@ -15,6 +15,7 @@ from ladderlab.rd_core import (
     LADDER_RESOLUTIONS, METRICS, BitrateLadder, CrossOverSet, RDColumns, RDCurve, RDPoint, _Pchip,
     build_rd_curve, convex_hull, hull_resolution_index, monotone_clamp,
 )
+from ladderlab import stats
 from ladderlab.stats import ten_stats
 from oracles import (
     json_dump_write_curves_dir, loop_average_ranks, loop_build_rd_curve, scalar_hull_quality,
@@ -307,3 +308,31 @@ def test_curve_writer_rejects_non_finite_values(tmp_path, field, value):
     with pytest.raises(ContractError, match=f"{field} must be finite"):
         write_curves_dir(tmp_path, curves)
     assert not list(tmp_path.iterdir())
+
+
+_LEAF = stats._LEAF
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 3 * _LEAF + 17),
+        st.sampled_from([_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 8, 3 * _LEAF + 17]),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_tree_sums_equal_add_reduce_bit_for_bit(n, seed):
+    # signed zeros and magnitudes from 1e-300 to 1e300, so every rounding
+    # and the sign of a zero sum depend on the order of the additions
+    rng = np.random.default_rng(seed)
+    arrays = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-300, 300, (2, n))
+    zeros = rng.random((2, n)) < 0.3
+    arrays[zeros] = rng.choice([-0.0, 0.0], zeros.sum())
+    arrays[1, : n // 2] = -0.0  # a run of negative zeros only
+
+    def values(lo, hi, out):
+        out[:] = arrays[:, lo:hi]
+
+    got = stats.tree_sums(n, 2, values)
+    want = np.array([np.add.reduce(a) for a in arrays])
+    assert got.tobytes() == want.tobytes()
