@@ -8,6 +8,7 @@ statistics, temporal information (TI), and normalized cross correlation
 slots F1..F30.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,8 @@ from .media_io import read_frames
 
 GLCM_LEVELS = 32
 TC_BLOCK = 32
-_TC_BAND_ROWS = 8  # least block rows in a band of `temporal_coherence`
-_BAND_PIXELS = 1 << 16  # least luma pixels in a row band of GLCM, SI, CF and noise
+_BAND_PIXELS = 1 << 16  # least luma pixels in a row band of GLCM, SI, CF and noise;
+# most in a band of TC, unless one block row holds more
 
 VOD_FEATURE_NAMES = (
     # GLCM: correlation, contrast, energy, homogeneity, entropy
@@ -115,27 +116,26 @@ def glcm_descriptors(luma):
     return contrast, correlation, energy, homogeneity, entropy
 
 
-def _block_half_spectra(plane):
-    """Per-block magnitudes of the real-input FFT half spectrum.
+def _block_half_spectra(band, block_major):
+    """Per-block magnitudes of the real-input FFT half spectrum of a band
+    of whole block rows, as a (blocks, 32, 17) array.
 
     The full 32x32 magnitude spectrum is Hermitian-symmetric, so
     magnitudes are kept only for frequency columns 0..16; mirrored
     columns are accounted for by `_HALF_WEIGHTS` in the correlation.
+    With `block_major` the magnitudes are laid out block after block;
+    without, those of one block row are a strided view, whose per-block
+    sums round differently.
     """
-    plane = _exact(plane)
-    h, w = plane.shape
-    nh, nw = h // TC_BLOCK, w // TC_BLOCK
-    if nh == 0 or nw == 0:
-        raise ContractError(
-            f"plane {w}x{h} smaller than one {TC_BLOCK}x{TC_BLOCK} block"
-        )
-    v = plane[: nh * TC_BLOCK, : nw * TC_BLOCK].reshape(nh, TC_BLOCK, nw, TC_BLOCK)
-    spec = np.fft.rfftn(v, axes=(1, 3))
-    return (
-        np.abs(spec)
-        .transpose(0, 2, 1, 3)
-        .reshape(nh * nw, TC_BLOCK, TC_BLOCK // 2 + 1)
-    )
+    band = _exact(band)
+    nh, nw = band.shape[0] // TC_BLOCK, band.shape[1] // TC_BLOCK
+    spec = np.fft.rfftn(band.reshape(nh, TC_BLOCK, nw, TC_BLOCK), axes=(1, 3))
+    if block_major:
+        out = np.empty((nh, nw, TC_BLOCK, TC_BLOCK // 2 + 1))
+        np.abs(spec.transpose(0, 2, 1, 3), out=out)
+    else:
+        out = np.abs(spec).transpose(0, 2, 1, 3)
+    return out.reshape(nh * nw, TC_BLOCK, TC_BLOCK // 2 + 1)
 
 
 def _half_weights():
@@ -149,10 +149,11 @@ _HALF_WEIGHTS = _half_weights()
 _SPECTRUM_COUNT = TC_BLOCK * TC_BLOCK - 1  # full spectrum minus DC
 
 
-def _block_tc(prev, curr):
-    """Per-block TC of two equal-size planes, blocks in row-major order."""
-    sa = _block_half_spectra(prev)
-    sb = _block_half_spectra(curr)
+def _block_tc(prev, curr, block_major):
+    """Per-block TC of two equal-size bands of whole block rows, blocks in
+    row-major order."""
+    sa = _block_half_spectra(prev, block_major)
+    sb = _block_half_spectra(curr, block_major)
     w = _HALF_WEIGHTS
     mean_a = ((sa * w).sum(axis=(1, 2)) - sa[:, 0, 0]) / _SPECTRUM_COUNT
     mean_b = ((sb * w).sum(axis=(1, 2)) - sb[:, 0, 0]) / _SPECTRUM_COUNT
@@ -178,26 +179,29 @@ def temporal_coherence(prev, curr):
     zero-variance spectrum makes that block's TC 1.  Entropy uses a
     16-bin histogram over [-1, 1].
 
-    The spectra are taken in `max(1, nh // 8)` near-equal bands of block
-    rows, so only a band's spectra are held at a time.  Every band is at
-    least 8 block rows tall: the spectra of a one-row band come out of
-    `_block_half_spectra` as a strided view, whose per-block sums round
-    differently from those of the copy a taller band gets.
+    The spectra are taken in bands of whole block rows, as many as fit
+    in `_BAND_PIXELS` pixels and at least one, so only a band's spectra
+    are held.  They are laid out block-major, but on a plane of one
+    block row as a strided view: the features keep the bits of the
+    whole-plane computation, whose spectra had that layout there.
     """
     prev = np.asarray(prev)
     curr = np.asarray(curr)
     if prev.shape != curr.shape:
         raise ContractError("temporal coherence needs equal-size planes")
-    bands = prev.shape[0] // TC_BLOCK // _TC_BAND_ROWS
-    if bands < 2:
-        tc = _block_tc(prev, curr)
-    else:
-        nh = prev.shape[0] // TC_BLOCK
-        edges = [TC_BLOCK * (nh * i // bands) for i in range(bands)] + [prev.shape[0]]
-        tc = np.concatenate([
-            _block_tc(prev[top:bottom], curr[top:bottom])
-            for top, bottom in zip(edges, edges[1:])
-        ])
+    h, w = prev.shape
+    nh, nw = h // TC_BLOCK, w // TC_BLOCK
+    if nh == 0 or nw == 0:
+        raise ContractError(
+            f"plane {w}x{h} smaller than one {TC_BLOCK}x{TC_BLOCK} block"
+        )
+    prev = prev[: nh * TC_BLOCK, : nw * TC_BLOCK]
+    curr = curr[: nh * TC_BLOCK, : nw * TC_BLOCK]
+    rows = TC_BLOCK * max(1, _BAND_PIXELS // (TC_BLOCK * prev.shape[1]))
+    tc = np.concatenate([
+        _block_tc(prev[top : top + rows], curr[top : top + rows], nh > 1)
+        for top in range(0, prev.shape[0], rows)
+    ])
     tc = np.clip(tc, -1.0, 1.0)
     return (
         float(tc.mean()),
@@ -208,41 +212,48 @@ def temporal_coherence(prev, curr):
     )
 
 
+def _gradient_squares(luma):
+    """Sobel |g|^2 on the interior of a plane or of a band of its rows."""
+    work = np.result_type(luma, np.int16)
+    wide = np.result_type(work, np.int32)  # |g|^2 of a uint8 plane needs 21 bits
+    # separable Sobel ([1,2,1] smoothing, [-1,0,1] difference) evaluated
+    # only on the interior, where the boundary mode is irrelevant
+    sx = np.add(luma[:-2], luma[2:], dtype=work)
+    sx += luma[1:-1]
+    sx += luma[1:-1]
+    gx = sx[:, 2:] - sx[:, :-2]
+    sy = np.add(luma[:, :-2], luma[:, 2:], dtype=work)
+    sy += luma[:, 1:-1]
+    sy += luma[:, 1:-1]
+    gy = sy[2:] - sy[:-2]
+    mag2 = np.multiply(gx, gx, dtype=wide)
+    mag2 += np.multiply(gy, gy, dtype=wide)
+    return mag2
+
+
 def spatial_information(luma):
     """SI: population std of the Sobel gradient magnitude on interior pixels.
 
-    |g|^2 is filled in row bands; the magnitude and its deviations are
-    taken one leaf of `stats.tree_sums` at a time.
+    |g|^2 is computed in row bands, each with a one-row halo, once for
+    the mean and once for the deviations; a plane of one leaf of
+    `stats.tree_sums` keeps its bands for both.
     """
     luma = _exact(luma)
     h, w = luma.shape
     if h < 3 or w < 3:
         raise ContractError("SI needs a plane of at least 3x3")
-    work = np.result_type(luma, np.int16)
-    wide = np.result_type(work, np.int32)  # |g|^2 of a uint8 plane needs 21 bits
-    mag2 = np.empty((h - 2, w - 2), dtype=wide)
     rows = _band_rows(w)
-    for top in range(0, h - 2, rows):
-        band = luma[top : top + rows + 2]
-        # separable Sobel ([1,2,1] smoothing, [-1,0,1] difference) evaluated
-        # only on the interior, where the boundary mode is irrelevant
-        sx = np.add(band[:-2], band[2:], dtype=work)
-        sx += band[1:-1]
-        sx += band[1:-1]
-        gx = sx[:, 2:] - sx[:, :-2]
-        sy = np.add(band[:, :-2], band[:, 2:], dtype=work)
-        sy += band[:, 1:-1]
-        sy += band[:, 1:-1]
-        gy = sy[2:] - sy[:-2]
-        out = mag2[top : top + rows]
-        np.multiply(gx, gx, out=out, dtype=wide)
-        out += np.multiply(gy, gy, dtype=wide)
-    mag2 = mag2.reshape(-1)
 
-    def magnitude(lo, hi, out):
-        np.sqrt(mag2[lo:hi], out=out[0])
+    def bands():
+        for top in range(0, h - 2, rows):
+            yield _gradient_squares(luma[top : top + rows + 2]).reshape(1, -1)
 
-    return _moments(mag2.size, magnitude, None)[1]
+    n = (h - 2) * (w - 2)
+    if n <= stats._LEAF:
+        # one leaf: both walks read the same bands
+        bands = functools.partial(iter, list(bands()))
+    magnitude = _leaf_values(bands, lambda out, squares: np.sqrt(squares, out=out))
+    return _moments(n, 1, magnitude)[0][1]
 
 
 def temporal_information(prev, curr):
@@ -261,8 +272,8 @@ def temporal_information(prev, curr):
     mean = None
     if a.dtype == b.dtype == np.uint8:
         # integer differences add up exactly in float64 in any order
-        mean = (int(b.sum(dtype=np.int64)) - int(a.sum(dtype=np.int64))) / a.size
-    return _moments(a.size, difference, mean)[1]
+        mean = [(int(b.sum(dtype=np.int64)) - int(a.sum(dtype=np.int64))) / a.size]
+    return _moments(a.size, 1, difference, mean)[0][1]
 
 
 def yuv420_to_rgb(luma, cb, cr):
@@ -273,21 +284,21 @@ def yuv420_to_rgb(luma, cb, cr):
     # float32 is plenty for an 8-bit colorfulness statistic and halves
     # the memory traffic on large frames
     y = np.asarray(luma, dtype=np.float32)
-    cbf = np.repeat(np.repeat(np.asarray(cb, dtype=np.float32), 2, 0), 2, 1)
-    crf = np.repeat(np.repeat(np.asarray(cr, dtype=np.float32), 2, 0), 2, 1)
-    if cbf.shape != y.shape or crf.shape != y.shape:
+    cbf = np.asarray(cb, dtype=np.float32)
+    crf = np.asarray(cr, dtype=np.float32)
+    if (cbf.ndim != 2 or crf.shape != cbf.shape
+            or y.shape != (2 * cbf.shape[0], 2 * cbf.shape[1])):
         raise ContractError("chroma planes are not half-size of luma")
-    yp = (y - np.float32(16.0)) * np.float32(255.0 / 219.0)
-    pb = (cbf - np.float32(128.0)) * np.float32(255.0 / 224.0)
-    pr = (crf - np.float32(128.0)) * np.float32(255.0 / 224.0)
+    # a chroma term is repeated along its row and broadcast over the two
+    # luma rows it covers
+    yp = ((y - np.float32(16.0)) * np.float32(255.0 / 219.0)).reshape(
+        cbf.shape[0], 2, y.shape[1])
+    pb = np.repeat((cbf - np.float32(128.0)) * np.float32(255.0 / 224.0), 2, 1)[:, None]
+    pr = np.repeat((crf - np.float32(128.0)) * np.float32(255.0 / 224.0), 2, 1)[:, None]
     r = yp + np.float32(1.5748) * pr
     g = yp - np.float32(0.18732427) * pb - np.float32(0.46812427) * pr
     b = yp + np.float32(1.8556) * pb
-    return (
-        np.clip(r, 0.0, 255.0),
-        np.clip(g, 0.0, 255.0),
-        np.clip(b, 0.0, 255.0),
-    )
+    return tuple(np.clip(p, 0.0, 255.0, out=p).reshape(y.shape) for p in (r, g, b))
 
 
 def colorfulness_rgb(r, g, b):
@@ -304,35 +315,45 @@ def _hasler(rg, yb):
     return float(np.hypot(std_rg, std_yb) + 0.3 * np.hypot(mean_rg, mean_yb))
 
 
+def _opponent(luma, cb, cr):
+    """(2, pixels) float32 rg and yb values of a 4:2:0 frame or row band,
+    as `colorfulness_rgb` forms them."""
+    r, g, b = yuv420_to_rgb(luma, cb, cr)
+    out = np.empty((2,) + r.shape, dtype=np.float32)
+    np.subtract(r, g, out=out[0])
+    yb = out[1]
+    np.add(r, g, out=yb)
+    yb *= 0.5
+    yb -= b
+    return out.reshape(2, -1)
+
+
 def colorfulness(luma, cb, cr):
     """CF of a 4:2:0 frame via nearest-neighbor chroma upsampling.
 
-    The float32 opponent planes of `colorfulness_rgb` are filled one row
-    band at a time, so no whole RGB frame is held, and their float64
-    deviations are summed one leaf of `stats.tree_sums` at a time.
+    No opponent plane of `colorfulness_rgb` is held whole: they are
+    formed in row bands, once for their means, summed in the order
+    np.mean takes on a float32 plane (`stats.buffered_sums`), and once
+    for their deviations.
     """
     cb = np.asarray(cb)
     # each chroma pixel covers four luma pixels
     if cb.ndim != 2 or 4 * cb.size <= _BAND_PIXELS:
-        # one band: holding preallocated planes only slows a small frame
+        # one band: converting twice only slows a small frame
         return colorfulness_rgb(*yuv420_to_rgb(luma, cb, cr))
     luma = np.asarray(luma)
     cr = np.asarray(cr)
     if cb.shape != cr.shape or luma.shape != (2 * cb.shape[0], 2 * cb.shape[1]):
         raise ContractError("chroma planes are not half-size of luma")
     rows = _band_rows(4 * cb.shape[1])
-    rg = np.empty(luma.shape, dtype=np.float32)
-    yb = np.empty(luma.shape, dtype=np.float32)
-    for top in range(0, cb.shape[0], rows):
-        chroma = slice(top, top + rows)
-        luma_rows = slice(2 * top, 2 * (top + rows))
-        r, g, b = yuv420_to_rgb(luma[luma_rows], cb[chroma], cr[chroma])
-        np.subtract(r, g, out=rg[luma_rows])
-        band = yb[luma_rows]
-        np.add(r, g, out=band)
-        band *= 0.5
-        band -= b
-    return _hasler(_mean_std(rg), _mean_std(yb))
+
+    def bands():
+        for top in range(0, cb.shape[0], rows):
+            chroma = slice(top, top + rows)
+            yield _opponent(luma[2 * top : 2 * (top + rows)], cb[chroma], cr[chroma])
+
+    means = stats.buffered_sums(2, bands()) / luma.size
+    return _hasler(*_moments(luma.size, 2, _leaf_values(bands), means))
 
 
 def noise_estimate(luma):
@@ -393,24 +414,53 @@ def ncc(prev, curr):
     return float(np.clip(cross / (na * nb), -1.0, 1.0))
 
 
-def _moments(n, values, mean):
-    """float64 mean and population std of the n values `values` gives.
+def _leaf_values(bands, fill=np.copyto):
+    """`values(lo, hi, out)` of `stats.tree_sums` read from row bands.
 
-    `values(lo, hi, out)` writes values lo..hi-1 as float64 to `out[0]`.
-    Repeats np.mean's and np.std's own steps (float64 pairwise sums,
-    centring in float64, sum of squares over n) one leaf of
-    `stats.tree_sums` at a time, so both carry the bits those calls give
-    on the whole array.  A `mean` of None is summed; any other is used.
+    `bands()` yields (k, m) arrays, the next m values of each of the k
+    arrays, and `fill(out, part)` writes part of a band as float64.
+    `tree_sums` asks for its leaves in order, each where the last ended,
+    so one walk reads the bands once; a walk starts them over at lo = 0.
     """
-    if mean is None:
-        mean = stats.tree_sums(n, 1, values)[0] / n
+    walk = band = None
+
+    def values(lo, hi, out):
+        nonlocal walk, band
+        if lo == 0:
+            walk, band = bands(), out[:, :0]
+        done = 0
+        while done < hi - lo:
+            if not band.shape[1]:
+                band = next(walk)
+            take = min(band.shape[1], hi - lo - done)
+            fill(out[:, done : done + take], band[:, :take])
+            band = band[:, take:]
+            done += take
+
+    return values
+
+
+def _moments(n, k, values, means=None):
+    """float64 (mean, population std) of each of the k arrays of n values
+    `values` gives.
+
+    `values(lo, hi, out)` writes values lo..hi-1 of array i as float64 to
+    row i of `out`.  Repeats np.mean's and np.std's own steps (float64
+    pairwise sums, centring in float64, sum of squares over n) one leaf of
+    `stats.tree_sums` at a time, so each carries the bits those calls give
+    on the whole array.  `means` of None are summed; any other are used.
+    """
+    if means is None:
+        means = stats.tree_sums(n, k, values) / n
+    means = np.asarray(means, dtype=np.float64)
 
     def squared_deviations(lo, hi, out):
         values(lo, hi, out)
-        out -= mean
+        out -= means[:, None]
         out *= out
 
-    return float(mean), float(np.sqrt(stats.tree_sums(n, 1, squared_deviations)[0] / n))
+    stds = np.sqrt(stats.tree_sums(n, k, squared_deviations) / n)
+    return [(float(m), float(s)) for m, s in zip(means, stds)]
 
 
 def _mean_std(values):
@@ -422,7 +472,7 @@ def _mean_std(values):
     def copy(lo, hi, out):
         out[0] = flat[lo:hi]
 
-    return _moments(flat.size, copy, np.mean(v, dtype=np.float64))
+    return _moments(flat.size, 1, copy, [np.mean(v, dtype=np.float64)])[0]
 
 
 def extract_vod(clip):

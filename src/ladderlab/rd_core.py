@@ -154,9 +154,12 @@ def _pchip_end_slope(h0, h1, m0, m1):
 def build_rd_curve(samples, resolution, metric):
     """Sort (bitrate, quality, qp) rows by bitrate and keep only the Pareto frontier.
 
-    A point is dropped when some other point has no higher bitrate and
-    no lower quality; of identical points the first given is kept.  The
-    survivors are strictly increasing in both coordinates.
+    Bitrates are compared by np.log(bitrate), the knots the curve is
+    interpolated on, so bitrates whose logs are equal count as one.  A
+    point is dropped when some other point has no higher log bitrate and
+    no lower quality; of such points with equal qualities the lowest
+    bitrate, and of identical points the first given, is kept.  The
+    survivors are strictly increasing in log bitrate and in quality.
     """
     check_metric(metric)
     if len(samples) < 2:
@@ -170,9 +173,9 @@ def build_rd_curve(samples, resolution, metric):
         outside = np.flatnonzero(~((quality >= 0.0) & (quality <= 100.0)))
         if outside.size:
             raise ValidationError(f"VMAF quality out of range: {qualities[outside[0]]}")
-    # Bitrate ascending, then quality descending; lexsort is stable, so
-    # equal points keep their given order.
-    order = np.lexsort((-quality, bitrate))
+    # Log bitrate ascending, then quality descending, then bitrate
+    # ascending; lexsort is stable, so equal points keep their given order.
+    order = np.lexsort((bitrate, -quality, np.log(bitrate)))
     ordered = quality[order]
     earlier_best = np.maximum.accumulate(np.concatenate(([-np.inf], ordered[:-1])))
     kept = order[ordered > earlier_best]

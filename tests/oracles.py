@@ -27,7 +27,6 @@ from ladderlab.features_vod import (
     _SPECTRUM_COUNT,
     GLCM_LEVELS,
     TC_BLOCK,
-    yuv420_to_rgb,
 )
 from ladderlab.pipeline import write_json
 from ladderlab.rd_core import LADDER_RESOLUTIONS, METRICS, RDCurve
@@ -206,15 +205,16 @@ def _trimmed_plane(plane):
     return plane[: nh * ENERGY_BLOCK, : nw * ENERGY_BLOCK], nh, nw
 
 
-def _energies_from_trimmed(trimmed, nh, nw):
-    from scipy import fft as sfft  # imported on use: the CLI loads this module for its names
+def scipy_block_dct(blocks):
+    """Orthonormal DCT-II of the (rows, 32, nw, 32) blocks over axes 1 and 3."""
+    from scipy import fft as sfft
 
+    return sfft.dctn(blocks, axes=(1, 3), norm="ortho")
+
+
+def _energies_from_trimmed(trimmed, nh, nw):
     # DCT over a strided 4-D view avoids materializing per-block copies.
-    coef = sfft.dctn(
-        trimmed.reshape(nh, ENERGY_BLOCK, nw, ENERGY_BLOCK),
-        axes=(1, 3),
-        norm="ortho",
-    )
+    coef = scipy_block_dct(trimmed.reshape(nh, ENERGY_BLOCK, nw, ENERGY_BLOCK))
     np.abs(coef, out=coef)
     coef[:, 0, :, 0] = 0.0
     return coef.sum(axis=(1, 3)).reshape(-1) / (ENERGY_BLOCK * ENERGY_BLOCK)
@@ -353,8 +353,27 @@ def float64_colorfulness_rgb(r, g, b):
     return float(sigma + 0.3 * mu)
 
 
+def repeat_yuv420_to_rgb(luma, cb, cr):
+    y = np.asarray(luma, dtype=np.float32)
+    cbf = np.repeat(np.repeat(np.asarray(cb, dtype=np.float32), 2, 0), 2, 1)
+    crf = np.repeat(np.repeat(np.asarray(cr, dtype=np.float32), 2, 0), 2, 1)
+    if cbf.shape != y.shape or crf.shape != y.shape:
+        raise ContractError("chroma planes are not half-size of luma")
+    yp = (y - np.float32(16.0)) * np.float32(255.0 / 219.0)
+    pb = (cbf - np.float32(128.0)) * np.float32(255.0 / 224.0)
+    pr = (crf - np.float32(128.0)) * np.float32(255.0 / 224.0)
+    r = yp + np.float32(1.5748) * pr
+    g = yp - np.float32(0.18732427) * pb - np.float32(0.46812427) * pr
+    b = yp + np.float32(1.8556) * pb
+    return (
+        np.clip(r, 0.0, 255.0),
+        np.clip(g, 0.0, 255.0),
+        np.clip(b, 0.0, 255.0),
+    )
+
+
 def float64_colorfulness(luma, cb, cr):
-    return float64_colorfulness_rgb(*yuv420_to_rgb(luma, cb, cr))
+    return float64_colorfulness_rgb(*repeat_yuv420_to_rgb(luma, cb, cr))
 
 
 def float64_noise_estimate(luma):
@@ -714,17 +733,18 @@ def json_dump_write_curves_dir(dirpath, curves_by_key):
 # ------------------------------------------------- sort-and-loop Pareto filter
 #
 # `rd_core.build_rd_curve` as it was when curves held lists of RDPoint
-# records, kept verbatim as the reference for the survivors, their
-# order and their qp under the array filter.  It reads `.bitrate`,
-# `.quality` and `.qp`, so give it RDPoints; its curve holds their list.
+# records, kept as the reference for the survivors, their order and
+# their qp under the array filter; like the filter, it compares bitrates
+# by their logs.  It reads `.bitrate`, `.quality` and `.qp`, so give it
+# RDPoints; its curve holds their list.
 
 
 def loop_build_rd_curve(samples, resolution, metric):
-    """Sort samples by bitrate and keep only the Pareto frontier.
+    """Sort samples by log bitrate and keep only the Pareto frontier.
 
-    A point is dropped when some other point has no higher bitrate and
-    no lower quality.  The survivors are strictly increasing in both
-    coordinates.
+    A point is dropped when some other point has no higher np.log
+    bitrate and no lower quality.  The survivors are strictly increasing
+    in both coordinates.
     """
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
@@ -736,7 +756,9 @@ def loop_build_rd_curve(samples, resolution, metric):
         for p in samples:
             if not 0.0 <= p.quality <= 100.0:
                 raise ValidationError(f"VMAF quality out of range: {p.quality}")
-    ordered = sorted(samples, key=lambda p: (p.bitrate, -p.quality))
+    logs = np.log(np.array([p.bitrate for p in samples], dtype=np.float64)).tolist()
+    ordered = [p for _, p in sorted(zip(logs, samples),
+                                    key=lambda lp: (lp[0], -lp[1].quality, lp[1].bitrate))]
     kept = []
     best_quality = -math.inf
     for p in ordered:

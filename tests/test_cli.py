@@ -604,6 +604,15 @@ def _first_point(field, value):
     return edit
 
 
+def _log_equal_knots(doc):
+    """The first resolution's curve cut to two points at 1e5 and the next
+    double, whose natural logs are equal."""
+    points = next(iter(doc["resolutions"].values()))
+    points[:] = points[:2]
+    points[0]["bitrate_kbps"], points[1]["bitrate_kbps"] = 100000.0, 100000.00000000001
+    return doc
+
+
 @pytest.mark.parametrize("source, edit, want", [
     ("model", lambda doc: None, "model file not found: "),
     ("model", lambda doc: "{", "Expecting property name"),
@@ -655,6 +664,7 @@ def _first_point(field, value):
      "tree_sizes must hold integers, got "),
     ("curve", lambda doc: {**doc, "codec": "a,b"}, "unknown codec 'a,b'"),
     ("curve", lambda doc: {**doc, "platform": "cloud"}, "unknown platform 'cloud'"),
+    ("curve", _log_equal_knots, "fewer than 2 points survive Pareto cleaning"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
@@ -665,7 +675,7 @@ def _first_point(field, value):
         "curve-qp-list", "curve-qp-true", "curve-qp-float", "model-inner-last-node",
         "model-n-trees-mismatch", "model-feature-names-string", "model-format-v1",
         "model-child-float", "model-feature-bool", "model-tree-sizes-float", "curve-codec-comma",
-        "curve-platform-cloud"])
+        "curve-platform-cloud", "curve-log-equal-knots"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:
@@ -921,7 +931,10 @@ _SAMPLE_ROW = "c1,avc,software,{w},{h},{qp},{bitrate},{metric},{quality}"
      "{path}: ('c1', 'avc', 'software'): VMAF quality out of range: 100.5"),
     ([(720, 480, 30, 100.0, "ypsnr", 30.0), (720, 480, 28, 200.0, "psnr", 31.0)],
      "{path}:3: unknown metric 'psnr'"),
-], ids=["one-sample", "all-dominated", "vmaf-range", "unknown-metric"])
+    # adjacent doubles whose logs are equal: one knot of the interpolant
+    ([(720, 480, 30, 100000.0, "ypsnr", 30.0), (720, 480, 28, 100000.00000000001, "ypsnr", 31.0)],
+     "{path}: ('c1', 'avc', 'software'): (720, 480)/ypsnr: fewer than 2 points survive"),
+], ids=["one-sample", "all-dominated", "vmaf-range", "unknown-metric", "log-equal-bitrates"])
 def test_rd_build_errors_name_file_and_clip(tmp_path, capsys, rows, want):
     samples = tmp_path / "rd.csv"
     samples.write_text("\n".join(
@@ -935,6 +948,27 @@ def test_rd_build_errors_name_file_and_clip(tmp_path, capsys, rows, want):
     assert err.count("error:") == 1 and "Traceback" not in err
     assert f"error: {want.format(path=samples)}" in err
     assert not out.exists()
+
+
+def test_rd_build_keeps_one_of_log_equal_bitrates_for_hull(tmp_path):
+    # 100000.0 and the next double have equal natural logs, so they are one
+    # knot: the point of higher quality is kept and `hull` can interpolate
+    rows = [(w, h, qp, (1.0 + i) * 1000.0 * w / 720, "ypsnr", 30.0 + i + w / 720)
+            for w, h in ((720, 480), (1280, 720), (1920, 1080), (3840, 2160))
+            for i, qp in enumerate((40, 30, 20))]
+    rows += [(720, 480, 22, 100000.0, "ypsnr", 40.0),
+             (720, 480, 21, 100000.00000000001, "ypsnr", 41.0)]
+    samples = tmp_path / "rd.csv"
+    samples.write_text("\n".join(
+        ["clip_id,codec,platform,width,height,qp,bitrate_kbps,quality_metric,quality_value"]
+        + [_SAMPLE_ROW.format(w=w, h=h, qp=qp, bitrate=b, metric=m, quality=q)
+           for w, h, qp, b, m, q in rows]) + "\n")
+    curves = tmp_path / "curves"
+    assert main(["rd", "build", "--samples", str(samples), "--out", str(curves)]) == 0
+    sd = json.loads(next(curves.iterdir()).read_text())["resolutions"]["720x480"]
+    assert [(p["bitrate_kbps"], p["qp"]) for p in sd][-1:] == [(100000.00000000001, 21)]
+    assert main(["hull", "--curves", str(curves), "--metric", "ypsnr",
+                 "--out", str(tmp_path / "ladders.csv")]) == 0
 
 
 # Each command with its --out naming one of its inputs, given as {input};

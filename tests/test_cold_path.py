@@ -1,9 +1,9 @@
-"""The CLI's import and its RD, VoD feature and learning stages load no scipy module.
+"""The CLI's import and its RD, feature and learning stages load no scipy module.
 
-scipy is imported only where it is called: live features (`scipy.fft`)
-and the `synth` commands.  The stages run in a fresh interpreter, since
-this test process has scipy loaded already; their inputs are written
-here.
+scipy is imported only by the `synth` commands.  Live features load
+scipy's compiled pocketfft extension from its file, which imports no
+scipy module.  The stages run in a fresh interpreter, since this test
+process has scipy loaded already; their inputs are written here.
 """
 
 import json
@@ -49,8 +49,9 @@ def test_cli_stages_load_no_scipy(tmp_path):
         "clip_id": "clip", "path": str(tmp_path / "clip.yuv"),
         "width": 96, "height": 64, "frame_count": 3,
     }) + "\n")
-    stages.append(["features", "vod", "--manifest", str(tmp_path / "manifest.jsonl"),
-                   "--out", str(tmp_path / "vod.csv")])
+    for kind in ("vod", "live"):
+        stages.append(["features", kind, "--manifest", str(tmp_path / "manifest.jsonl"),
+                       "--out", str(tmp_path / f"{kind}.csv")])
     rng = np.random.default_rng(0)
     with open(tmp_path / "features.csv", "w") as f:
         f.write("clip_id,F1,F2,F3\n")
@@ -77,4 +78,5 @@ def test_cli_stages_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"import": [], "stages": []}
     assert (tmp_path / "pred_learned.csv").exists()
-    assert (tmp_path / "vod.csv").read_text().splitlines()[1].startswith("clip,")
+    for kind in ("vod", "live"):
+        assert (tmp_path / f"{kind}.csv").read_text().splitlines()[1].startswith("clip,")

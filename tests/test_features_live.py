@@ -1,7 +1,11 @@
+import importlib.metadata
+
 import numpy as np
 import pytest
 
 from conftest import gray_frames
+from ladderlab import features_live
+from ladderlab.cli import main
 from ladderlab.errors import ContractError, ValidationError
 from ladderlab.features_live import (
     LIVE_FEATURE_NAMES,
@@ -10,7 +14,12 @@ from ladderlab.features_live import (
     extract_live,
     temporal_energy,
 )
-from oracles import dct_energy_oracle, temporal_energy_oracle, whole_plane_block_energies
+from oracles import (
+    dct_energy_oracle,
+    scipy_block_dct,
+    temporal_energy_oracle,
+    whole_plane_block_energies,
+)
 
 
 def test_constant_plane_energy_zero_brightness_value(make_clip):
@@ -49,6 +58,38 @@ def test_block_energies_on_tall_planes_equal_whole_plane_reference_bit_for_bit(n
     plane = rng.integers(0, 256, (32 * nh + 13, 32 * (nh % 5 + 1) + 19), dtype=np.uint8)
     got = block_energies(plane)
     assert got.tobytes() == whole_plane_block_energies(plane).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1080, 1920), (2160, 3840), (96, 128), (64, 4099)])
+def test_loaded_dct_equals_scipy_fft_dctn_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[1])
+    nh, nw = shape[0] // 32, shape[1] // 32
+    plane = rng.integers(0, 256, shape).astype(np.float64)[: nh * 32, : nw * 32]
+    blocks = plane.reshape(nh, 32, nw, 32)
+    got = features_live._pocketfft_dct()(blocks, 2, (1, 3), 1, None, 1, None)
+    assert got.tobytes() == scipy_block_dct(blocks).tobytes()
+
+
+def test_missing_pocketfft_module_exits_1_naming_it(tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "m.jsonl"
+    assert main(["synth", "clip", "--out", str(tmp_path / "c0.yuv"), "--clip-id", "c0",
+                 "--width", "64", "--height", "64", "--frames", "3",
+                 "--manifest", str(manifest)]) == 0
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.setattr(features_live, "_pocketfft_dir", lambda: str(empty))
+    features_live._pocketfft_dct.cache_clear()
+    out = tmp_path / "live.csv"
+    capsys.readouterr()
+    try:
+        assert main(["features", "live", "--manifest", str(manifest), "--out", str(out)]) == 1
+    finally:
+        features_live._pocketfft_dct.cache_clear()
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err == (f"error: c0: scipy's compiled pocketfft module pypocketfft not found in "
+                   f"{empty} (scipy {importlib.metadata.version('scipy')})\n")
+    assert not out.exists()
 
 
 def test_temporal_energy_trivial_and_oracle():

@@ -125,10 +125,11 @@ def test_tc_equals_float64_reference_bit_for_bit(data, h, w):
     assert_equals_float64_reference("temporal_coherence", prev, curr)
 
 
-@pytest.mark.parametrize("nh", [15, 16, 17, 33, 67])
+@pytest.mark.parametrize("nh", [1, 2, 15, 16, 17, 33, 67])
 def test_tc_on_tall_planes_equals_float64_reference_bit_for_bit(nh):
-    # nh block rows split into bands of 8 or more rows from nh = 16 on; a
-    # band of one block row would sum its spectra in another order
+    # a band holds 9 block rows of this width, so from nh = 10 on the
+    # spectra are taken in several bands; those of a plane of one block
+    # row sum in another order than those of a taller plane
     rng = np.random.default_rng(nh)
     prev, curr = rng.integers(0, 256, (2, TC_BLOCK * nh + 13, 7 * TC_BLOCK + 19), dtype=np.uint8)
     assert_equals_float64_reference("temporal_coherence", prev, curr)
@@ -145,16 +146,32 @@ def test_cf_on_tall_planes_equals_float64_reference_bit_for_bit(chroma_rows):
     assert_equals_float64_reference("colorfulness", luma, cb, cr)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 40), st.integers(1, 40), st.sampled_from([16, 48, 8192]))
+def test_cf_in_small_bands_equals_float64_reference_bit_for_bit(data, ch, cw, bufsize):
+    # bands of one or two chroma rows, leaves of 16 values and numpy
+    # buffers of `bufsize` values, so a buffer and a leaf span many bands
+    luma, = data.draw(uint8_planes((2 * ch, 2 * cw), 1))
+    cb, cr = data.draw(uint8_planes((ch, cw), 2))
+    old = np.setbufsize(bufsize)
+    try:
+        with mock.patch.object(features_vod, "_BAND_PIXELS", 8), \
+                mock.patch.object(stats, "_LEAF", 16):
+            assert_equals_float64_reference("colorfulness", luma, cb, cr)
+    finally:
+        np.setbufsize(old)
+
+
 # ------------------------------------------------------- peak memory
 
 # name: (module, arity, peak traced bytes per luma pixel of one call on
 # the frames below, as measured; each bound allows 1 byte more)
 _PEAK_PER_PIXEL = {
     "glcm_descriptors": (features_vod, 1, 0.47),
-    "spatial_information": (features_vod, 1, 4.49),
-    "colorfulness": (features_vod, 3, 10.01),
+    "spatial_information": (features_vod, 1, 0.94),
+    "colorfulness": (features_vod, 3, 1.81),
     "noise_estimate": (features_vod, 1, 0.22),
-    "temporal_coherence": (features_vod, 2, 5.72),
+    "temporal_coherence": (features_vod, 2, 0.77),
     "temporal_information": (features_vod, 2, 0.32),
     "ncc": (features_vod, 2, 0.80),
     "block_energies": (features_live, 1, 4.28),
@@ -167,15 +184,20 @@ def hd_frame_args():
     rng = np.random.default_rng(3)
     luma = rng.integers(0, 256, (2, 1080, 1920), dtype=np.uint8)
     chroma = rng.integers(0, 256, (2, 540, 960), dtype=np.uint8)
-    features_live.block_energies(luma[0, :32, :32])  # imports scipy.fft before any trace
+    # load what the kernels load on first use before any trace: the cached
+    # DCT of `features_live` and numpy.fft
+    features_live._pocketfft_dct()
+    np.fft.rfft(np.zeros(2))
     return {1: (luma[0],), 2: (luma[0], luma[1]), 3: (luma[0], chroma[0], chroma[1])}
 
 
 @pytest.mark.parametrize("name", sorted(_PEAK_PER_PIXEL))
 def test_descriptor_peak_memory_per_luma_pixel(hd_frame_args, name):
-    # no kernel holds a float64 copy of the frame (8 bytes per pixel):
-    # SI holds an int32 |g|^2 plane and CF two float32 opponent planes,
-    # and the rest work in row bands, block-row bands or summation leaves
+    # no kernel holds a whole plane of the frame's size: SI forms |g|^2
+    # and CF its two float32 opponent planes in row bands, once for the
+    # mean and once for the deviations, TC holds the spectra of one band
+    # of block rows at a time, and the rest work in row bands, block-row
+    # bands or summation leaves
     module, arity, measured = _PEAK_PER_PIXEL[name]
     args = hd_frame_args[arity]
     gc.disable()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -95,8 +95,9 @@ def test_pareto_cleaning_invariants(raw):
 # Bitrates and qualities come often from small pools, so that equal
 # bitrates, equal qualities and ±0.0 qualities at one bitrate are common;
 # the qualities include the VMAF range's ends and the floats just outside.
+# 1e5 and the next double have equal natural logs.
 sample_bitrates = st.one_of(
-    st.sampled_from([0.5, 100.0, 250.0, 1e5]), st.floats(1e-3, 1e6),
+    st.sampled_from([0.5, 100.0, 250.0, 1e5, 100000.00000000001]), st.floats(1e-3, 1e6),
     st.floats(1e-3, 1e6).map(np.float64),
 )
 sample_qualities = st.one_of(
@@ -124,6 +125,8 @@ def rd_sample_lists(draw):
 @example([RDPoint(100.0, 30.0, 1), RDPoint(100.0, 31.0, 2), RDPoint(200.0, 32.0, 3)], "ypsnr")
 @example([RDPoint(100.0, 30.0), RDPoint(200.0, 30.0), RDPoint(50.0, 31.0)], "ypsnr")
 @example([RDPoint(100.0, 0.0), RDPoint(200.0, np.nextafter(100.0, 200.0))], "vmaf")
+@example([RDPoint(100000.00000000001, 30.0, 1), RDPoint(1e5, 30.0, 2), RDPoint(1e5, 29.0, 3),
+          RDPoint(2e5, 31.0, 4)], "ypsnr")
 def test_pareto_filter_equals_sort_and_loop(samples, metric):
     try:
         want = loop_build_rd_curve(samples, (720, 480), metric)
@@ -136,6 +139,17 @@ def test_pareto_filter_equals_sort_and_loop(samples, metric):
     assert _bits(got.points.bitrate) == _bits([p.bitrate for p in want.points])
     assert _bits(got.points.quality) == _bits([p.quality for p in want.points])
     assert got.points.qp == tuple(p.qp for p in want.points)
+
+
+@settings(max_examples=300)
+@given(rd_sample_lists(), st.sampled_from(METRICS))
+@example([RDPoint(1e5, 30.0), RDPoint(100000.00000000001, 31.0), RDPoint(2e5, 32.0)], "ypsnr")
+def test_every_built_curve_can_be_interpolated(samples, metric):
+    try:
+        curve = build_rd_curve(samples, (720, 480), metric)
+    except ValidationError:
+        return
+    _Pchip(np.log(curve.points.bitrate), curve.points.quality)  # raises on knots it refuses
 
 
 @st.composite
@@ -199,8 +213,11 @@ def hull_cases(draw):
     for res in LADDER_RESOLUTIONS:
         knots = sorted(draw(st.lists(rates, min_size=2, max_size=8, unique=True)))
         steps = draw(st.lists(st.floats(0.01, 10.0), min_size=len(knots), max_size=len(knots)))
-        curves[res] = build_rd_curve(
-            [RDPoint(b, q) for b, q in zip(knots, np.cumsum(steps).tolist())], res, "ypsnr")
+        try:
+            curves[res] = build_rd_curve(
+                [RDPoint(b, q) for b, q in zip(knots, np.cumsum(steps).tolist())], res, "ypsnr")
+        except DegenerateCurveError:  # knots whose logs are equal count as one
+            reject()
     pred, ref = draw(ladders()), draw(ladders())
     grid = [v for l in (pred, ref) for v in l.cross_overs.as_tuple()]
     grid += [v for c in curves.values() for v in (c.min_bitrate, c.max_bitrate)]
@@ -336,3 +353,49 @@ def test_tree_sums_equal_add_reduce_bit_for_bit(n, seed):
     got = stats.tree_sums(n, 2, values)
     want = np.array([np.add.reduce(a) for a in arrays])
     assert got.tobytes() == want.tobytes()
+
+
+_BUFSIZE = np.getbufsize()
+_UHD = 3840 * 2160
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 3 * _BUFSIZE + 17),
+        st.builds(lambda k, d: k * _BUFSIZE + d, st.integers(1, _UHD // _BUFSIZE - 1),
+                  st.integers(-2, 2)),
+        st.sampled_from([_UHD - 1, _UHD]),
+    ),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+@example(_BUFSIZE - 1, 1, None)
+@example(_BUFSIZE + 1, 2, None)
+@example(500 * _BUFSIZE, 3, None)
+@example(_UHD, 4, None)
+def test_buffered_sums_equal_float32_mean_bit_for_bit(n, seed, data):
+    # magnitudes over 60 decades and signed zeros, so every rounding and
+    # the sign of a zero sum depend on the order of the additions; the
+    # values are handed over in blocks cut at drawn places
+    rng = np.random.default_rng(seed)
+    values = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n)).astype(np.float32)
+    values[rng.random(n) < 0.2] = -0.0
+    cuts = [n // 3, n // 2 + 1] if data is None else sorted(
+        data.draw(st.lists(st.integers(0, n), max_size=6)))
+    blocks = (block.reshape(1, -1) for block in np.split(values, cuts))
+    got = stats.buffered_sums(1, blocks) / n
+    assert got.tobytes() == np.mean(values, dtype=np.float64).reshape(1).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2160, 3840), (1080, 1920), (96, 128), (135, 241)])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 64))
+def test_buffered_sums_of_row_bands_equal_float32_plane_mean_bit_for_bit(shape, seed, rows):
+    rng = np.random.default_rng(seed)
+    planes = (rng.standard_normal((2,) + shape) * 10.0 ** rng.uniform(-5, 5, (2,) + shape)
+              ).astype(np.float32)
+    blocks = (planes[:, top : top + rows].reshape(2, -1) for top in range(0, shape[0], rows))
+    got = stats.buffered_sums(2, blocks) / planes[0].size
+    want = [np.mean(plane, dtype=np.float64) for plane in planes]
+    assert got.tobytes() == np.array(want).tobytes()
