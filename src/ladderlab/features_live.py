@@ -5,20 +5,16 @@ spatial energy E, temporal energy h, relative energy gradient eps, and
 brightness BR.
 """
 
-import functools
-import importlib.machinery
-import importlib.util
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
+from .features_vod import _block_band_rows, _pocketfft
 from .media_io import read_frames
 from .stats import ten_stats
 
 ENERGY_BLOCK = 32
-_BAND_BLOCK_ROWS = 8  # least block rows in a band of `block_energies`
 
 _STAT_SUFFIXES = ("mean", "std", "min", "max", "p25", "p50", "p75", "iqr", "skw", "kur")
 
@@ -38,48 +34,14 @@ class LiveFeatureVector:
             raise ValidationError("non-finite feature value")
 
 
-def _pocketfft_dir():
-    """The directory of scipy's compiled pocketfft module, found without
-    importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ValidationError("live features need scipy's compiled pocketfft module: "
-                              "scipy is not installed")
-    return os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft")
-
-
-@functools.cache
-def _pocketfft_dct():
-    """`dct` of scipy's compiled pocketfft module, loaded from its file.
-
-    `scipy.fft.dctn(x, axes=(1, 3), norm="ortho")` on a float64 array
-    ends in `dct(x, 2, (1, 3), 1, None, 1, None)` of this module, so the
-    call gives the same coefficients without importing the `scipy.fft`
-    package (about 100 ms and 28 MB per process).
-    """
-    directory = _pocketfft_dir()
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(directory, "pypocketfft" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location("pypocketfft", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module.dct
-    from importlib.metadata import version  # on failure only: it takes 8 ms to import
-
-    raise ValidationError(
-        f"scipy's compiled pocketfft module pypocketfft not found in {directory} "
-        f"(scipy {version('scipy')})"
-    )
-
-
 def _band_energies(band, nw):
     """Block energies of a band of whole block rows, `nw` blocks wide."""
     # cropped to whole blocks after the conversion, as a view, the layout
     # the DCT saw when whole planes were converted
     plane = np.asarray(band, dtype=np.float64)[:, : nw * ENERGY_BLOCK]
-    # orthonormal DCT-II over a strided 4-D view avoids per-block copies
-    coef = _pocketfft_dct()(
+    # orthonormal DCT-II over a strided 4-D view avoids per-block copies:
+    # `scipy.fft.dctn(x, axes=(1, 3), norm="ortho")`, bit for bit
+    coef = _pocketfft().dct(
         plane.reshape(-1, ENERGY_BLOCK, nw, ENERGY_BLOCK), 2, (1, 3), 1, None, 1, None
     )
     np.abs(coef, out=coef)
@@ -91,8 +53,8 @@ def block_energies(luma):
     """Per-block texture energies: mean |AC coefficient| of the orthonormal DCT-II.
 
     Blocks are ordered row-major over the tiling.  The DCT is taken in
-    `max(1, nh // 8)` near-equal bands of the nh block rows, so only one
-    band is held as float64 at a time.
+    bands of `_block_band_rows`, so only one band is held as float64 at a
+    time; each block's coefficients do not depend on the band.
     """
     luma = np.asarray(luma)
     h, w = luma.shape
@@ -101,10 +63,10 @@ def block_energies(luma):
         raise ContractError(
             f"plane {w}x{h} smaller than one {ENERGY_BLOCK}x{ENERGY_BLOCK} block"
         )
-    bands = max(1, nh // _BAND_BLOCK_ROWS)
-    edges = [ENERGY_BLOCK * (nh * i // bands) for i in range(bands + 1)]
+    luma = luma[: nh * ENERGY_BLOCK]
+    rows = _block_band_rows(nw * ENERGY_BLOCK, ENERGY_BLOCK)
     return np.concatenate([
-        _band_energies(luma[top:bottom], nw) for top, bottom in zip(edges, edges[1:])
+        _band_energies(luma[top : top + rows], nw) for top in range(0, luma.shape[0], rows)
     ])
 
 

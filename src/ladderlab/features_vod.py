@@ -9,6 +9,9 @@ slots F1..F30.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +23,7 @@ from .media_io import read_frames
 GLCM_LEVELS = 32
 TC_BLOCK = 32
 _BAND_PIXELS = 1 << 16  # least luma pixels in a row band of GLCM, SI, CF and noise;
-# most in a band of TC, unless one block row holds more
+# most in a band of whole block rows (TC, live DCT), unless one block row holds more
 
 VOD_FEATURE_NAMES = (
     # GLCM: correlation, contrast, energy, homogeneity, entropy
@@ -70,6 +73,46 @@ def _exact(plane):
 def _band_rows(width):
     """Rows of a `width`-pixel plane in one band of at least `_BAND_PIXELS`."""
     return -(-_BAND_PIXELS // width)
+
+
+def _block_band_rows(width, block):
+    """Rows of a `width`-pixel plane in one band of whole `block`-row
+    strips: as many as fit in `_BAND_PIXELS`, and at least one."""
+    return block * max(1, _BAND_PIXELS // (block * width))
+
+
+def _pocketfft_dir():
+    """The directory of scipy's compiled pocketfft module, found without
+    importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ValidationError("features need scipy's compiled pocketfft module: "
+                              "scipy is not installed")
+    return os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft")
+
+
+@functools.cache
+def _pocketfft():
+    """scipy's compiled pocketfft module, loaded from its file.
+
+    `scipy.fft` ends in this module's functions, so calling them gives
+    the same coefficients without importing the `scipy.fft` package
+    (about 100 ms and 28 MB per process).
+    """
+    directory = _pocketfft_dir()
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("pypocketfft", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from importlib.metadata import version  # on failure only: it takes 8 ms to import
+
+    raise ValidationError(
+        f"scipy's compiled pocketfft module pypocketfft not found in {directory} "
+        f"(scipy {version('scipy')})"
+    )
 
 
 def glcm_descriptors(luma):
@@ -127,9 +170,10 @@ def _block_half_spectra(band, block_major):
     without, those of one block row are a strided view, whose per-block
     sums round differently.
     """
-    band = _exact(band)
+    band = np.asarray(band, dtype=np.float64)
     nh, nw = band.shape[0] // TC_BLOCK, band.shape[1] // TC_BLOCK
-    spec = np.fft.rfftn(band.reshape(nh, TC_BLOCK, nw, TC_BLOCK), axes=(1, 3))
+    # `np.fft.rfftn(band, axes=(1, 3))`, bit for bit
+    spec = _pocketfft().r2c(band.reshape(nh, TC_BLOCK, nw, TC_BLOCK), (1, 3), True, 0, None, 1)
     if block_major:
         out = np.empty((nh, nw, TC_BLOCK, TC_BLOCK // 2 + 1))
         np.abs(spec.transpose(0, 2, 1, 3), out=out)
@@ -179,11 +223,10 @@ def temporal_coherence(prev, curr):
     zero-variance spectrum makes that block's TC 1.  Entropy uses a
     16-bin histogram over [-1, 1].
 
-    The spectra are taken in bands of whole block rows, as many as fit
-    in `_BAND_PIXELS` pixels and at least one, so only a band's spectra
-    are held.  They are laid out block-major, but on a plane of one
-    block row as a strided view: the features keep the bits of the
-    whole-plane computation, whose spectra had that layout there.
+    The spectra are taken in bands of `_block_band_rows`, so only a
+    band's spectra are held.  They are laid out block-major, but on a
+    plane of one block row as a strided view: the features keep the bits
+    of the whole-plane computation, whose spectra had that layout there.
     """
     prev = np.asarray(prev)
     curr = np.asarray(curr)
@@ -197,7 +240,7 @@ def temporal_coherence(prev, curr):
         )
     prev = prev[: nh * TC_BLOCK, : nw * TC_BLOCK]
     curr = curr[: nh * TC_BLOCK, : nw * TC_BLOCK]
-    rows = TC_BLOCK * max(1, _BAND_PIXELS // (TC_BLOCK * prev.shape[1]))
+    rows = _block_band_rows(prev.shape[1], TC_BLOCK)
     tc = np.concatenate([
         _block_tc(prev[top : top + rows], curr[top : top + rows], nh > 1)
         for top in range(0, prev.shape[0], rows)

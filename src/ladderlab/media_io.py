@@ -60,8 +60,10 @@ class VideoClip:
 def read_frames(clip):
     """Yield (luma, cb, cr) uint8 planes for every frame of the clip.
 
-    Chroma planes are (height/2, width/2).  A short file raises
-    TruncatedFileError naming the failing frame index.
+    Chroma planes are (height/2, width/2).  Each plane is a new read-only
+    array that owns its memory, so a plane kept by the caller holds no
+    other plane.  A short file raises TruncatedFileError naming the
+    failing frame index.
     """
     if not os.path.isfile(clip.path):
         raise ValidationError(f"file not found: {clip.path}")
@@ -72,17 +74,20 @@ def read_frames(clip):
             f"{clip.path}: file size {actual} exceeds header-implied {expected}"
         )
     w, h = clip.width, clip.height
-    cw, ch = w // 2, h // 2
+    shapes = ((h, w), (h // 2, w // 2), (h // 2, w // 2))
     with open(clip.path, "rb") as f:
         for i in range(clip.frame_count):
-            buf = f.read(clip.frame_bytes)
-            if len(buf) < clip.frame_bytes:
-                raise TruncatedFileError(clip.path, i)
-            raw = np.frombuffer(buf, dtype=np.uint8)
-            y = raw[: w * h].reshape(h, w)
-            cb = raw[w * h : w * h + cw * ch].reshape(ch, cw)
-            cr = raw[w * h + cw * ch :].reshape(ch, cw)
-            yield y, cb, cr
+            # no local name holds a plane, so the generator keeps none of
+            # the last frame while it reads the next
+            yield tuple(_read_plane(f, shape, clip.path, i) for shape in shapes)
+
+
+def _read_plane(f, shape, path, frame_index):
+    plane = np.empty(shape, dtype=np.uint8)
+    if f.readinto(plane) < plane.size:
+        raise TruncatedFileError(path, frame_index)
+    plane.flags.writeable = False
+    return plane
 
 
 def write_frames(path, frames):

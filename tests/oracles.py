@@ -212,6 +212,12 @@ def scipy_block_dct(blocks):
     return sfft.dctn(blocks, axes=(1, 3), norm="ortho")
 
 
+def numpy_block_rfft(blocks):
+    """Real-input FFT of the (rows, 32, nw, 32) blocks over axes 1 and 3,
+    as `np.fft.rfftn` gives it (the former TC spectra)."""
+    return np.fft.rfftn(blocks, axes=(1, 3))
+
+
 def _energies_from_trimmed(trimmed, nh, nw):
     # DCT over a strided 4-D view avoids materializing per-block copies.
     coef = scipy_block_dct(trimmed.reshape(nh, ENERGY_BLOCK, nw, ENERGY_BLOCK))

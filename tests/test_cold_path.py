@@ -1,6 +1,6 @@
 """The CLI's import and its RD, feature and learning stages load no scipy module.
 
-scipy is imported only by the `synth` commands.  Live features load
+scipy is imported only by the `synth` commands.  The feature stages load
 scipy's compiled pocketfft extension from its file, which imports no
 scipy module.  The stages run in a fresh interpreter, since this test
 process has scipy loaded already; their inputs are written here.

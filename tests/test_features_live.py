@@ -1,10 +1,11 @@
 import importlib.metadata
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import gray_frames
-from ladderlab import features_live
+from ladderlab import features_vod
 from ladderlab.cli import main
 from ladderlab.errors import ContractError, ValidationError
 from ladderlab.features_live import (
@@ -50,13 +51,26 @@ def test_random_plane_matches_dct_oracle():
     assert got == pytest.approx(want, rel=1e-6)
 
 
-@pytest.mark.parametrize("nh", [1, 7, 8, 15, 16, 17, 67])
-def test_block_energies_on_tall_planes_equal_whole_plane_reference_bit_for_bit(nh):
-    # nh block rows split into bands of 8 or more rows from nh = 16 on;
+def _tall_plane(nh):
     # neither side is a multiple of the 32x32 block, so the crop is covered
     rng = np.random.default_rng(nh)
-    plane = rng.integers(0, 256, (32 * nh + 13, 32 * (nh % 5 + 1) + 19), dtype=np.uint8)
-    got = block_energies(plane)
+    return rng.integers(0, 256, (32 * nh + 13, 32 * (nh % 5 + 1) + 19), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("nh", [1, 7, 8, 15, 16, 17, 67])
+def test_block_energies_on_tall_planes_equal_whole_plane_reference_bit_for_bit(nh):
+    # at these widths a band holds 16 or more whole block rows, so nh = 67
+    # is split into bands
+    plane = _tall_plane(nh)
+    assert block_energies(plane).tobytes() == whole_plane_block_energies(plane).tobytes()
+
+
+@pytest.mark.parametrize("nh", [1, 2, 17])
+def test_block_energies_in_one_block_row_bands_equal_whole_plane_reference(nh):
+    # every band is one block row, as at 1080p and 2160p
+    plane = _tall_plane(nh)
+    with mock.patch.object(features_vod, "_BAND_PIXELS", 1):
+        got = block_energies(plane)
     assert got.tobytes() == whole_plane_block_energies(plane).tobytes()
 
 
@@ -66,7 +80,7 @@ def test_loaded_dct_equals_scipy_fft_dctn_bit_for_bit(shape):
     nh, nw = shape[0] // 32, shape[1] // 32
     plane = rng.integers(0, 256, shape).astype(np.float64)[: nh * 32, : nw * 32]
     blocks = plane.reshape(nh, 32, nw, 32)
-    got = features_live._pocketfft_dct()(blocks, 2, (1, 3), 1, None, 1, None)
+    got = features_vod._pocketfft().dct(blocks, 2, (1, 3), 1, None, 1, None)
     assert got.tobytes() == scipy_block_dct(blocks).tobytes()
 
 
@@ -77,19 +91,21 @@ def test_missing_pocketfft_module_exits_1_naming_it(tmp_path, capsys, monkeypatc
                  "--manifest", str(manifest)]) == 0
     empty = tmp_path / "empty"
     empty.mkdir()
-    monkeypatch.setattr(features_live, "_pocketfft_dir", lambda: str(empty))
-    features_live._pocketfft_dct.cache_clear()
-    out = tmp_path / "live.csv"
-    capsys.readouterr()
-    try:
-        assert main(["features", "live", "--manifest", str(manifest), "--out", str(out)]) == 1
-    finally:
-        features_live._pocketfft_dct.cache_clear()
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "Traceback" not in err
-    assert err == (f"error: c0: scipy's compiled pocketfft module pypocketfft not found in "
-                   f"{empty} (scipy {importlib.metadata.version('scipy')})\n")
-    assert not out.exists()
+    monkeypatch.setattr(features_vod, "_pocketfft_dir", lambda: str(empty))
+    # both feature sets load the module: TC's spectra and the live DCT
+    for kind in ("vod", "live"):
+        features_vod._pocketfft.cache_clear()
+        out = tmp_path / f"{kind}.csv"
+        capsys.readouterr()
+        try:
+            assert main(["features", kind, "--manifest", str(manifest), "--out", str(out)]) == 1
+        finally:
+            features_vod._pocketfft.cache_clear()
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert err == (f"error: c0: scipy's compiled pocketfft module pypocketfft not found in "
+                       f"{empty} (scipy {importlib.metadata.version('scipy')})\n")
+        assert not out.exists()
 
 
 def test_temporal_energy_trivial_and_oracle():

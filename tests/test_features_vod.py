@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import gray_frames
 from ladderlab import features_live, features_vod, stats
+from ladderlab.features_live import extract_live
 from ladderlab.features_vod import (
     TC_BLOCK,
     VOD_FEATURE_NAMES,
@@ -27,6 +28,7 @@ from oracles import (
     glcm_oracle,
     ncc_oracle,
     noise_oracle,
+    numpy_block_rfft,
     sobel_si_oracle,
     tc_oracle,
     ti_oracle,
@@ -125,6 +127,31 @@ def test_tc_equals_float64_reference_bit_for_bit(data, h, w):
     assert_equals_float64_reference("temporal_coherence", prev, curr)
 
 
+def assert_r2c_equals_numpy_rfftn(plane):
+    nh, nw = plane.shape[0] // TC_BLOCK, plane.shape[1] // TC_BLOCK
+    blocks = plane[: nh * TC_BLOCK, : nw * TC_BLOCK].reshape(nh, TC_BLOCK, nw, TC_BLOCK)
+    got = features_vod._pocketfft().r2c(
+        blocks.astype(np.float64, copy=False), (1, 3), True, 0, None, 1)
+    assert got.tobytes() == numpy_block_rfft(blocks).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(32, 140), st.integers(32, 140), st.booleans())
+def test_loaded_r2c_equals_numpy_rfftn_bit_for_bit(data, h, w, as_float):
+    # on uint8 planes numpy converts to float64 itself; float planes are
+    # cropped views the transform reads strided
+    plane, = data.draw(uint8_planes((h, w), 1))
+    if as_float:
+        plane = plane + np.random.default_rng(h * w).uniform(-0.5, 0.5, plane.shape)
+    assert_r2c_equals_numpy_rfftn(plane)
+
+
+@pytest.mark.parametrize("shape", [(1080, 1920), (2160, 3840), (96, 128)])
+def test_loaded_r2c_on_frame_sizes_equals_numpy_rfftn_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[1])
+    assert_r2c_equals_numpy_rfftn(rng.integers(0, 256, shape, dtype=np.uint8))
+
+
 @pytest.mark.parametrize("nh", [1, 2, 15, 16, 17, 33, 67])
 def test_tc_on_tall_planes_equals_float64_reference_bit_for_bit(nh):
     # a band holds 9 block rows of this width, so from nh = 10 on the
@@ -164,6 +191,18 @@ def test_cf_in_small_bands_equals_float64_reference_bit_for_bit(data, ch, cw, bu
 
 # ------------------------------------------------------- peak memory
 
+def traced_peak_and_left(call):
+    """(peak, left) traced bytes of `call()`, with the cycle collector off."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[::-1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
 # name: (module, arity, peak traced bytes per luma pixel of one call on
 # the frames below, as measured; each bound allows 1 byte more)
 _PEAK_PER_PIXEL = {
@@ -174,7 +213,7 @@ _PEAK_PER_PIXEL = {
     "temporal_coherence": (features_vod, 2, 0.77),
     "temporal_information": (features_vod, 2, 0.32),
     "ncc": (features_vod, 2, 0.80),
-    "block_energies": (features_live, 1, 4.28),
+    "block_energies": (features_live, 1, 0.49),
 }
 
 
@@ -185,9 +224,8 @@ def hd_frame_args():
     luma = rng.integers(0, 256, (2, 1080, 1920), dtype=np.uint8)
     chroma = rng.integers(0, 256, (2, 540, 960), dtype=np.uint8)
     # load what the kernels load on first use before any trace: the cached
-    # DCT of `features_live` and numpy.fft
-    features_live._pocketfft_dct()
-    np.fft.rfft(np.zeros(2))
+    # pocketfft module
+    features_vod._pocketfft()
     return {1: (luma[0],), 2: (luma[0], luma[1]), 3: (luma[0], chroma[0], chroma[1])}
 
 
@@ -200,18 +238,29 @@ def test_descriptor_peak_memory_per_luma_pixel(hd_frame_args, name):
     # bands or summation leaves
     module, arity, measured = _PEAK_PER_PIXEL[name]
     args = hd_frame_args[arity]
-    gc.disable()
-    tracemalloc.start()
-    try:
-        getattr(module, name)(*args)
-        left, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        gc.enable()
+    peak, left = traced_peak_and_left(lambda: getattr(module, name)(*args))
     assert peak / args[0].size <= measured + 1.0
     # all of it is freed without the cycle collector: a plane held by a
     # reference cycle would stay until the next collection and add up
     # over the frames of a clip
+    assert left < 1 << 16
+
+
+@pytest.mark.parametrize("extract, measured", [(extract_vod, 4.32), (extract_live, 2.76)],
+                         ids=["extract_vod", "extract_live"])
+def test_extractor_peak_memory_per_luma_pixel(make_clip, extract, measured):
+    # peak traced bytes per luma pixel of a seeded 3-frame 1920x1080 clip,
+    # as measured; the bound allows 1 byte more.  `read_frames` gives every
+    # plane its own array, so a kept luma plane (TC, TI and NCC read the
+    # previous one) holds no chroma, and the live DCT holds one block row
+    # of float64 at a time
+    rng = np.random.default_rng(17)
+    clip = make_clip([(rng.integers(0, 256, (1080, 1920), dtype=np.uint8),
+                       rng.integers(0, 256, (540, 960), dtype=np.uint8),
+                       rng.integers(0, 256, (540, 960), dtype=np.uint8)) for _ in range(3)])
+    extract(clip)  # imports what the statistics import on first use
+    peak, left = traced_peak_and_left(lambda: extract(clip))
+    assert peak / (clip.width * clip.height) <= measured + 1.0
     assert left < 1 << 16
 
 

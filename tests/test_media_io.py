@@ -32,16 +32,40 @@ def test_round_trip_identity(make_clip, tmp_path):
     assert out.read_bytes() == open(clip.path, "rb").read()
 
 
+def test_planes_own_their_memory_and_are_read_only(make_clip):
+    rng = np.random.default_rng(1)
+    clip = make_clip([(rng.integers(0, 256, (6, 8)), rng.integers(0, 256, (3, 4)),
+                       rng.integers(0, 256, (3, 4))) for _ in range(2)])
+    for frame in read_frames(clip):
+        for plane in frame:
+            # a kept plane holds no other plane's bytes
+            assert plane.base is None and plane.flags.owndata
+            assert plane.flags.c_contiguous
+            assert not plane.flags.writeable
+            with pytest.raises(ValueError):
+                plane[0, 0] = 1
+
+
 def test_truncated_file_names_frame_index(make_clip, tmp_path):
-    frames = [(np.zeros((4, 4)), np.zeros((2, 2)), np.zeros((2, 2)))] * 2
-    clip = make_clip(frames)
+    clip = make_clip([(np.zeros((4, 4)), np.zeros((2, 2)), np.zeros((2, 2)))] * 2)
     data = open(clip.path, "rb").read()
     short = tmp_path / "short.yuv"
-    short.write_bytes(data[: len(data) * 3 // 4])  # 1.5 frames
     bad = VideoClip(clip.clip_id, str(short), 4, 4, 60.0, 2)
-    with pytest.raises(TruncatedFileError) as exc:
-        list(read_frames(bad))
-    assert exc.value.frame_index == 1
+    # a frame is 24 bytes: luma 0..15, Cb 16..19, Cr 20..23
+    for length, frame_index in [
+        (0, 0), (7, 0), (15, 0),  # inside frame 0's luma
+        (24 + 12, 1),  # inside frame 1's luma
+        (24 + 17, 1),  # inside frame 1's Cb
+        (24 + 22, 1),  # inside frame 1's Cr
+    ]:
+        short.write_bytes(data[:length])
+        frames = read_frames(bad)
+        for _ in range(frame_index):
+            next(frames)
+        with pytest.raises(TruncatedFileError) as exc:
+            next(frames)
+        assert exc.value.frame_index == frame_index, length
+        assert str(exc.value) == f"{short}: truncated read at frame index {frame_index}"
 
 
 def test_odd_dimensions_rejected():
