@@ -168,7 +168,10 @@ def _cmd_hull(args):
     for (clip_id, codec, platform, metric), by_res in sorted(curves.items()):
         if metric != args.metric:
             continue
-        ladder = rd_core.eel_ladder(by_res, args.max_bitrate)
+        try:
+            ladder = rd_core.eel_ladder(by_res, args.max_bitrate)
+        except LadderError as exc:
+            raise ValidationError(f"clip {clip_id}: {exc}") from exc
         rows.append((clip_id, codec, platform, ladder))
     if not rows:
         raise ValidationError(f"no curves found for metric {args.metric!r}")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, MetricUndefinedError
+from .errors import ContractError, MetricUndefinedError, ValidationError
 from .rd_core import (
     LADDER_RESOLUTIONS, BitrateLadder, CrossOverSet, convex_hull, hull_resolution_index,
     monotone_clamp,
@@ -165,8 +165,8 @@ def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves):
                 _ladder_rd_set(rd_curves[c], l, bd_grid) for l in (eel_l, pred_l, sl_ladder)
             )
             per_clip.append((c, bd_rate(eel_set, pred_set), bd_rate(sl_set, pred_set)))
-        except ContractError as exc:
-            raise ContractError(f"clip {c}: {exc}") from exc
+        except (ContractError, ValidationError) as exc:  # e.g. an interpolant that overflows
+            raise type(exc)(f"clip {c}: {exc}") from exc
 
     return EvalReport(
         per_target=per_target,

@@ -57,17 +57,19 @@ class VodFeatureVector:
             raise ValidationError("non-finite feature value")
 
 
-def _exact(plane):
-    """`plane` itself if uint8, else as float64.
+def _uint8(plane):
+    """`plane` as an array of 8-bit samples, as `read_frames` gives them.
 
-    The kernels widen a uint8 plane to int16 (`np.result_type(plane,
-    np.int16)`), in which Sobel sums and the Laplacian are exact integers,
-    or subtract uint8 planes straight into float64, also exactly; so their
-    float64 results carry the same bits as a float64 computation would.
-    Any other plane runs in float64.
+    The kernels widen uint8 to int16, in which Sobel sums and the
+    Laplacian are exact integers, or subtract uint8 planes straight into
+    float64, also exactly; so their float64 results carry the same bits
+    as a float64 computation would.  Any other dtype is refused: TI's
+    exact-integer mean would truncate a float plane.
     """
     plane = np.asarray(plane)
-    return plane if plane.dtype == np.uint8 else plane.astype(np.float64, copy=False)
+    if plane.dtype != np.uint8:
+        raise ContractError(f"VoD descriptors need uint8 planes, got {plane.dtype}")
+    return plane
 
 
 def _band_rows(width):
@@ -123,7 +125,7 @@ def glcm_descriptors(luma):
     pairs are counted in row bands, each with the next band's first row
     for its (1,0) pairs; integer counts add up the same in any order.
     """
-    luma = np.asarray(luma)
+    luma = _uint8(luma)
     if luma.shape[0] < 2 or luma.shape[1] < 2:
         raise ContractError("GLCM needs a plane of at least 2x2")
     h, w = luma.shape
@@ -131,10 +133,7 @@ def glcm_descriptors(luma):
     counts = np.zeros(GLCM_LEVELS**2, dtype=np.int64)
     for top in range(0, h, rows):
         band = luma[top : top + rows + 1]
-        # uint16 holds every code a * GLCM_LEVELS + b below
-        q = (band >> 3).astype(np.uint16) if band.dtype == np.uint8 else (
-            np.clip(band, 0, 255).astype(np.int64) * GLCM_LEVELS // 256
-        )
+        q = (band >> 3).astype(np.uint16)  # holds every code a * GLCM_LEVELS + b below
         own = q[:rows]
         for codes in (own[:, :-1] * GLCM_LEVELS + own[:, 1:], q[:-1] * GLCM_LEVELS + q[1:]):
             counts += np.bincount(codes.ravel(), minlength=GLCM_LEVELS**2)
@@ -228,8 +227,8 @@ def temporal_coherence(prev, curr):
     plane of one block row as a strided view: the features keep the bits
     of the whole-plane computation, whose spectra had that layout there.
     """
-    prev = np.asarray(prev)
-    curr = np.asarray(curr)
+    prev = _uint8(prev)
+    curr = _uint8(curr)
     if prev.shape != curr.shape:
         raise ContractError("temporal coherence needs equal-size planes")
     h, w = prev.shape
@@ -257,20 +256,18 @@ def temporal_coherence(prev, curr):
 
 def _gradient_squares(luma):
     """Sobel |g|^2 on the interior of a plane or of a band of its rows."""
-    work = np.result_type(luma, np.int16)
-    wide = np.result_type(work, np.int32)  # |g|^2 of a uint8 plane needs 21 bits
     # separable Sobel ([1,2,1] smoothing, [-1,0,1] difference) evaluated
     # only on the interior, where the boundary mode is irrelevant
-    sx = np.add(luma[:-2], luma[2:], dtype=work)
+    sx = np.add(luma[:-2], luma[2:], dtype=np.int16)
     sx += luma[1:-1]
     sx += luma[1:-1]
     gx = sx[:, 2:] - sx[:, :-2]
-    sy = np.add(luma[:, :-2], luma[:, 2:], dtype=work)
+    sy = np.add(luma[:, :-2], luma[:, 2:], dtype=np.int16)
     sy += luma[:, 1:-1]
     sy += luma[:, 1:-1]
     gy = sy[2:] - sy[:-2]
-    mag2 = np.multiply(gx, gx, dtype=wide)
-    mag2 += np.multiply(gy, gy, dtype=wide)
+    mag2 = np.multiply(gx, gx, dtype=np.int32)  # |g|^2 needs 21 bits
+    mag2 += np.multiply(gy, gy, dtype=np.int32)
     return mag2
 
 
@@ -278,10 +275,9 @@ def spatial_information(luma):
     """SI: population std of the Sobel gradient magnitude on interior pixels.
 
     |g|^2 is computed in row bands, each with a one-row halo, once for
-    the mean and once for the deviations; a plane of one leaf of
-    `stats.tree_sums` keeps its bands for both.
+    the mean and once for the deviations.
     """
-    luma = _exact(luma)
+    luma = _uint8(luma)
     h, w = luma.shape
     if h < 3 or w < 3:
         raise ContractError("SI needs a plane of at least 3x3")
@@ -291,18 +287,14 @@ def spatial_information(luma):
         for top in range(0, h - 2, rows):
             yield _gradient_squares(luma[top : top + rows + 2]).reshape(1, -1)
 
-    n = (h - 2) * (w - 2)
-    if n <= stats._LEAF:
-        # one leaf: both walks read the same bands
-        bands = functools.partial(iter, list(bands()))
     magnitude = _leaf_values(bands, lambda out, squares: np.sqrt(squares, out=out))
-    return _moments(n, 1, magnitude)[0][1]
+    return _moments((h - 2) * (w - 2), 1, magnitude)[0][1]
 
 
 def temporal_information(prev, curr):
     """TI: population std of the frame difference."""
-    prev = _exact(prev)
-    curr = _exact(curr)
+    prev = _uint8(prev)
+    curr = _uint8(curr)
     if prev.shape != curr.shape:
         raise ContractError("TI needs equal-size planes")
     a = prev.reshape(-1)
@@ -312,26 +304,22 @@ def temporal_information(prev, curr):
         # a difference of uint8 planes is exact in float64
         np.subtract(b[lo:hi], a[lo:hi], out=out[0], dtype=np.float64)
 
-    mean = None
-    if a.dtype == b.dtype == np.uint8:
-        # integer differences add up exactly in float64 in any order
-        mean = [(int(b.sum(dtype=np.int64)) - int(a.sum(dtype=np.int64))) / a.size]
-    return _moments(a.size, 1, difference, mean)[0][1]
+    # integer differences add up exactly in float64 in any order
+    mean = (int(b.sum(dtype=np.int64)) - int(a.sum(dtype=np.int64))) / a.size
+    return _moments(a.size, 1, difference, [mean])[0][1]
 
 
 def yuv420_to_rgb(luma, cb, cr):
     """BT.709 limited-range YUV420 -> float RGB in [0, 255].
 
-    Chroma is upsampled 2x by nearest neighbor.
+    Chroma is upsampled 2x by nearest neighbor; the chroma planes must be
+    half the luma plane's size in each direction (`colorfulness` checks).
     """
     # float32 is plenty for an 8-bit colorfulness statistic and halves
     # the memory traffic on large frames
     y = np.asarray(luma, dtype=np.float32)
     cbf = np.asarray(cb, dtype=np.float32)
     crf = np.asarray(cr, dtype=np.float32)
-    if (cbf.ndim != 2 or crf.shape != cbf.shape
-            or y.shape != (2 * cbf.shape[0], 2 * cbf.shape[1])):
-        raise ContractError("chroma planes are not half-size of luma")
     # a chroma term is repeated along its row and broadcast over the two
     # luma rows it covers
     yp = ((y - np.float32(16.0)) * np.float32(255.0 / 219.0)).reshape(
@@ -344,23 +332,9 @@ def yuv420_to_rgb(luma, cb, cr):
     return tuple(np.clip(p, 0.0, 255.0, out=p).reshape(y.shape) for p in (r, g, b))
 
 
-def colorfulness_rgb(r, g, b):
-    """Hasler-Suesstrunk colorfulness of float RGB planes."""
-    r = np.asarray(r)
-    g = np.asarray(g)
-    b = np.asarray(b)
-    return _hasler(_mean_std(r - g), _mean_std(0.5 * (r + g) - b))
-
-
-def _hasler(rg, yb):
-    """Colorfulness from the (mean, std) of the opponent planes rg and yb."""
-    (mean_rg, std_rg), (mean_yb, std_yb) = rg, yb
-    return float(np.hypot(std_rg, std_yb) + 0.3 * np.hypot(mean_rg, mean_yb))
-
-
 def _opponent(luma, cb, cr):
-    """(2, pixels) float32 rg and yb values of a 4:2:0 frame or row band,
-    as `colorfulness_rgb` forms them."""
+    """(2, pixels) float32 opponent values rg = r - g and
+    yb = (r + g) / 2 - b of a 4:2:0 frame or row band."""
     r, g, b = yuv420_to_rgb(luma, cb, cr)
     out = np.empty((2,) + r.shape, dtype=np.float32)
     np.subtract(r, g, out=out[0])
@@ -372,23 +346,20 @@ def _opponent(luma, cb, cr):
 
 
 def colorfulness(luma, cb, cr):
-    """CF of a 4:2:0 frame via nearest-neighbor chroma upsampling.
+    """Hasler-Suesstrunk CF of a 4:2:0 frame via nearest-neighbor chroma
+    upsampling: std and mean of the float32 opponent planes rg and yb,
+    as float64 np.std and np.mean give them, combined as
+    hypot(std_rg, std_yb) + 0.3 hypot(mean_rg, mean_yb).
 
-    No opponent plane of `colorfulness_rgb` is held whole: they are
-    formed in row bands, once for their means, summed in the order
-    np.mean takes on a float32 plane (`stats.buffered_sums`), and once
-    for their deviations.
+    No opponent plane is held whole: they are formed in row bands, once
+    for their means, summed in the order np.mean takes on a float32 plane
+    (`stats.buffered_sums`), and once for their deviations.
     """
-    cb = np.asarray(cb)
-    # each chroma pixel covers four luma pixels
-    if cb.ndim != 2 or 4 * cb.size <= _BAND_PIXELS:
-        # one band: converting twice only slows a small frame
-        return colorfulness_rgb(*yuv420_to_rgb(luma, cb, cr))
-    luma = np.asarray(luma)
-    cr = np.asarray(cr)
-    if cb.shape != cr.shape or luma.shape != (2 * cb.shape[0], 2 * cb.shape[1]):
+    luma, cb, cr = (_uint8(p) for p in (luma, cb, cr))
+    if (cb.ndim != 2 or cb.shape != cr.shape
+            or luma.shape != (2 * cb.shape[0], 2 * cb.shape[1])):
         raise ContractError("chroma planes are not half-size of luma")
-    rows = _band_rows(4 * cb.shape[1])
+    rows = _band_rows(4 * cb.shape[1])  # each chroma pixel covers four luma pixels
 
     def bands():
         for top in range(0, cb.shape[0], rows):
@@ -396,7 +367,8 @@ def colorfulness(luma, cb, cr):
             yield _opponent(luma[2 * top : 2 * (top + rows)], cb[chroma], cr[chroma])
 
     means = stats.buffered_sums(2, bands()) / luma.size
-    return _hasler(*_moments(luma.size, 2, _leaf_values(bands), means))
+    (mean_rg, std_rg), (mean_yb, std_yb) = _moments(luma.size, 2, _leaf_values(bands), means)
+    return float(np.hypot(std_rg, std_yb) + 0.3 * np.hypot(mean_rg, mean_yb))
 
 
 def noise_estimate(luma):
@@ -407,22 +379,21 @@ def noise_estimate(luma):
     mask; the mask annihilates constant and linear fields so flat content
     scores 0.  On uint8 planes the sum is an exact integer.
     """
-    luma = _exact(luma)
+    luma = _uint8(luma)
     h, w = luma.shape
     if h < 3 or w < 3:
         raise ContractError("noise estimate needs a plane of at least 3x3")
-    work = np.result_type(luma, np.int16)
     total = 0
     rows = _band_rows(w)
     for top in range(0, h - 2, rows):
         band = luma[top : top + rows + 2]
-        d = np.subtract(band[:-2], band[1:-1], dtype=work)
+        d = np.subtract(band[:-2], band[1:-1], dtype=np.int16)
         d -= band[1:-1]
         d += band[2:]
         conv = d[:, :-2] - d[:, 1:-1]
         conv -= d[:, 1:-1]
         conv += d[:, 2:]
-        total += np.abs(conv, out=conv).sum(dtype=np.result_type(conv, np.int64))
+        total += np.abs(conv, out=conv).sum(dtype=np.int64)
     return float(np.sqrt(np.pi / 2.0) * float(total) / (6.0 * (w - 2) * (h - 2)))
 
 
@@ -431,8 +402,8 @@ def ncc(prev, curr):
 
     Both planes constant -> 1; exactly one constant -> 0.
     """
-    prev = _exact(prev).ravel()
-    curr = _exact(curr).ravel()
+    prev = _uint8(prev).ravel()
+    curr = _uint8(curr).ravel()
     if prev.shape != curr.shape:
         raise ContractError("NCC needs equal-size planes")
     # a uint8 plane's mean is an exact integer sum over n
@@ -507,15 +478,9 @@ def _moments(n, k, values, means=None):
 
 
 def _mean_std(values):
-    """float64 mean and population std, the mean computed once, as np.mean
-    and np.std give them on a C-contiguous array."""
-    v = np.asarray(values)
-    flat = v.reshape(-1)
-
-    def copy(lo, hi, out):
-        out[0] = flat[lo:hi]
-
-    return _moments(flat.size, 1, copy, [np.mean(v, dtype=np.float64)])[0]
+    """float64 mean and population std of a sequence-level series."""
+    v = np.asarray(values, dtype=np.float64)
+    return float(v.mean()), stats.pop_std(v)
 
 
 def extract_vod(clip):
@@ -526,12 +491,8 @@ def extract_vod(clip):
     ncc_vals = []
     prev_luma = None
     for y, cb, cr in read_frames(clip):
-        con, cor, enr, hom, ent = glcm_descriptors(y)
-        per_frame["cor"].append(cor)
-        per_frame["con"].append(con)
-        per_frame["enr"].append(enr)
-        per_frame["hom"].append(hom)
-        per_frame["ent"].append(ent)
+        for key, value in zip(("con", "cor", "enr", "hom", "ent"), glcm_descriptors(y)):
+            per_frame[key].append(value)
         per_frame["si"].append(spatial_information(y))
         per_frame["cf"].append(colorfulness(y, cb, cr))
         per_frame["noise"].append(noise_estimate(y))
@@ -547,14 +508,9 @@ def extract_vod(clip):
         values.extend(_mean_std(per_frame[key]))
     for col in range(5):
         values.extend(_mean_std(tc[:, col]))
-    # Table order interleaves mean/std per TC statistic: reorder from
-    # (meanX, stdX) pairs to (meanA, meanB, stdA, stdB, ...) pattern.
-    tc_block = values[10:20]
-    values[10:20] = [
-        tc_block[0], tc_block[2], tc_block[1], tc_block[3],
-        tc_block[4], tc_block[5], tc_block[6], tc_block[7],
-        tc_block[8], tc_block[9],
-    ]
+    # Table order is meanTC_mean, meanTC_std, stdTC_mean, stdTC_std: swap
+    # the std of the block means and the mean of the block stds.
+    values[11], values[12] = values[12], values[11]
     values.extend(_mean_std(per_frame["si"]))
     values.extend(_mean_std(ti_vals))
     values.extend(_mean_std(per_frame["cf"]))

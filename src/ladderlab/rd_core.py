@@ -98,6 +98,9 @@ class _Pchip:
     Queries outside the knots extrapolate the end cubics.
     """
 
+    # Knots close together under qualities far apart overflow the slopes
+    # or the coefficients; any non-finite coefficient is refused below.
+    @np.errstate(all="ignore")
     def __init__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -113,16 +116,17 @@ class _Pchip:
             w2 = h[1:] + 2 * h[:-1]
             sm = np.sign(m)
             flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
             hl, ml = h.tolist(), m.tolist()
             d[0] = _pchip_end_slope(hl[0], hl[1], ml[0], ml[1])
             d[-1] = _pchip_end_slope(hl[-1], hl[-2], ml[-1], ml[-2])
-        if not np.isfinite(d).all():
-            raise ValidationError("interpolation knots too close: slopes overflow")
         t = (d[:-1] + d[1:] - 2 * m) / h
         # scipy sums from 0.0 + y, which turns a -0.0 into 0.0.
         self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1] + 0.0)
+        # d[-1] enters the two leading coefficients through t
+        if not all(np.isfinite(c).all() for c in self._c):
+            raise ValidationError("interpolation knots too close for their qualities: "
+                                  "the cubic's coefficients overflow")
         self._x = x
 
     def __call__(self, q):

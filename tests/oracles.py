@@ -418,7 +418,6 @@ FLOAT64_VOD = {
     "glcm_descriptors": float64_glcm_descriptors,
     "spatial_information": float64_spatial_information,
     "colorfulness": float64_colorfulness,
-    "colorfulness_rgb": float64_colorfulness_rgb,
     "noise_estimate": float64_noise_estimate,
     "temporal_coherence": float64_temporal_coherence,
     "temporal_information": float64_temporal_information,

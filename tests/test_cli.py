@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -969,6 +970,50 @@ def test_rd_build_keeps_one_of_log_equal_bitrates_for_hull(tmp_path):
     assert [(p["bitrate_kbps"], p["qp"]) for p in sd][-1:] == [(100000.00000000001, 21)]
     assert main(["hull", "--curves", str(curves), "--metric", "ypsnr",
                  "--out", str(tmp_path / "ladders.csv")]) == 0
+
+
+def test_interpolant_that_overflows_ends_hull_and_evaluate_naming_clip(tmp_path, capsys):
+    # c1's 720x480 knots lie 1e-11 apart in log bitrate under qualities
+    # near -1e289: `rd build` keeps them (each point is finite and on the
+    # Pareto front), but the cubic's coefficients overflow.  c0 and c2 are
+    # well-formed, so `evaluate` reaches c1.
+    c1_720 = [(3.5036320776565053, -7.055953725248043e+289),
+              (3.503632077762421, -4.071279624910258e+191),
+              (3.503674193212189, -8.381223881088424e+108),
+              (3.503674193215635, -9.996307579519777e+27)]
+    rows = [("c1", 720, 480, "", b, q) for b, q in c1_720]
+    for k, (w, h) in enumerate(((1280, 720), (1920, 1080), (3840, 2160)), start=1):
+        rows += [("c1", w, h, "", b, -1e29 * (3 - k) + 1e28 * i)
+                 for i, b in enumerate((3.5036, 3.50365, 3.5037, 3.6))]
+    rows += [(clip, w, h, qp, (1.0 + i) * 1000.0 * w / 720, 30.0 + i + w / 720)
+             for clip in ("c0", "c2")
+             for w, h in ((720, 480), (1280, 720), (1920, 1080), (3840, 2160))
+             for i, qp in enumerate((40, 30, 20))]
+    samples = tmp_path / "rd.csv"
+    samples.write_text("\n".join(
+        ["clip_id,codec,platform,width,height,qp,bitrate_kbps,quality_metric,quality_value"]
+        + [f"{c},avc,software,{w},{h},{qp},{b!r},ypsnr,{q!r}" for c, w, h, qp, b, q in rows])
+        + "\n")
+    ladders = tmp_path / "ladders.csv"
+    ladders.write_text("clip_id,codec,platform,metric,P1_kbps,P2_kbps,P3_kbps\n"
+                       "c0,avc,software,ypsnr,1500.0,2500.0,3500.0\n"
+                       "c1,avc,software,ypsnr,3.5037,3.55,3.59\n"
+                       "c2,avc,software,ypsnr,1600.0,2600.0,3600.0\n")
+    curves, out = tmp_path / "curves", tmp_path / "out"
+    want = ("error: clip c1: interpolation knots too close for their qualities: "
+            "the cubic's coefficients overflow\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert main(["rd", "build", "--samples", str(samples), "--out", str(curves)]) == 0
+        capsys.readouterr()
+        assert main(["hull", "--curves", str(curves), "--metric", "ypsnr",
+                     "--out", f"{out}.csv"]) == 1
+        assert capsys.readouterr().err == want
+        assert main(["evaluate", "--pred", str(ladders), "--eel", str(ladders),
+                     "--sl-from-train", str(ladders), "--curves", str(curves),
+                     "--out", f"{out}.json"]) == 1
+        assert capsys.readouterr().err == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curves", "ladders.csv", "rd.csv"]
 
 
 # Each command with its --out naming one of its inputs, given as {input};

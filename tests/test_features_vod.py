@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import gray_frames
 from ladderlab import features_live, features_vod, stats
+from ladderlab.errors import ContractError
 from ladderlab.features_live import extract_live
 from ladderlab.features_vod import (
     TC_BLOCK,
     VOD_FEATURE_NAMES,
     colorfulness,
-    colorfulness_rgb,
     extract_vod,
     glcm_descriptors,
     ncc,
@@ -22,6 +22,7 @@ from ladderlab.features_vod import (
     spatial_information,
     temporal_coherence,
     temporal_information,
+    yuv420_to_rgb,
 )
 from oracles import (
     FLOAT64_VOD,
@@ -71,8 +72,6 @@ def assert_descriptors_equal_float64_reference(data, h, w):
     assert_equals_float64_reference("ncc", prev, curr)
     cb, cr = data.draw(uint8_planes((h // 2, w // 2), 2))
     assert_equals_float64_reference("colorfulness", curr[: h // 2 * 2, : w // 2 * 2], cb, cr)
-    assert_equals_float64_reference(
-        "colorfulness_rgb", *(p.astype(np.float64) for p in (prev, curr, 255 - curr)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,8 +100,6 @@ def test_descriptors_on_large_planes_equal_float64_reference_bit_for_bit(shape):
     for name in ("temporal_coherence", "temporal_information", "ncc"):
         assert_equals_float64_reference(name, prev, curr)
     assert_equals_float64_reference("colorfulness", even, cb, cr)
-    assert_equals_float64_reference(
-        "colorfulness_rgb", *(p.astype(np.float64) for p in (prev, curr, 255 - curr)))
 
 
 @pytest.mark.parametrize("h", [16, 17, 18, 19, 33])
@@ -350,9 +347,9 @@ def test_ti_trivial_cases():
     a = np.arange(64, dtype=np.uint8).reshape(8, 8)
     assert temporal_information(a, a) == 0.0
     assert temporal_information(a, a + np.uint8(10)) == 0.0
-    half = np.zeros((8, 8))
-    half[:, 4:] = 10.0
-    assert temporal_information(np.zeros((8, 8)), half) == pytest.approx(5.0, abs=1e-12)
+    half = np.zeros((8, 8), dtype=np.uint8)
+    half[:, 4:] = 10
+    assert temporal_information(np.zeros((8, 8), dtype=np.uint8), half) == 5.0
 
 
 def test_ti_matches_oracle():
@@ -364,18 +361,15 @@ def test_ti_matches_oracle():
 
 # ------------------------------------------------------------ CF
 
-def test_cf_achromatic_zero():
-    rng = np.random.default_rng(8)
-    r = rng.uniform(0, 255, (8, 8))
-    assert colorfulness_rgb(r, r, r) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cf_pure_red_closed_form():
-    n = 8
-    r = np.full((n, n), 255.0)
-    zero = np.zeros((n, n))
-    want = 0.3 * np.hypot(255.0, 127.5)
-    assert colorfulness_rgb(r, zero, zero) == pytest.approx(want, abs=1e-9)
+@pytest.mark.parametrize("yuv", [(81, 128, 128), (63, 102, 240), (235, 16, 240), (16, 240, 16)],
+                         ids=["gray", "red", "clipped-magenta", "clipped-blue"])
+def test_cf_of_constant_colour_frame_closed_form(yuv):
+    # every pixel has one colour, so both stds are 0 and CF is 0.3 times
+    # the hypot of that colour's opponent values rg and yb
+    y, cb, cr = (np.full(shape, v, dtype=np.uint8) for shape, v in zip(((8, 12), (4, 6), (4, 6)), yuv))
+    r, g, b = (float(p[0, 0]) for p in yuv420_to_rgb(y, cb, cr))
+    want = 0.3 * np.hypot(r - g, 0.5 * (r + g) - b)
+    assert colorfulness(y, cb, cr) == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 def test_cf_on_gray_yuv_frame_zero():
@@ -387,14 +381,16 @@ def test_cf_on_gray_yuv_frame_zero():
 # ------------------------------------------------------------ noise
 
 def test_noise_constant_and_ramp_zero():
-    assert noise_estimate(np.full((8, 8), 40.0)) == pytest.approx(0.0, abs=1e-9)
-    ramp = np.tile(np.arange(16, dtype=np.float64), (8, 1))
-    assert noise_estimate(ramp) == pytest.approx(0.0, abs=1e-9)
+    assert noise_estimate(np.full((8, 8), 40, dtype=np.uint8)) == 0.0
+    ramp = np.tile(np.arange(0, 240, 15, dtype=np.uint8), (8, 1))
+    assert noise_estimate(ramp) == 0.0
+    assert noise_estimate(ramp.T.copy()) == 0.0
 
 
 def test_noise_recovers_gaussian_sigma():
     rng = np.random.default_rng(9)
-    plane = np.full((256, 256), 128.0) + rng.normal(0.0, 5.0, (256, 256))
+    noisy = np.round(128.0 + rng.normal(0.0, 5.0, (256, 256)))
+    plane = np.clip(noisy, 0, 255).astype(np.uint8)
     est = noise_estimate(plane)
     assert abs(est - 5.0) / 5.0 < 0.15
 
@@ -409,11 +405,11 @@ def test_noise_matches_convolution_oracle():
 
 def test_ncc_trivial_cases():
     rng = np.random.default_rng(12)
-    a = rng.uniform(0, 255, (8, 8))
+    a = rng.integers(0, 126, (8, 8), dtype=np.uint8)
     assert ncc(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert ncc(a, 2.0 * a + 3.0) == pytest.approx(1.0, abs=1e-12)
-    assert ncc(a, a.mean() - (a - a.mean())) == pytest.approx(-1.0, abs=1e-12)
-    const = np.full((8, 8), 9.0)
+    assert ncc(a, 2 * a + 3) == pytest.approx(1.0, abs=1e-12)
+    assert ncc(a, 255 - a) == pytest.approx(-1.0, abs=1e-12)
+    const = np.full((8, 8), 9, dtype=np.uint8)
     assert ncc(const, const) == 1.0
     assert ncc(const, a) == 0.0
 
@@ -423,6 +419,32 @@ def test_ncc_matches_oracle():
     a = rng.integers(0, 256, (16, 16), dtype=np.uint8)
     b = rng.integers(0, 256, (16, 16), dtype=np.uint8)
     assert ncc(a, b) == pytest.approx(ncc_oracle(a, b), abs=1e-12)
+
+
+# ------------------------------------------------------------ contracts
+
+@pytest.mark.parametrize("name, arity", [
+    ("glcm_descriptors", 1), ("spatial_information", 1), ("noise_estimate", 1),
+    ("temporal_coherence", 2), ("temporal_information", 2), ("ncc", 2), ("colorfulness", 3),
+])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+def test_descriptors_refuse_planes_that_are_not_uint8(name, arity, dtype):
+    # `read_frames` gives uint8 planes; TI's exact-integer mean, for one,
+    # would truncate a float plane
+    plane = np.full((64, 64), 100, dtype=np.uint8)
+    for k in range(arity):
+        args = [plane, plane, plane[::2, ::2]][:arity]
+        args[k] = args[k].astype(dtype)
+        with pytest.raises(ContractError, match=f"uint8 planes, got {np.dtype(dtype)}"):
+            getattr(features_vod, name)(*args)
+
+
+@pytest.mark.parametrize("cb_shape, cr_shape", [((32,), (32,)), ((16, 16), (16, 15)),
+                                                 ((16, 16), (16, 16)), ((8, 8, 1), (8, 8, 1))])
+def test_cf_refuses_chroma_not_half_size_of_luma(cb_shape, cr_shape):
+    luma = np.zeros((16, 16), dtype=np.uint8)
+    with pytest.raises(ContractError, match="chroma planes are not half-size of luma"):
+        colorfulness(luma, np.zeros(cb_shape, dtype=np.uint8), np.zeros(cr_shape, dtype=np.uint8))
 
 
 # ------------------------------------------------------- extract_vod

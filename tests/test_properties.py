@@ -176,8 +176,12 @@ def _bits(v):
 def test_pchip_bitwise_equals_scipy(case):
     x, y, q = case
     try:
-        ref = PchipInterpolator(x, y)
+        with np.errstate(all="ignore"):
+            ref = PchipInterpolator(x, y)
     except ValueError:  # e.g. knots so close that a slope overflows
+        ref = None
+    if ref is None or not np.isfinite(ref.c).all():
+        # knots so close that a coefficient overflows: refused, not evaluated
         with pytest.raises(ValidationError):
             _Pchip(x, y)
         return
