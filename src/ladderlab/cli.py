@@ -271,8 +271,9 @@ def _check_outputs(args):
     per-clip table, which may not be --out itself.  An output may not be
     one of the command's inputs (each subcommand lists its input options
     as `inputs`) or a clip file its --manifest lists; paths are compared
-    after resolving symlinks and `..`.  `rd build` writes a directory and
-    the others a file, and an existing output must be of that kind.
+    after resolving symlinks and `..`.  `rd build` writes a directory (made
+    if missing) and the others a file into an existing directory, and an
+    existing output must be of that kind.
     """
     if not hasattr(args, "out"):
         return
@@ -299,10 +300,13 @@ def _check_outputs(args):
         if flag:
             raise ValidationError(
                 f"--out {args.out}: {command} would write {out}, which is the {flag} input")
-        found = "directory" if os.path.isdir(out) else "file"
+        found = ("directory" if os.path.isdir(out) else "file" if os.path.isfile(out)
+                 else "special file")
         if os.path.exists(out) and found != want:
             raise ValidationError(
                 f"--out {args.out}: {command} writes a {want}, but {out} is a {found}")
+        if want == "file" and not os.path.isdir(os.path.dirname(os.path.realpath(out))):
+            raise ValidationError(f"--out {args.out}: the directory of {out} does not exist")
     manifest = getattr(args, "manifest", None)
     if manifest and os.path.isfile(manifest):
         out = os.path.realpath(args.out)
@@ -332,7 +336,7 @@ def _cmd_evaluate(args):
     curves_by_clip = {k[0]: v for k, v in curves.items() if k[0] in pred_by_clip}
     report = evaluation.evaluate_method(pred_by_clip, eel_by_clip, sl, curves_by_clip)
     pipeline.write_json(args.out, dataclasses.asdict(report))
-    with open(_table_path(args.out), "w") as f:
+    with pipeline.write_output(_table_path(args.out)) as f:
         f.write("clip_id,bdbr_vs_eel,bdbr_vs_sl\n")
         for clip_id, vs_eel, vs_sl in report.per_clip_bdbr:
             f.write(f"{clip_id},{repr(vs_eel)},{repr(vs_sl)}\n")

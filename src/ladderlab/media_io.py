@@ -90,11 +90,9 @@ def _read_plane(f, shape, path, frame_index):
     return plane
 
 
-def write_frames(path, frames):
-    """Write (luma, cb, cr) uint8 triples as an I420 file."""
-    with open(path, "wb") as f:
-        for y, cb, cr in frames:
-            f.write(np.ascontiguousarray(y, dtype=np.uint8).tobytes())
-            f.write(np.ascontiguousarray(cb, dtype=np.uint8).tobytes())
-            f.write(np.ascontiguousarray(cr, dtype=np.uint8).tobytes())
+def write_frames(f, frames):
+    """Write (luma, cb, cr) uint8 triples to the binary file `f` as I420."""
+    for frame in frames:
+        for plane in frame:
+            f.write(np.ascontiguousarray(plane, dtype=np.uint8))
 

@@ -154,9 +154,31 @@ def read_input(path, what):
             raise ValidationError(f"{where}: {reason}") from exc
 
 
+@contextlib.contextmanager
+def write_output(path, mode="w"):
+    """The one file opened for writing, `read_input`'s twin: the block writes a hidden
+    `.<name>.part` beside `path` (or its symlink's target), which replaces the target
+    on a clean exit and is removed on any exception.  An OSError, or a target that
+    exists but is no regular file (a replace would swap it), is one ValidationError.
+    """
+    target = os.path.realpath(path)
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise ValidationError(f"cannot write {path}: exists and is not a regular file")
+    part = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.part")
+    try:
+        with open(part, mode) as f:
+            yield f
+        os.replace(part, target)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+
+
 def write_json(path, doc, indent=1):
     """Write `doc` with sorted keys and a final newline; indent=None writes it compact."""
-    with open(path, "w") as f:
+    with write_output(path) as f:
         json.dump(doc, f, sort_keys=True, indent=indent,
                   separators=(",", ":") if indent is None else None)
         f.write("\n")
@@ -189,7 +211,7 @@ def load_manifest(path):
 
 
 def save_manifest(path, manifest):
-    with open(path, "w") as f:
+    with write_output(path) as f:
         for c in manifest.clips:
             rec = {
                 "clip_id": c.clip_id,
@@ -241,23 +263,18 @@ def load_profile(path):
     with read_input(path, "profile") as source:
         doc = source.json()
         # An unknown codec gets no default here, so EncoderProfile names it.
-        qp_set = doc.get("qp_set") or DEFAULT_QP_SETS.get(doc["codec"], ())
+        qp_set = doc.get("qp_set", DEFAULT_QP_SETS.get(doc["codec"], []))
+        if not isinstance(qp_set, list) or any(type(q) is not int for q in qp_set):
+            raise ValidationError(f"qp_set must be a list of integers, got {qp_set!r}")
         return EncoderProfile(
             codec=doc["codec"],
             platform=doc["platform"],
-            qp_set=tuple(int(q) for q in qp_set),
+            qp_set=tuple(qp_set),
             preset=str(doc.get("preset", "medium")),
             encode_template=str(doc["encode_template"]),
             metric_template=str(doc["metric_template"]),
             fps=float(doc.get("fps", 60.0)),
         )
-
-
-def expand_template(template, **bindings):
-    try:
-        return template.format(**bindings)
-    except KeyError as exc:
-        raise ValidationError(f"unbound template placeholder {exc}") from exc
 
 
 def _run_command(cmd):
@@ -296,21 +313,21 @@ def run_encode(profile, clip, resolution, qp, workdir):
         codec=profile.codec,
         output=output,
     )
-    enc_cmd = expand_template(profile.encode_template, **bindings)
+    enc_cmd = profile.encode_template.format(**bindings)
     _run_command(enc_cmd)
-    if not os.path.isfile(output):
-        raise DriverError(f"encoder produced no output file {output}", command=enc_cmd)
-    bits = os.path.getsize(output) * 8
+    bits = os.path.getsize(output) * 8 if os.path.isfile(output) else 0
+    if not bits:  # a zero bitrate, which `rd build` rejects
+        raise DriverError(f"encoder wrote no bytes to {output}", command=enc_cmd)
     bitrate_kbps = bits / clip.duration_seconds / 1000.0
 
-    met_cmd = expand_template(profile.metric_template, **bindings)
+    met_cmd = profile.metric_template.format(**bindings)
     stdout = _run_command(met_cmd)
     lines = [l for l in stdout.splitlines() if l.strip()]
     try:
-        quality = float(lines[-1].split()[-1])
+        quality = _finite(lines[-1].split()[-1])
     except (IndexError, ValueError) as exc:
         raise DriverError(
-            f"unparseable metric output: {stdout!r}", command=met_cmd
+            f"no finite quality in metric output: {stdout!r}", command=met_cmd
         ) from exc
     return RDPoint(bitrate=bitrate_kbps, quality=quality, qp=qp)
 
@@ -375,7 +392,7 @@ def _positive(cell):
 def write_feature_csv(path, kind, rows):
     """rows: iterable of (clip_id, vector); written sorted by clip_id."""
     names = VOD_FEATURE_NAMES if kind == "vod" else LIVE_FEATURE_NAMES
-    with open(path, "w") as f:
+    with write_output(path) as f:
         f.write("clip_id," + ",".join(f"F{i + 1}" for i in range(len(names))) + "\n")
         for clip_id, vec in sorted(rows, key=lambda r: r[0]):
             f.write(clip_id + "," + ",".join(_fmt(v) for v in vec.values) + "\n")
@@ -399,7 +416,7 @@ def write_rd_samples_csv(path, rows):
     keyed = sorted(
         rows, key=lambda r: (r[0], r[1], r[2], r[3][0] * r[3][1], r[5], r[4].qp or 0)
     )
-    with open(path, "w") as f:
+    with write_output(path) as f:
         f.write(RD_SAMPLE_HEADER + "\n")
         for clip_id, codec, platform, (w, h), point, metric in keyed:
             f.write(
@@ -502,7 +519,7 @@ def write_curves_dir(dirpath, curves_by_key):
             f'\n  "{res}": {_curve_points_json(curve.points)}' for res, curve in named
         )
         text += "\n }\n}\n" if named else "}\n}\n"
-        with open(os.path.join(dirpath, names[key]), "w") as f:
+        with write_output(os.path.join(dirpath, names[key])) as f:
             f.write(text)
 
 
@@ -539,7 +556,7 @@ def read_curves_dir(dirpath):
 
 def write_ladders_csv(path, rows):
     """rows: (clip_id, codec, platform, BitrateLadder)."""
-    with open(path, "w") as f:
+    with write_output(path) as f:
         f.write(LADDER_HEADER + "\n")
         for clip_id, codec, platform, ladder in sorted(rows, key=lambda r: r[:3]):
             co = ladder.cross_overs

@@ -13,7 +13,7 @@ from scipy import ndimage
 
 from .errors import ValidationError
 from .media_io import VideoClip, write_frames
-from .pipeline import _integer, json_object, read_input
+from .pipeline import _integer, json_object, read_input, write_output
 from .rd_core import LADDER_RESOLUTIONS, RDPoint
 from .stats import check_seed, seeded_rng
 
@@ -112,7 +112,8 @@ def synth_clip(path, clip_id, width, height, frames, texture_sigma, motion,
             luma = np.roll(base, (shift, shift), axis=(0, 1))
             yield np.clip(np.rint(luma), 0, 255).astype(np.uint8), cb, cr
 
-    write_frames(path, frame_iter())
+    with write_output(path, "wb") as f:
+        write_frames(f, frame_iter())
     return clip
 
 

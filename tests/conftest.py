@@ -27,7 +27,8 @@ def make_clip(tmp_path):
             )
             for y, cb, cr in frames
         ]
-        write_frames(path, frames)
+        with open(path, "wb") as f:
+            write_frames(f, frames)
         h, w = frames[0][0].shape
         return VideoClip(
             clip_id=clip_id,

@@ -666,6 +666,9 @@ def _log_equal_knots(doc):
     ("curve", lambda doc: {**doc, "codec": "a,b"}, "unknown codec 'a,b'"),
     ("curve", lambda doc: {**doc, "platform": "cloud"}, "unknown platform 'cloud'"),
     ("curve", _log_equal_knots, "fewer than 2 points survive Pareto cleaning"),
+    ("profile", lambda doc: {**doc, "qp_set": [30.7, 40.2]},
+     "qp_set must be a list of integers, got [30.7, 40.2]"),
+    ("profile", lambda doc: {**doc, "qp_set": "35"}, "qp_set must be a list of integers, got '35'"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
@@ -676,7 +679,8 @@ def _log_equal_knots(doc):
         "curve-qp-list", "curve-qp-true", "curve-qp-float", "model-inner-last-node",
         "model-n-trees-mismatch", "model-feature-names-string", "model-format-v1",
         "model-child-float", "model-feature-bool", "model-tree-sizes-float", "curve-codec-comma",
-        "curve-platform-cloud", "curve-log-equal-knots"])
+        "curve-platform-cloud", "curve-log-equal-knots", "profile-qp-float",
+        "profile-qp-string"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:

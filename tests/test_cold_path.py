@@ -39,12 +39,13 @@ def test_cli_stages_load_no_scipy(tmp_path):
     write_rd_inputs(tmp_path)
     stages = rd_stage_argvs(tmp_path)
     frames = np.random.default_rng(1)
-    write_frames(tmp_path / "clip.yuv", [
-        (frames.integers(0, 256, (64, 96), dtype=np.uint8),
-         frames.integers(0, 256, (32, 48), dtype=np.uint8),
-         frames.integers(0, 256, (32, 48), dtype=np.uint8))
-        for _ in range(3)
-    ])
+    with open(tmp_path / "clip.yuv", "wb") as f:
+        write_frames(f, [
+            (frames.integers(0, 256, (64, 96), dtype=np.uint8),
+             frames.integers(0, 256, (32, 48), dtype=np.uint8),
+             frames.integers(0, 256, (32, 48), dtype=np.uint8))
+            for _ in range(3)
+        ])
     (tmp_path / "manifest.jsonl").write_text(json.dumps({
         "clip_id": "clip", "path": str(tmp_path / "clip.yuv"),
         "width": 96, "height": 64, "frame_count": 3,

@@ -262,9 +262,10 @@ def _enclosing_functions(tree):
 
 
 def test_input_files_are_read_only_through_read_input():
-    """`json.load` runs only on a `read_input` handle, and only `read_input`,
-    `_decode_error` and `read_frames` open a file for reading."""
-    json_loads, read_opens = [], []
+    """`json.load` runs only on a `read_input` handle, only `read_input`,
+    `_decode_error` and `read_frames` open a file for reading, and only
+    `write_output` opens one in any other mode."""
+    json_loads, read_opens, write_opens = [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         where = _enclosing_functions(tree)
@@ -277,12 +278,14 @@ def test_input_files_are_read_only_through_read_input():
                 json_loads.append(site + (ast.unparse(node.args[0]),))
             mode = node.args[1] if len(node.args) > 1 else next(
                 (k.value for k in node.keywords if k.arg == "mode"), None)
-            if func == "open" and not (isinstance(mode, ast.Constant)
-                                       and set(mode.value) & set("wax+")):
-                read_opens.append(site)
+            if func == "open":
+                reads = mode is None or (isinstance(mode, ast.Constant)
+                                         and not set(mode.value) & set("wax+"))
+                (read_opens if reads else write_opens).append(site)
     assert sorted(json_loads) == [("pipeline", "json", "self.file"), ("pipeline", "json", "text")]
     assert sorted(read_opens) == [("media_io", "read_frames"), ("pipeline", "_decode_error"),
                                   ("pipeline", "read_input")]
+    assert write_opens == [("pipeline", "write_output")]
 
 
 def test_every_public_name_has_a_caller():

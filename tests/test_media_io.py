@@ -28,7 +28,8 @@ def test_round_trip_identity(make_clip, tmp_path):
         assert np.array_equal(cr, ecr)
     # re-serializing reproduces the input bytes
     out = tmp_path / "copy.yuv"
-    write_frames(out, got)
+    with open(out, "wb") as f:
+        write_frames(f, got)
     assert out.read_bytes() == open(clip.path, "rb").read()
 
 

@@ -13,7 +13,6 @@ from ladderlab.pipeline import (
     EncoderProfile,
     Manifest,
     build_curves,
-    expand_template,
     load_manifest,
     load_profile,
     parallel_map,
@@ -102,16 +101,6 @@ def test_profile_defaults_and_validation(tmp_path):
         EncoderProfile("avc", "software", (3, 2), "medium", "a", "b")
 
 
-def test_expand_template():
-    got = expand_template(
-        "enc --qp {qp} -s {width}x{height} {input} {output}",
-        qp=32, width=1280, height=720, input="in.yuv", output="out.bin",
-    )
-    assert got == "enc --qp 32 -s 1280x720 in.yuv out.bin"
-    with pytest.raises(ValidationError):
-        expand_template("enc {missing}", qp=1)
-
-
 # -------------------------------------------------------------- run_encode
 
 def make_script(tmp_path, name, body):
@@ -168,6 +157,21 @@ def test_run_encode_unparseable_metric(tmp_path):
     )
     with pytest.raises(DriverError):
         run_encode(profile, clip, (1280, 720), 32, str(tmp_path))
+
+
+@pytest.mark.parametrize("enc_body, met_body, want, script", [
+    ('head -c 10 /dev/zero > "$5"\n', "echo psnr inf\n", "no finite quality", "met.sh"),
+    ('head -c 10 /dev/zero > "$5"\n', "echo psnr nan\n", "no finite quality", "met.sh"),
+    ('touch "$5"\n', "echo 38.5\n", "encoder wrote no bytes to", "enc.sh"),
+], ids=["quality-inf", "quality-nan", "empty-output"])
+def test_run_encode_rejects_rows_rd_build_would(tmp_path, enc_body, met_body, want, script):
+    """A zero bitrate or a quality that is not finite stops the encode,
+    naming its command, instead of going into the RD sample file."""
+    clip = VideoClip("c", write_clip_file(tmp_path, "c.yuv"), 4, 4, 2.0, 2)
+    profile = stub_profile(tmp_path, enc_body, met_body)
+    with pytest.raises(DriverError, match=want) as exc:
+        run_encode(profile, clip, (1280, 720), 32, str(tmp_path))
+    assert script in exc.value.command
 
 
 # ------------------------------------------------------------ parallel_map
