@@ -273,7 +273,8 @@ def _check_outputs(args):
     as `inputs`) or a clip file its --manifest lists; paths are compared
     after resolving symlinks and `..`.  `rd build` writes a directory (made
     if missing) and the others a file into an existing directory, and an
-    existing output must be of that kind.
+    existing output must be of that kind.  So must `synth clip`'s
+    --manifest, which it also writes.
     """
     if not hasattr(args, "out"):
         return
@@ -295,18 +296,22 @@ def _check_outputs(args):
         name for name in (args.command, getattr(args, "rd_command", None),
                           getattr(args, "synth_command", None)) if name)
     want = "directory" if args.func is _cmd_rd_build else "file"
-    for out in outputs:
+    written = [(f"--out {args.out}", out) for out in outputs]
+    if args.func is _cmd_synth_clip and args.manifest:
+        # rewritten after the clip: failing then would leave a clip no manifest lists
+        written.append((f"--manifest {args.manifest}", args.manifest))
+    for option, out in written:
         flag = inputs.get(os.path.realpath(out))
-        if flag:
+        if flag and not option.startswith(flag + " "):  # synth clip reads its --manifest
             raise ValidationError(
-                f"--out {args.out}: {command} would write {out}, which is the {flag} input")
+                f"{option}: {command} would write {out}, which is the {flag} input")
         found = ("directory" if os.path.isdir(out) else "file" if os.path.isfile(out)
                  else "special file")
         if os.path.exists(out) and found != want:
             raise ValidationError(
-                f"--out {args.out}: {command} writes a {want}, but {out} is a {found}")
+                f"{option}: {command} writes a {want}, but {out} is a {found}")
         if want == "file" and not os.path.isdir(os.path.dirname(os.path.realpath(out))):
-            raise ValidationError(f"--out {args.out}: the directory of {out} does not exist")
+            raise ValidationError(f"{option}: the directory of {out} does not exist")
     manifest = getattr(args, "manifest", None)
     if manifest and os.path.isfile(manifest):
         out = os.path.realpath(args.out)

@@ -7,8 +7,8 @@ import numpy as np
 
 from .errors import ContractError, MetricUndefinedError, ValidationError
 from .rd_core import (
-    LADDER_RESOLUTIONS, BitrateLadder, CrossOverSet, convex_hull, hull_resolution_index,
-    monotone_clamp,
+    LADDER_RESOLUTIONS, BitrateLadder, CrossOverSet, convex_hull, curve_handles,
+    hull_resolution_index, monotone_clamp,
 )
 from .stats import pearson
 
@@ -133,7 +133,8 @@ def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves):
     """Score predicted ladders against EEL ground truth and the SL baseline.
 
     All three ladder inputs are keyed by clip_id; `rd_curves` maps
-    clip_id -> {resolution: RDCurve}.  Correlations are computed on
+    clip_id -> {resolution: RDCurve}, and each clip's curves are
+    interpolated through `curve_handles`.  Correlations are computed on
     ln(kbps) cross-overs; accuracy and BD-BR use each clip's default grid.
     """
     clips = sorted(predicted_ladders)
@@ -161,8 +162,10 @@ def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves):
             eel_l = eel_ladders[c]
             accuracies.append(ladder_accuracy(pred_l, eel_l))
             bd_grid = default_accuracy_grid([pred_l, eel_l, sl_ladder])
+            # the three hull sets share this clip's interpolants, which go with it
+            curves = curve_handles(rd_curves[c])
             eel_set, pred_set, sl_set = (
-                _ladder_rd_set(rd_curves[c], l, bd_grid) for l in (eel_l, pred_l, sl_ladder)
+                _ladder_rd_set(curves, l, bd_grid) for l in (eel_l, pred_l, sl_ladder)
             )
             per_clip.append((c, bd_rate(eel_set, pred_set), bd_rate(sl_set, pred_set)))
         except (ContractError, ValidationError) as exc:  # e.g. an interpolant that overflows

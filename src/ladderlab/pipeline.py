@@ -23,6 +23,7 @@ from .rd_core import (
     BitrateLadder,
     CrossOverSet,
     RDPoint,
+    RDSamples,
     build_rd_curve,
     check_metric,
 )
@@ -389,6 +390,21 @@ def _positive(cell):
     return value
 
 
+def _json_number(rec, key, low=-math.inf):
+    """rec[key] as a float, if it is a JSON number above `low` and finite.
+
+    float() alone would also take "1.5" and true.  Curve files hold two
+    of these per point, so the common case is one test.
+    """
+    value = rec[key]
+    if (type(value) is float or type(value) is int) and low < value < math.inf:
+        return float(value)
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    kind = "positive finite" if low == 0 else "finite"
+    raise ValueError(f"expected a {kind} number, got {value!r}")
+
+
 def write_feature_csv(path, kind, rows):
     """rows: iterable of (clip_id, vector); written sorted by clip_id."""
     names = VOD_FEATURE_NAMES if kind == "vod" else LIVE_FEATURE_NAMES
@@ -426,24 +442,37 @@ def write_rd_samples_csv(path, rows):
 
 
 def read_rd_samples_csv(path):
-    """-> {(clip_id, codec, platform, metric): {resolution: [(bitrate, quality, qp)]}}."""
+    """-> {(clip_id, codec, platform, metric): {resolution: RDSamples}}.
+
+    Each resolution's cells are appended to its RDSamples columns as they
+    are read, so the file's rows are never held as Python records.
+    """
+    from array import array  # an extension module (≈0.08 MB resident) only this reader needs
+
     out = {}
-    groups = {}  # (*key, width cell, height cell) -> that resolution's row list in `out`
+    # (*key, width cell, height cell) -> the append methods of the columns
+    # of that resolution's RDSamples in `out`, bound once per curve
+    groups = {}
     with _csv_rows(path, "RD sample file") as (header, rows):
         if header != RD_SAMPLE_HEADER.split(","):
             raise ValidationError("bad RD sample header")
         for clip_id, codec, platform, w, h, qp, bitrate, metric, quality in rows:
             cells = (clip_id, codec, platform, metric, w, h)
-            points = groups.get(cells)
-            if points is None and cells[:4] not in out:
+            appends = groups.get(cells)
+            if appends is None and cells[:4] not in out:
                 check_clip_id(clip_id)
                 check_encoder(codec, platform)
                 check_metric(metric)
                 out[cells[:4]] = {}
             point = (_positive(bitrate), _finite(quality), int(qp) if qp else None)
-            if points is None:
-                points = groups[cells] = out[cells[:4]].setdefault((int(w), int(h)), [])
-            points.append(point)
+            if appends is None:
+                samples = out[cells[:4]].setdefault(
+                    (int(w), int(h)), RDSamples(array("d"), array("d"), []))
+                appends = groups[cells] = [column.append for column in samples]
+            add_bitrate, add_quality, add_qp = appends
+            add_bitrate(point[0])
+            add_quality(point[1])
+            add_qp(point[2])
     return out
 
 
@@ -458,8 +487,8 @@ def build_curves(samples_by_key, path):
         metric = key[3]
         try:
             out[key] = {
-                res: build_rd_curve(points, res, metric)
-                for res, points in by_res.items()
+                res: build_rd_curve(samples, res, metric)
+                for res, samples in by_res.items()
             }
         except ValidationError as exc:
             raise type(exc)(f"{path}: {key[:3]}: {exc}") from exc
@@ -543,7 +572,7 @@ def read_curves_dir(dirpath):
             for res_str, pts in json_object(doc["resolutions"], "resolutions").items():
                 w, h = (int(v) for v in res_str.split("x"))
                 points = [
-                    (_positive(p["bitrate_kbps"]), _finite(p["quality"]),
+                    (_json_number(p, "bitrate_kbps", 0.0), _json_number(p, "quality"),
                      # Integers pass without a call; type(True) is bool, not int.
                      qp if (qp := p.get("qp")) is None or type(qp) is int
                      else _integer(p, "qp"))

@@ -35,6 +35,18 @@ class RDPoint(NamedTuple):
     qp: int | None = None
 
 
+class RDSamples(NamedTuple):
+    """One resolution's encoded samples as columns, in the order given.
+
+    The RD sample reader grows an array('d') of bitrates, one of
+    qualities and a list of qp per curve; any sequences do.
+    """
+
+    bitrate: object  # kbps
+    quality: object
+    qp: object  # int or None per sample
+
+
 def _read_only(values):
     column = np.array(values, dtype=np.float64)
     column.flags.writeable = False
@@ -156,27 +168,30 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 
 def build_rd_curve(samples, resolution, metric):
-    """Sort (bitrate, quality, qp) rows by bitrate and keep only the Pareto frontier.
+    """Sort samples by bitrate and keep only the Pareto frontier.
 
-    Bitrates are compared by np.log(bitrate), the knots the curve is
-    interpolated on, so bitrates whose logs are equal count as one.  A
-    point is dropped when some other point has no higher log bitrate and
-    no lower quality; of such points with equal qualities the lowest
-    bitrate, and of identical points the first given, is kept.  The
-    survivors are strictly increasing in log bitrate and in quality.
+    `samples` is an RDSamples, or rows of (bitrate, quality, qp) such as
+    RDPoints, which are transposed into one first.  Bitrates are compared
+    by np.log(bitrate), the knots the curve is interpolated on, so
+    bitrates whose logs are equal count as one.  A point is dropped when
+    some other point has no higher log bitrate and no lower quality; of
+    such points with equal qualities the lowest bitrate, and of identical
+    points the first given, is kept.  The survivors are strictly
+    increasing in log bitrate and in quality.
     """
     check_metric(metric)
-    if len(samples) < 2:
+    if not isinstance(samples, RDSamples):
+        samples = RDSamples(*zip(*samples)) if len(samples) else RDSamples((), (), ())
+    if len(samples.bitrate) < 2:
         raise DegenerateCurveError(
-            f"{resolution}/{metric}: need at least 2 samples, got {len(samples)}"
+            f"{resolution}/{metric}: need at least 2 samples, got {len(samples.bitrate)}"
         )
-    bitrates, qualities, qps = zip(*samples)
-    bitrate = np.array(bitrates, dtype=np.float64)
-    quality = np.array(qualities, dtype=np.float64)
+    bitrate = np.array(samples.bitrate, dtype=np.float64)
+    quality = np.array(samples.quality, dtype=np.float64)
     if metric == "vmaf":
         outside = np.flatnonzero(~((quality >= 0.0) & (quality <= 100.0)))
         if outside.size:
-            raise ValidationError(f"VMAF quality out of range: {qualities[outside[0]]}")
+            raise ValidationError(f"VMAF quality out of range: {samples.quality[outside[0]]}")
     # Log bitrate ascending, then quality descending, then bitrate
     # ascending; lexsort is stable, so equal points keep their given order.
     order = np.lexsort((bitrate, -quality, np.log(bitrate)))
@@ -187,8 +202,18 @@ def build_rd_curve(samples, resolution, metric):
         raise DegenerateCurveError(
             f"{resolution}/{metric}: fewer than 2 points survive Pareto cleaning"
         )
-    points = RDColumns(bitrate[kept], quality[kept], [qps[i] for i in kept.tolist()])
+    points = RDColumns(bitrate[kept], quality[kept], [samples.qp[i] for i in kept.tolist()])
     return RDCurve(resolution=tuple(resolution), metric=metric, points=points)
+
+
+def curve_handles(curves):
+    """{resolution: a new RDCurve on the same read-only points} of `curves`.
+
+    An interpolant is cached on the curve it was built for; one built
+    through these handles goes when they do, not with the caller's
+    curves, so a command that holds many clips holds one clip's.
+    """
+    return {res: RDCurve(c.resolution, c.metric, c.points) for res, c in curves.items()}
 
 
 def interpolate_quality(curve, bitrates):
@@ -278,8 +303,10 @@ def monotone_clamp(p1, p2, p3):
 def eel_ladder(curves, max_bitrate=None):
     """Exhaustive-encoding ladder from the four per-resolution curves.
 
-    `curves` maps resolution tuples to RDCurve.  The default
-    max_bitrate is the highest bitrate observed across all curves.
+    `curves` maps resolution tuples to RDCurve; it is interpolated
+    through `curve_handles`, so its curves are left holding no
+    interpolant.  The default max_bitrate is the highest bitrate
+    observed across all curves.
     """
     missing = [r for r in LADDER_RESOLUTIONS if r not in curves]
     if missing:
@@ -289,6 +316,7 @@ def eel_ladder(curves, max_bitrate=None):
         raise ContractError(f"mixed metrics in ladder curves: {sorted(metrics)}")
     if max_bitrate is None:
         max_bitrate = max(curves[r].max_bitrate for r in LADDER_RESOLUTIONS)
+    curves = curve_handles(curves)
     raw = []
     for lo_res, hi_res in zip(LADDER_RESOLUTIONS[:-1], LADDER_RESOLUTIONS[1:]):
         try:
@@ -320,7 +348,9 @@ def convex_hull(curves, ladder):
         b = np.asarray(bitrates, dtype=np.float64)
         index = hull_resolution_index(ladder, b)
         quality = np.empty(b.shape)
-        for k in np.unique(index).tolist():
+        # the resolutions selected, in order; np.unique would import numpy.ma
+        counts = np.bincount(index.ravel(), minlength=len(LADDER_RESOLUTIONS))
+        for k in np.flatnonzero(counts).tolist():
             chosen = index == k
             quality[chosen] = interpolate_quality(curves[LADDER_RESOLUTIONS[k]], b[chosen])
         return index, quality[()]

@@ -399,6 +399,24 @@ def test_synth_clip_bad_fps_leaves_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, want", [
+    ("nodir/m.jsonl", "the directory of {m} does not exist"),
+    ("m.jsonl", "synth clip writes a file, but {m} is a directory"),
+], ids=["missing-directory", "a-directory"])
+def test_synth_clip_manifest_it_cannot_write_writes_no_clip(tmp_path, capsys, name, want):
+    """The manifest is written after the clip, so it is checked before."""
+    out, manifest = tmp_path / "c.yuv", tmp_path / name
+    if name == "m.jsonl":
+        manifest.mkdir()
+    code = main(["synth", "clip", "--out", str(out), "--clip-id", "c", "--width", "64",
+                 "--height", "64", "--frames", "2", "--manifest", str(manifest)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"error: --manifest {manifest}: " + want.format(m=manifest) in err
+    assert not out.exists()
+
+
 def _set_cell(row, col, value):
     return lambda lines: lines[:row] + [
         ",".join(value if i == col else c for i, c in enumerate(lines[row].split(",")))
@@ -632,7 +650,7 @@ def _log_equal_knots(doc):
     ("params", lambda doc: {**doc, "seed": -1}, "seed must be non-negative, got -1"),
     ("curve", lambda doc: json.dumps(doc)[:-1], "Expecting ',' delimiter"),
     ("curve", _first_point("bitrate_kbps", -1), "expected a positive finite number, got -1"),
-    ("curve", _first_point("quality", "abc"), "could not convert string to float: 'abc'"),
+    ("curve", _first_point("quality", "abc"), "quality must be a number, got 'abc'"),
     ("curve", lambda doc: {**doc, "resolutions": []},
      "resolutions: expected a JSON object, got list"),
     ("curve", lambda doc: (next(iter(doc["resolutions"].values())).insert(0, None), doc)[1],
@@ -669,6 +687,9 @@ def _log_equal_knots(doc):
     ("profile", lambda doc: {**doc, "qp_set": [30.7, 40.2]},
      "qp_set must be a list of integers, got [30.7, 40.2]"),
     ("profile", lambda doc: {**doc, "qp_set": "35"}, "qp_set must be a list of integers, got '35'"),
+    ("curve", _first_point("bitrate_kbps", "1037.5"),
+     "bitrate_kbps must be a number, got '1037.5'"),
+    ("curve", _first_point("quality", True), "quality must be a number, got True"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
@@ -680,7 +701,7 @@ def _log_equal_knots(doc):
         "model-n-trees-mismatch", "model-feature-names-string", "model-format-v1",
         "model-child-float", "model-feature-bool", "model-tree-sizes-float", "curve-codec-comma",
         "curve-platform-cloud", "curve-log-equal-knots", "profile-qp-float",
-        "profile-qp-string"])
+        "profile-qp-string", "curve-bitrate-string", "curve-quality-true"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:

@@ -1,9 +1,12 @@
-"""The CLI's import and its RD, feature and learning stages load no scipy module.
+"""The CLI's import and its RD, feature and learning stages load no scipy
+module and no numpy.ma.
 
 scipy is imported only by the `synth` commands.  The feature stages load
 scipy's compiled pocketfft extension from its file, which imports no
-scipy module.  The stages run in a fresh interpreter, since this test
-process has scipy loaded already; their inputs are written here.
+scipy module.  numpy imports numpy.ma lazily, from np.unique of a plain
+array and from np.percentile among others, at a few ms and a few hundred
+kB each time.  The stages run in a fresh interpreter, since this test
+process has both loaded already; their inputs are written here.
 """
 
 import json
@@ -22,20 +25,22 @@ CHILD = r"""
 import json, sys
 
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
 
 
 from ladderlab.cli import main
 
-after_import = scipy_modules()
+after_import = unwanted_modules()
 for argv in json.loads(sys.stdin.read()):
     assert main(argv) == 0, argv
-print(json.dumps({"import": after_import, "stages": scipy_modules()}))
+print(json.dumps({"import": after_import, "stages": unwanted_modules()}))
 """
 
 
 def test_cli_stages_load_no_scipy(tmp_path):
+    """Neither the import nor any stage loads scipy or numpy.ma."""
     write_rd_inputs(tmp_path)
     stages = rd_stage_argvs(tmp_path)
     frames = np.random.default_rng(1)

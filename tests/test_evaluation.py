@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ladderlab import rd_core
 from ladderlab.errors import ContractError, MetricUndefinedError
 from ladderlab.evaluation import (
     bd_rate,
@@ -198,3 +200,27 @@ def test_evaluate_sl_worse_than_perfect():
     report = evaluate_method(dict(eel_ladders), eel_ladders, sl, rd_curves)
     # perfect predictions cannot cost more rate than the static baseline
     assert report.bdbr_vs_sl <= report.bdbr_vs_eel + 1e-9
+
+
+def test_no_interpolant_outlives_its_clip():
+    """`eel_ladder` and each clip of `evaluate_method` interpolate on their
+    own handles of the caller's curves: a command that holds every clip's
+    curves holds one clip's interpolants at a time.  Within a call each
+    curve's interpolant is built once and shared."""
+    built = []
+
+    class CountedPchip(rd_core._Pchip):
+        def __init__(self, x, y):
+            built.append(len(x))
+            super().__init__(x, y)
+
+    with mock.patch.object(rd_core, "_Pchip", CountedPchip):
+        rd_curves, eel_ladders = build_eval_inputs()
+        held = [c for curves in rd_curves.values() for c in curves.values()]
+        assert len(built) == len(held)
+        assert all(c._interp is None for c in held)
+        built.clear()
+        sl = static_ladder([l.cross_overs for l in eel_ladders.values()])
+        evaluate_method(dict(eel_ladders), eel_ladders, sl, rd_curves)
+        assert 0 < len(built) <= len(held)
+        assert all(c._interp is None for c in held)

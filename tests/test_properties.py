@@ -38,6 +38,28 @@ def test_ten_stats_order_invariants(xs):
     assert abs(iqr - (p75 - p25)) <= 1e-9 * max(1.0, abs(iqr))
 
 
+# ties, both zeros and the extremes drawn often
+tie_prone = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 5e-324]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(tie_prone, min_size=1, max_size=3),
+                 st.lists(tie_prone, min_size=1, max_size=60)))
+@example([-0.0])
+@example([0.0, -0.0])
+@example([-1e300, 1e300, 1e300])
+def test_quartiles_equal_numpy_percentile(xs):
+    got = stats.quartiles(np.array(xs))
+    want = np.percentile(np.array(xs), [25, 50, 75])
+    assert got.tolist() == want.tolist()
+    # bit for bit but for the sign of a zero, where a sort and numpy's
+    # partition may order 0.0 and -0.0 differently
+    assert (got.view(np.int64) == want.view(np.int64))[got != 0].all()
+
+
 @settings(max_examples=200)
 @given(
     st.floats(min_value=1.0, max_value=1e5),
