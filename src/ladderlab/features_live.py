@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .features_vod import _block_band_rows, _pocketfft
+from .features_vod import band_rows, pocketfft
 from .media_io import read_frames
 from .stats import ten_stats
 
@@ -41,7 +41,7 @@ def _band_energies(band, nw):
     plane = np.asarray(band, dtype=np.float64)[:, : nw * ENERGY_BLOCK]
     # orthonormal DCT-II over a strided 4-D view avoids per-block copies:
     # `scipy.fft.dctn(x, axes=(1, 3), norm="ortho")`, bit for bit
-    coef = _pocketfft().dct(
+    coef = pocketfft().dct(
         plane.reshape(-1, ENERGY_BLOCK, nw, ENERGY_BLOCK), 2, (1, 3), 1, None, 1, None
     )
     np.abs(coef, out=coef)
@@ -53,8 +53,8 @@ def block_energies(luma):
     """Per-block texture energies: mean |AC coefficient| of the orthonormal DCT-II.
 
     Blocks are ordered row-major over the tiling.  The DCT is taken in
-    bands of `_block_band_rows`, so only one band is held as float64 at a
-    time; each block's coefficients do not depend on the band.
+    bands of `band_rows`, so only one band is held as float64 at a time;
+    each block's coefficients do not depend on the band.
     """
     luma = np.asarray(luma)
     h, w = luma.shape
@@ -64,7 +64,7 @@ def block_energies(luma):
             f"plane {w}x{h} smaller than one {ENERGY_BLOCK}x{ENERGY_BLOCK} block"
         )
     luma = luma[: nh * ENERGY_BLOCK]
-    rows = _block_band_rows(nw * ENERGY_BLOCK, ENERGY_BLOCK)
+    rows = band_rows(nw * ENERGY_BLOCK, ENERGY_BLOCK)
     return np.concatenate([
         _band_energies(luma[top : top + rows], nw) for top in range(0, luma.shape[0], rows)
     ])

@@ -22,8 +22,8 @@ from .media_io import read_frames
 
 GLCM_LEVELS = 32
 TC_BLOCK = 32
-_BAND_PIXELS = 1 << 16  # least luma pixels in a row band of GLCM, SI, CF and noise;
-# most in a band of whole block rows (TC, live DCT), unless one block row holds more
+_BAND_PIXELS = 1 << 16  # most luma pixels in a band of whole block rows (GLCM and noise
+# with 1-row blocks, TC, live DCT), unless one block row holds more
 
 VOD_FEATURE_NAMES = (
     # GLCM: correlation, contrast, energy, homogeneity, entropy
@@ -72,12 +72,7 @@ def _uint8(plane):
     return plane
 
 
-def _band_rows(width):
-    """Rows of a `width`-pixel plane in one band of at least `_BAND_PIXELS`."""
-    return -(-_BAND_PIXELS // width)
-
-
-def _block_band_rows(width, block):
+def band_rows(width, block):
     """Rows of a `width`-pixel plane in one band of whole `block`-row
     strips: as many as fit in `_BAND_PIXELS`, and at least one."""
     return block * max(1, _BAND_PIXELS // (block * width))
@@ -94,7 +89,7 @@ def _pocketfft_dir():
 
 
 @functools.cache
-def _pocketfft():
+def pocketfft():
     """scipy's compiled pocketfft module, loaded from its file.
 
     `scipy.fft` ends in this module's functions, so calling them gives
@@ -129,7 +124,7 @@ def glcm_descriptors(luma):
     if luma.shape[0] < 2 or luma.shape[1] < 2:
         raise ContractError("GLCM needs a plane of at least 2x2")
     h, w = luma.shape
-    rows = _band_rows(w)
+    rows = band_rows(w, 1)
     counts = np.zeros(GLCM_LEVELS**2, dtype=np.int64)
     for top in range(0, h, rows):
         band = luma[top : top + rows + 1]
@@ -172,7 +167,7 @@ def _block_half_spectra(band, block_major):
     band = np.asarray(band, dtype=np.float64)
     nh, nw = band.shape[0] // TC_BLOCK, band.shape[1] // TC_BLOCK
     # `np.fft.rfftn(band, axes=(1, 3))`, bit for bit
-    spec = _pocketfft().r2c(band.reshape(nh, TC_BLOCK, nw, TC_BLOCK), (1, 3), True, 0, None, 1)
+    spec = pocketfft().r2c(band.reshape(nh, TC_BLOCK, nw, TC_BLOCK), (1, 3), True, 0, None, 1)
     if block_major:
         out = np.empty((nh, nw, TC_BLOCK, TC_BLOCK // 2 + 1))
         np.abs(spec.transpose(0, 2, 1, 3), out=out)
@@ -222,10 +217,10 @@ def temporal_coherence(prev, curr):
     zero-variance spectrum makes that block's TC 1.  Entropy uses a
     16-bin histogram over [-1, 1].
 
-    The spectra are taken in bands of `_block_band_rows`, so only a
-    band's spectra are held.  They are laid out block-major, but on a
-    plane of one block row as a strided view: the features keep the bits
-    of the whole-plane computation, whose spectra had that layout there.
+    The spectra are taken in bands of `band_rows`, so only a band's
+    spectra are held.  They are laid out block-major, but on a plane of
+    one block row as a strided view: the features keep the bits of the
+    whole-plane computation, whose spectra had that layout there.
     """
     prev = _uint8(prev)
     curr = _uint8(curr)
@@ -239,7 +234,7 @@ def temporal_coherence(prev, curr):
         )
     prev = prev[: nh * TC_BLOCK, : nw * TC_BLOCK]
     curr = curr[: nh * TC_BLOCK, : nw * TC_BLOCK]
-    rows = _block_band_rows(prev.shape[1], TC_BLOCK)
+    rows = band_rows(prev.shape[1], TC_BLOCK)
     tc = np.concatenate([
         _block_tc(prev[top : top + rows], curr[top : top + rows], nh > 1)
         for top in range(0, prev.shape[0], rows)
@@ -274,21 +269,22 @@ def _gradient_squares(luma):
 def spatial_information(luma):
     """SI: population std of the Sobel gradient magnitude on interior pixels.
 
-    |g|^2 is computed in row bands, each with a one-row halo, once for
-    the mean and once for the deviations.
+    Each leaf of `stats.tree_sums` computes |g|^2 of the interior rows it
+    covers, from those rows and a one-row halo, once for the mean and
+    once for the deviations.
     """
     luma = _uint8(luma)
     h, w = luma.shape
     if h < 3 or w < 3:
         raise ContractError("SI needs a plane of at least 3x3")
-    rows = _band_rows(w)
+    row = w - 2  # the interior values of one row
 
-    def bands():
-        for top in range(0, h - 2, rows):
-            yield _gradient_squares(luma[top : top + rows + 2]).reshape(1, -1)
+    def magnitude(lo, hi, out):
+        top, end = lo // row, (hi - 1) // row + 1
+        squares = _gradient_squares(luma[top : end + 2]).reshape(-1)
+        np.sqrt(squares[lo - top * row : hi - top * row], out=out[0])
 
-    magnitude = _leaf_values(bands, lambda out, squares: np.sqrt(squares, out=out))
-    return _moments((h - 2) * (w - 2), 1, magnitude)[0][1]
+    return _moments((h - 2) * row, 1, magnitude)[0][1]
 
 
 def temporal_information(prev, curr):
@@ -351,23 +347,24 @@ def colorfulness(luma, cb, cr):
     as float64 np.std and np.mean give them, combined as
     hypot(std_rg, std_yb) + 0.3 hypot(mean_rg, mean_yb).
 
-    No opponent plane is held whole: they are formed in row bands, once
-    for their means, summed in the order np.mean takes on a float32 plane
-    (`stats.buffered_sums`), and once for their deviations.
+    No opponent plane is held whole: each read of their values forms
+    them on the chroma rows it covers, once for their means, summed in
+    the order np.mean takes on a float32 plane (`stats.buffered_sums`),
+    and once for their deviations.
     """
     luma, cb, cr = (_uint8(p) for p in (luma, cb, cr))
     if (cb.ndim != 2 or cb.shape != cr.shape
             or luma.shape != (2 * cb.shape[0], 2 * cb.shape[1])):
         raise ContractError("chroma planes are not half-size of luma")
-    rows = _band_rows(4 * cb.shape[1])  # each chroma pixel covers four luma pixels
+    row = 2 * luma.shape[1]  # the opponent values of one chroma row
 
-    def bands():
-        for top in range(0, cb.shape[0], rows):
-            chroma = slice(top, top + rows)
-            yield _opponent(luma[2 * top : 2 * (top + rows)], cb[chroma], cr[chroma])
+    def opponent(lo, hi, out):
+        top, end = lo // row, (hi - 1) // row + 1
+        values = _opponent(luma[2 * top : 2 * end], cb[top:end], cr[top:end])
+        out[:] = values[:, lo - top * row : hi - top * row]
 
-    means = stats.buffered_sums(2, bands()) / luma.size
-    (mean_rg, std_rg), (mean_yb, std_yb) = _moments(luma.size, 2, _leaf_values(bands), means)
+    means = stats.buffered_sums(luma.size, 2, opponent) / luma.size
+    (mean_rg, std_rg), (mean_yb, std_yb) = _moments(luma.size, 2, opponent, means)
     return float(np.hypot(std_rg, std_yb) + 0.3 * np.hypot(mean_rg, mean_yb))
 
 
@@ -384,7 +381,7 @@ def noise_estimate(luma):
     if h < 3 or w < 3:
         raise ContractError("noise estimate needs a plane of at least 3x3")
     total = 0
-    rows = _band_rows(w)
+    rows = band_rows(w, 1)
     for top in range(0, h - 2, rows):
         band = luma[top : top + rows + 2]
         d = np.subtract(band[:-2], band[1:-1], dtype=np.int16)
@@ -426,32 +423,6 @@ def ncc(prev, curr):
     if na <= 1e-12 or nb <= 1e-12:
         return 0.0
     return float(np.clip(cross / (na * nb), -1.0, 1.0))
-
-
-def _leaf_values(bands, fill=np.copyto):
-    """`values(lo, hi, out)` of `stats.tree_sums` read from row bands.
-
-    `bands()` yields (k, m) arrays, the next m values of each of the k
-    arrays, and `fill(out, part)` writes part of a band as float64.
-    `tree_sums` asks for its leaves in order, each where the last ended,
-    so one walk reads the bands once; a walk starts them over at lo = 0.
-    """
-    walk = band = None
-
-    def values(lo, hi, out):
-        nonlocal walk, band
-        if lo == 0:
-            walk, band = bands(), out[:, :0]
-        done = 0
-        while done < hi - lo:
-            if not band.shape[1]:
-                band = next(walk)
-            take = min(band.shape[1], hi - lo - done)
-            fill(out[:, done : done + take], band[:, :take])
-            band = band[:, take:]
-            done += take
-
-    return values
 
 
 def _moments(n, k, values, means=None):

@@ -463,16 +463,21 @@ def load_model(path):
         if kind not in MODEL_KINDS or target_id not in TARGET_IDS or metric not in METRICS:
             raise ValidationError(
                 f"unknown kind, target or metric: {kind!r}, {target_id!r}, {metric!r}")
-        hyperparams = Hyperparams(**json_object(doc["hyperparams"], "hyperparams"))
+        params = json_object(doc["hyperparams"], "hyperparams")
+        for key, v in params.items():
+            if type(v) is not int and not (key == "max_features" and v is None):
+                raise ValidationError(f"hyperparams.{key} must be an integer, got {v!r}")
+        hyperparams = Hyperparams(**params)
         names = doc["feature_names"]
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
                 and len(set(names)) == len(names)):
             raise ValidationError("feature_names must be a list of distinct strings")
-        gains = np.asarray(doc["feature_gains"], dtype=np.float64)
+        gains = _numbers(doc, "feature_gains", np.float64)
         if gains.shape != (len(names),):
             raise ValidationError(f"feature_gains must hold {len(names)} values, one per feature")
-        sizes, feature, right = (_integers(doc, k) for k in ("tree_sizes", "feature", "right"))
-        threshold, value = (np.asarray(doc[k], dtype=np.float64) for k in ("threshold", "value"))
+        sizes, feature, right = (
+            _numbers(doc, k, np.int64) for k in ("tree_sizes", "feature", "right"))
+        threshold, value = (_numbers(doc, k, np.float64) for k in ("threshold", "value"))
         _check_trees(sizes, feature, threshold, right, value, len(names))
         if len(sizes) != hyperparams.n_trees:
             raise ValidationError(f"hyperparams.n_trees is {hyperparams.n_trees}, "
@@ -485,14 +490,16 @@ def load_model(path):
     return TrainedModel(kind, trees, hyperparams, names, target_id, metric, gains)
 
 
-def _integers(doc, key):
-    """doc[key] as int64s; np.asarray alone would truncate 12.7 and take true as 1."""
+def _numbers(doc, key, dtype):
+    """doc[key] as a `dtype` array of JSON numbers, integers for int64;
+    np.asarray alone would truncate 12.7, and take true as 1 and "0.5" as 0.5."""
     values = doc[key]
-    if isinstance(values, list):
-        for v in values:
-            if isinstance(v, (bool, float)):
-                raise ValidationError(f"{key} must hold integers, got {v!r}")
-    return np.asarray(values, dtype=np.int64)
+    types = {int} if dtype is np.int64 else {int, float}
+    if isinstance(values, list) and not set(map(type, values)) <= types:
+        bad = next(v for v in values if type(v) not in types)
+        kind = "integers" if dtype is np.int64 else "numbers"
+        raise ValidationError(f"{key} must hold {kind}, got {bad!r}")
+    return np.asarray(values, dtype=dtype)
 
 
 def _check_trees(sizes, feature, threshold, right, value, d):

@@ -13,7 +13,7 @@ import os
 import shlex
 import string
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ContractError, DriverError, ValidationError
 from .features_live import LIVE_FEATURE_NAMES
@@ -67,7 +67,7 @@ class Manifest:
     strata: dict  # clip_id -> stratum label (may be missing)
 
 
-def _integer(rec, key):
+def json_integer(rec, key):
     """rec[key] as an int; int() alone would truncate 64.9 and take True as 1."""
     value = rec[key]
     if isinstance(value, (bool, float)):
@@ -195,10 +195,10 @@ def load_manifest(path):
             clip = VideoClip(
                 clip_id=rec["clip_id"],
                 path=str(rec["path"]),
-                width=_integer(rec, "width"),
-                height=_integer(rec, "height"),
-                fps=float(rec.get("fps", 60.0)),
-                frame_count=_integer(rec, "frame_count"),
+                width=json_integer(rec, "width"),
+                height=json_integer(rec, "height"),
+                fps=json_number(rec, "fps") if "fps" in rec else 60.0,
+                frame_count=json_integer(rec, "frame_count"),
                 pixel_format=str(rec.get("pixel_format", "yuv420p")),
             )
             if clip.clip_id in clips:
@@ -263,6 +263,10 @@ def _check_template(name, template):
 def load_profile(path):
     with read_input(path, "profile") as source:
         doc = source.json()
+        known = {f.name for f in fields(EncoderProfile)}
+        unknown = [key for key in doc if key not in known]
+        if unknown:
+            raise ValidationError(f"unknown field {unknown[0]!r}")
         # An unknown codec gets no default here, so EncoderProfile names it.
         qp_set = doc.get("qp_set", DEFAULT_QP_SETS.get(doc["codec"], []))
         if not isinstance(qp_set, list) or any(type(q) is not int for q in qp_set):
@@ -274,7 +278,7 @@ def load_profile(path):
             preset=str(doc.get("preset", "medium")),
             encode_template=str(doc["encode_template"]),
             metric_template=str(doc["metric_template"]),
-            fps=float(doc.get("fps", 60.0)),
+            fps=json_number(doc, "fps", 0.0) if "fps" in doc else 60.0,
         )
 
 
@@ -390,14 +394,15 @@ def _positive(cell):
     return value
 
 
-def _json_number(rec, key, low=-math.inf):
-    """rec[key] as a float, if it is a JSON number above `low` and finite.
+def json_number(rec, key, low=None):
+    """rec[key] as a float, if it is a JSON number: one above `low` and
+    finite where a `low` is given.
 
     float() alone would also take "1.5" and true.  Curve files hold two
-    of these per point, so the common case is one test.
+    of these per point, so a valid value returns after the first test.
     """
     value = rec[key]
-    if (type(value) is float or type(value) is int) and low < value < math.inf:
+    if (type(value) is float or type(value) is int) and (low is None or low < value < math.inf):
         return float(value)
     if type(value) not in (int, float):
         raise ValueError(f"{key} must be a number, got {value!r}")
@@ -572,10 +577,10 @@ def read_curves_dir(dirpath):
             for res_str, pts in json_object(doc["resolutions"], "resolutions").items():
                 w, h = (int(v) for v in res_str.split("x"))
                 points = [
-                    (_json_number(p, "bitrate_kbps", 0.0), _json_number(p, "quality"),
+                    (json_number(p, "bitrate_kbps", 0.0), json_number(p, "quality", -math.inf),
                      # Integers pass without a call; type(True) is bool, not int.
                      qp if (qp := p.get("qp")) is None or type(qp) is int
-                     else _integer(p, "qp"))
+                     else json_integer(p, "qp"))
                     for p in (json_object(q, "a point") for q in pts)
                 ]
                 by_res[(w, h)] = build_rd_curve(points, (w, h), doc["metric"])

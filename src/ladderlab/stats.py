@@ -24,8 +24,7 @@ def tree_sums(n, k, values):
     of at most `_LEAF` values, has `values(lo, hi, out)` write values
     lo..hi-1 of array i to row i of the (k, hi - lo) float64 array `out`,
     adds each row with np.add.reduce and the halves' sums in tree order.
-    The leaves are asked for in order, each starting where the last
-    ended.  Returns the k sums as a float64 array.
+    Returns the k sums as a float64 array.
     """
     return _walk(values, np.empty((k, min(n, max(_LEAF, _PAIRWISE_BLOCK)))), 0, n)
 
@@ -41,26 +40,27 @@ def _walk(values, buf, lo, n):
     return _walk(values, buf, lo, half) + _walk(values, buf, lo + half, n - half)
 
 
-def buffered_sums(k, blocks):
-    """np.add.reduce(x, dtype=np.float64) of k float32 arrays x, bit for bit,
-    from their values handed over one block at a time.
+def buffered_sums(n, k, values):
+    """np.add.reduce(x, dtype=np.float64) of k float32 arrays x of n > 0
+    values, bit for bit, from the `values(lo, hi, out)` of `tree_sums`.
 
     numpy casts a float32 array through its buffer of np.getbufsize()
     values: it adds each buffer pairwise in float64 and the buffer sums
-    left to right from 0.0.  `blocks` yields (k, m) float32 arrays, the
-    next m values of each array; a buffer may span two blocks.  Returns
-    the k sums as a float64 array.
+    left to right from 0.0.  This reads whole buffers, up to `_LEAF`
+    values at a time, and does the same.  Returns the k sums as a
+    float64 array.
     """
     size = np.getbufsize()
+    step = size * max(1, _LEAF // size)
+    buf = np.empty((k, min(n, step)))
     totals = np.zeros(k)
-    carry = np.empty((k, 0))
-    for block in blocks:
-        values = np.concatenate((carry, block), axis=1)
-        whole = values.shape[1] - values.shape[1] % size
-        for sums in np.add.reduce(values[:, :whole].reshape(k, -1, size), axis=2).T:
+    for lo in range(0, n, step):
+        out = buf[:, : min(step, n - lo)]
+        values(lo, lo + out.shape[1], out)
+        whole = out.shape[1] - out.shape[1] % size
+        for sums in np.add.reduce(out[:, :whole].reshape(k, -1, size), axis=2).T:
             totals += sums
-        carry = values[:, whole:]
-    return totals + np.add.reduce(carry, axis=1)
+    return totals + np.add.reduce(out[:, whole:], axis=1)
 
 
 def check_seed(seed):

@@ -13,7 +13,7 @@ from scipy import ndimage
 
 from .errors import ValidationError
 from .media_io import VideoClip, write_frames
-from .pipeline import _integer, json_object, read_input, write_output
+from .pipeline import json_integer, json_number, json_object, read_input, write_output
 from .rd_core import LADDER_RESOLUTIONS, RDPoint
 from .stats import check_seed, seeded_rng
 
@@ -62,8 +62,8 @@ def load_params(path, seed=0):
         for res_str, law in json_object(doc["resolutions"], "resolutions").items():
             w, h = (int(v) for v in res_str.split("x"))
             law = json_object(law, res_str)
-            laws[(w, h)] = ResolutionLaw(**{k: float(v) for k, v in law.items()})
-        return SynthParams(laws=laws, seed=_integer(doc, "seed") if "seed" in doc else seed)
+            laws[(w, h)] = ResolutionLaw(**{k: json_number(law, k) for k in law})
+        return SynthParams(laws=laws, seed=json_integer(doc, "seed") if "seed" in doc else seed)
 
 
 def synth_rd(params, qp_set):

@@ -239,8 +239,11 @@ def test_predict_rejects_inconsistent_models(tmp_path, capsys, variant):
     assert not (tmp_path / "pred.csv").exists()
 
 
-@pytest.mark.parametrize("fps", [0, -25, "NaN"])
-def test_features_rejects_non_positive_fps(tmp_path, capsys, fps):
+@pytest.mark.parametrize("fps, want", [
+    (0, "c0: fps"), (-25, "c0: fps"), (math.nan, "c0: fps"),
+    ("NaN", "fps must be a number, got 'NaN'"), (True, "fps must be a number, got True"),
+], ids=["zero", "negative", "nan", "nan-string", "true"])
+def test_features_rejects_non_positive_fps(tmp_path, capsys, fps, want):
     clip = tmp_path / "c0.yuv"
     clip.write_bytes(bytes(64 * 64 * 3 // 2 * 2))
     manifest = tmp_path / "manifest.jsonl"
@@ -252,7 +255,7 @@ def test_features_rejects_non_positive_fps(tmp_path, capsys, fps):
                  "--out", str(tmp_path / "vod.csv")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 1 and f"{manifest}:1: c0: fps" in err
+    assert err.count("error:") == 1 and f"{manifest}:1: {want}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -640,7 +643,7 @@ def _log_equal_knots(doc):
     ("model", _tree0(right=-5), "tree 0: a child index does not lie after its node"),
     ("model", _tree0(right=10**6), "tree 0: a child index does not lie after its node"),
     ("model", _tree0(feature=3), "tree 0: a feature index lies outside [-1, 3)"),
-    ("model", _tree0(threshold=None), "tree 0: thresholds and values must be finite"),
+    ("model", _tree0(threshold=None), "threshold must hold numbers, got None"),
     ("model", lambda doc: {**doc, "feature_gains": [1.0]}, "feature_gains must hold 3 values"),
     ("profile", lambda doc: {k: v for k, v in doc.items() if k != "codec"},
      "missing field 'codec'"),
@@ -690,6 +693,21 @@ def _log_equal_knots(doc):
     ("curve", _first_point("bitrate_kbps", "1037.5"),
      "bitrate_kbps must be a number, got '1037.5'"),
     ("curve", _first_point("quality", True), "quality must be a number, got True"),
+    ("model", _tree0(threshold=math.nan), "tree 0: thresholds and values must be finite"),
+    ("model", _tree0(threshold="0.5"), "threshold must hold numbers, got '0.5'"),
+    ("model", lambda doc: (doc["value"].__setitem__(0, True), doc)[1],
+     "value must hold numbers, got True"),
+    ("model", lambda doc: {**doc, "feature_gains": ["1.0"] * 3},
+     "feature_gains must hold numbers, got '1.0'"),
+    ("model", lambda doc: {**doc, "hyperparams": {**doc["hyperparams"], "n_trees": True}},
+     "hyperparams.n_trees must be an integer, got True"),
+    ("profile", lambda doc: {**doc, "qp_sets": [30, 40]}, "unknown field 'qp_sets'"),
+    ("profile", lambda doc: {**doc, "fps": -5}, "expected a positive finite number, got -5"),
+    ("profile", lambda doc: {**doc, "fps": True}, "fps must be a number, got True"),
+    ("params", lambda doc: (doc["resolutions"]["720x480"].update(intercept="10"), doc)[1],
+     "intercept must be a number, got '10'"),
+    ("params", lambda doc: (doc["resolutions"]["720x480"].update(slope=True), doc)[1],
+     "slope must be a number, got True"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
@@ -701,7 +719,10 @@ def _log_equal_knots(doc):
         "model-n-trees-mismatch", "model-feature-names-string", "model-format-v1",
         "model-child-float", "model-feature-bool", "model-tree-sizes-float", "curve-codec-comma",
         "curve-platform-cloud", "curve-log-equal-knots", "profile-qp-float",
-        "profile-qp-string", "curve-bitrate-string", "curve-quality-true"])
+        "profile-qp-string", "curve-bitrate-string", "curve-quality-true", "model-threshold-nan",
+        "model-threshold-string", "model-value-true", "model-gains-strings",
+        "model-n-trees-true", "profile-qp-sets-typo", "profile-fps-negative", "profile-fps-true",
+        "params-intercept-string", "params-slope-true"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:

@@ -80,7 +80,7 @@ def test_loaded_dct_equals_scipy_fft_dctn_bit_for_bit(shape):
     nh, nw = shape[0] // 32, shape[1] // 32
     plane = rng.integers(0, 256, shape).astype(np.float64)[: nh * 32, : nw * 32]
     blocks = plane.reshape(nh, 32, nw, 32)
-    got = features_vod._pocketfft().dct(blocks, 2, (1, 3), 1, None, 1, None)
+    got = features_vod.pocketfft().dct(blocks, 2, (1, 3), 1, None, 1, None)
     assert got.tobytes() == scipy_block_dct(blocks).tobytes()
 
 
@@ -94,13 +94,13 @@ def test_missing_pocketfft_module_exits_1_naming_it(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(features_vod, "_pocketfft_dir", lambda: str(empty))
     # both feature sets load the module: TC's spectra and the live DCT
     for kind in ("vod", "live"):
-        features_vod._pocketfft.cache_clear()
+        features_vod.pocketfft.cache_clear()
         out = tmp_path / f"{kind}.csv"
         capsys.readouterr()
         try:
             assert main(["features", kind, "--manifest", str(manifest), "--out", str(out)]) == 1
         finally:
-            features_vod._pocketfft.cache_clear()
+            features_vod.pocketfft.cache_clear()
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "Traceback" not in err
         assert err == (f"error: c0: scipy's compiled pocketfft module pypocketfft not found in "

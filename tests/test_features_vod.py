@@ -89,6 +89,31 @@ def test_descriptors_on_16_value_leaves_equal_float64_reference_bit_for_bit(data
         assert_descriptors_equal_float64_reference(data, h, w)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(3, 70), st.integers(3, 70))
+def test_float_sums_with_right_halves_read_first_equal_float64_reference_bit_for_bit(data, h, w):
+    # `stats.tree_sums` may ask for its leaves in any order: this walk
+    # reads the right half of each split before the left half and adds
+    # the halves' sums in the same order, on leaves of 16 values
+    walk = stats._walk
+
+    def right_first(values, buf, lo, n):
+        if n <= stats._LEAF or n <= stats._PAIRWISE_BLOCK:
+            return walk(values, buf, lo, n)
+        half = n // 2 - n // 2 % 8
+        right = right_first(values, buf, lo + half, n - half)
+        left = right_first(values, buf, lo, half)
+        return left + right
+
+    prev, curr = data.draw(uint8_planes((h, w), 2))
+    cb, cr = data.draw(uint8_planes((h // 2, w // 2), 2))
+    with mock.patch.object(stats, "_walk", right_first), mock.patch.object(stats, "_LEAF", 16):
+        assert_equals_float64_reference("spatial_information", curr)
+        assert_equals_float64_reference("temporal_information", prev, curr)
+        assert_equals_float64_reference("ncc", prev, curr)
+        assert_equals_float64_reference("colorfulness", curr[: h // 2 * 2, : w // 2 * 2], cb, cr)
+
+
 @pytest.mark.parametrize("shape", [(777, 1001), (1080, 1920)])
 def test_descriptors_on_large_planes_equal_float64_reference_bit_for_bit(shape):
     rng = np.random.default_rng(shape[1])
@@ -104,10 +129,12 @@ def test_descriptors_on_large_planes_equal_float64_reference_bit_for_bit(shape):
 
 @pytest.mark.parametrize("h", [16, 17, 18, 19, 33])
 def test_banded_descriptors_on_wide_planes_equal_float64_reference_bit_for_bit(h):
-    # a band of GLCM, SI and noise holds 16 rows of this width, so the last
-    # band has from 1 to 3 rows; TI and NCC sum more than one leaf
+    # a band of GLCM and noise holds 15 rows of this width, so their last
+    # band is short, GLCM's from h = 16 on and noise's from h = 18; TI and
+    # NCC sum more than one leaf, and SI from h = 18 on, with leaves that
+    # end inside a row
     w = 4099
-    assert features_vod._band_rows(w) == 16
+    assert features_vod.band_rows(w, 1) == 15
     rng = np.random.default_rng(h)
     prev, curr = rng.integers(0, 256, (2, h, w), dtype=np.uint8)
     for name in ("glcm_descriptors", "spatial_information", "noise_estimate"):
@@ -127,7 +154,7 @@ def test_tc_equals_float64_reference_bit_for_bit(data, h, w):
 def assert_r2c_equals_numpy_rfftn(plane):
     nh, nw = plane.shape[0] // TC_BLOCK, plane.shape[1] // TC_BLOCK
     blocks = plane[: nh * TC_BLOCK, : nw * TC_BLOCK].reshape(nh, TC_BLOCK, nw, TC_BLOCK)
-    got = features_vod._pocketfft().r2c(
+    got = features_vod.pocketfft().r2c(
         blocks.astype(np.float64, copy=False), (1, 3), True, 0, None, 1)
     assert got.tobytes() == numpy_block_rfft(blocks).tobytes()
 
@@ -161,9 +188,11 @@ def test_tc_on_tall_planes_equals_float64_reference_bit_for_bit(nh):
 
 @pytest.mark.parametrize("chroma_rows", [15, 16, 17, 32, 33, 65, 128, 135])
 def test_cf_on_tall_planes_equals_float64_reference_bit_for_bit(chroma_rows):
-    # a band holds 16 chroma rows of this width; more rows are converted
-    # a band at a time
-    assert features_vod._band_rows(4 * 1029) == 16
+    # a leaf of `stats.tree_sums` and a chunk of `stats.buffered_sums`
+    # hold more values than 15 chroma rows of this width and fewer than
+    # 16; taller planes are converted a leaf at a time, and leaves end
+    # inside chroma rows
+    assert 15 * 4 * 1029 < stats._LEAF < 16 * 4 * 1029
     rng = np.random.default_rng(chroma_rows)
     luma = rng.integers(0, 256, (2 * chroma_rows, 2 * 1029), dtype=np.uint8)
     cb, cr = rng.integers(0, 256, (2, chroma_rows, 1029), dtype=np.uint8)
@@ -172,15 +201,15 @@ def test_cf_on_tall_planes_equals_float64_reference_bit_for_bit(chroma_rows):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.integers(1, 40), st.integers(1, 40), st.sampled_from([16, 48, 8192]))
-def test_cf_in_small_bands_equals_float64_reference_bit_for_bit(data, ch, cw, bufsize):
-    # bands of one or two chroma rows, leaves of 16 values and numpy
-    # buffers of `bufsize` values, so a buffer and a leaf span many bands
+def test_cf_on_small_leaves_and_buffers_equals_float64_reference_bit_for_bit(
+        data, ch, cw, bufsize):
+    # leaves of 16 values and numpy buffers of `bufsize` values, so leaves
+    # and buffers end inside chroma rows, and a plane may be one buffer's tail
     luma, = data.draw(uint8_planes((2 * ch, 2 * cw), 1))
     cb, cr = data.draw(uint8_planes((ch, cw), 2))
     old = np.setbufsize(bufsize)
     try:
-        with mock.patch.object(features_vod, "_BAND_PIXELS", 8), \
-                mock.patch.object(stats, "_LEAF", 16):
+        with mock.patch.object(stats, "_LEAF", 16):
             assert_equals_float64_reference("colorfulness", luma, cb, cr)
     finally:
         np.setbufsize(old)
@@ -204,8 +233,8 @@ def traced_peak_and_left(call):
 # the frames below, as measured; each bound allows 1 byte more)
 _PEAK_PER_PIXEL = {
     "glcm_descriptors": (features_vod, 1, 0.47),
-    "spatial_information": (features_vod, 1, 0.94),
-    "colorfulness": (features_vod, 3, 1.81),
+    "spatial_information": (features_vod, 1, 0.81),
+    "colorfulness": (features_vod, 3, 1.46),
     "noise_estimate": (features_vod, 1, 0.22),
     "temporal_coherence": (features_vod, 2, 0.77),
     "temporal_information": (features_vod, 2, 0.32),
@@ -222,17 +251,17 @@ def hd_frame_args():
     chroma = rng.integers(0, 256, (2, 540, 960), dtype=np.uint8)
     # load what the kernels load on first use before any trace: the cached
     # pocketfft module
-    features_vod._pocketfft()
+    features_vod.pocketfft()
     return {1: (luma[0],), 2: (luma[0], luma[1]), 3: (luma[0], chroma[0], chroma[1])}
 
 
 @pytest.mark.parametrize("name", sorted(_PEAK_PER_PIXEL))
 def test_descriptor_peak_memory_per_luma_pixel(hd_frame_args, name):
     # no kernel holds a whole plane of the frame's size: SI forms |g|^2
-    # and CF its two float32 opponent planes in row bands, once for the
-    # mean and once for the deviations, TC holds the spectra of one band
-    # of block rows at a time, and the rest work in row bands, block-row
-    # bands or summation leaves
+    # and CF its two float32 opponent planes on the rows of one summation
+    # leaf at a time, once for the mean and once for the deviations, TC
+    # holds the spectra of one band of block rows at a time, and the rest
+    # work in block-row bands or summation leaves
     module, arity, measured = _PEAK_PER_PIXEL[name]
     args = hd_frame_args[arity]
     peak, left = traced_peak_and_left(lambda: getattr(module, name)(*args))

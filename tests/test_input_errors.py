@@ -308,6 +308,27 @@ def test_every_public_name_has_a_caller():
     assert uncalled == []
 
 
+def test_no_module_imports_another_modules_private_name():
+    """No module of the package takes a `_name` from another one, by
+    `from .module import _name` or as `module._name`: what modules share
+    has a public name."""
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    private += [(path.stem, f"{node.module}.{a.name}") for a in node.names
+                                if a.name.startswith("_")]
+                else:  # from . import module
+                    siblings |= {a.asname or a.name for a in node.names}
+        private += [(path.stem, ast.unparse(node)) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in siblings]
+    assert private == []
+
+
 @pytest.mark.parametrize("text, read, error", [
     ("a,b\n1,2\n", lambda source: [len(line) + None for line in source], TypeError),
     ("a,b\n1,2\n", lambda source: [{}[line] for line in source], KeyError),
