@@ -1,20 +1,34 @@
 """Command-line entry points for the ladder toolkit.
 
 Exit codes: 0 success, 1 validation/usage error, 2 external tool failure.
+
+Each CLI stage is a short process, so this module imports only what every
+command needs (`pipeline`, `rd_core`, `media_io`, `errors`).  A command
+handler imports the modules it runs itself: `learning` for train, select
+and predict; `evaluation` for evaluate and bdbr; the extractor's
+`features_*` module for features; `synth` (and scipy) for synth.
+Handlers call through module attributes (`learning.train`), looked up at
+call time.
 """
 
 import argparse
 import dataclasses
+import gc
+import importlib
 import math
 import os
 import sys
 
 import numpy as np
 
-from . import evaluation, learning, media_io, pipeline, rd_core, stats
+from . import media_io, pipeline, rd_core
 from .errors import DriverError, LadderError, ValidationError
-from .features_live import extract_live
-from .features_vod import extract_vod
+
+# The objects made by the imports above live until the process exits.  Freezing
+# them spares each later full collection, and the one at exit, from walking
+# them.  It runs once per process, here and not in main(): a process that calls
+# main() many times would otherwise pin each call's garbage for good.
+gc.freeze()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,8 +66,8 @@ def build_parser():
     p = sub.add_parser("train", help="train a cross-over regressor")
     p.add_argument("--features", required=True)
     p.add_argument("--ladders", required=True)
-    p.add_argument("--target", choices=learning.TARGET_IDS, required=True)
-    p.add_argument("--model-kind", choices=learning.MODEL_KINDS, default="extratrees")
+    p.add_argument("--target", choices=pipeline.TARGET_IDS, required=True)
+    p.add_argument("--model-kind", choices=pipeline.MODEL_KINDS, default="extratrees")
     p.add_argument("--n-trees", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -62,8 +76,8 @@ def build_parser():
     p = sub.add_parser("select", help="recursive feature elimination report")
     p.add_argument("--features", required=True)
     p.add_argument("--ladders", required=True)
-    p.add_argument("--target", choices=learning.TARGET_IDS, default="p3")
-    p.add_argument("--model-kind", choices=learning.MODEL_KINDS, default="extratrees")
+    p.add_argument("--target", choices=pipeline.TARGET_IDS, default="p3")
+    p.add_argument("--model-kind", choices=pipeline.MODEL_KINDS, default="extratrees")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select, inputs=("features", "ladders"))
@@ -129,7 +143,19 @@ def build_parser():
     return parser
 
 
-_FEATURE_EXTRACTORS = {"vod": extract_vod, "live": extract_live}
+def _extract_vod(clip):
+    from .features_vod import extract_vod
+
+    return extract_vod(clip)
+
+
+def _extract_live(clip):
+    from .features_live import extract_live
+
+    return extract_live(clip)
+
+
+_FEATURE_EXTRACTORS = {"vod": _extract_vod, "live": _extract_live}
 
 
 def _extract_one(arg):
@@ -143,6 +169,8 @@ def _extract_one(arg):
 
 
 def _cmd_features(args):
+    # Loaded here, before parallel_map forks, and not once in each worker.
+    importlib.import_module(f".features_{args.kind}", __package__)
     manifest = pipeline.load_manifest(args.manifest)
     rows = pipeline.parallel_map(
         _extract_one, [(args.kind, c) for c in manifest.clips], args.jobs
@@ -193,6 +221,8 @@ def _one_combination(path, keyed):
 
 
 def _training_matrix(features_path, ladders_path, target):
+    from . import learning
+
     names, table = pipeline.read_feature_csv(features_path)
     ladders = pipeline.read_ladders_csv(ladders_path)
     codec, platform, metric = _one_combination(ladders_path, ladders)
@@ -212,6 +242,8 @@ def _training_matrix(features_path, ladders_path, target):
 
 
 def _cmd_train(args):
+    from . import learning
+
     matrix, metric = _training_matrix(args.features, args.ladders, args.target)
     hp = learning.Hyperparams(n_trees=args.n_trees, seed=args.seed)
     model = learning.train(matrix, hp, args.model_kind, args.target, metric)
@@ -219,6 +251,8 @@ def _cmd_train(args):
 
 
 def _cmd_select(args):
+    from . import learning
+
     matrix, _ = _training_matrix(args.features, args.ladders, args.target)
     report = learning.rfe_select(
         matrix, kind=args.model_kind, seed=args.seed
@@ -231,13 +265,15 @@ def _cmd_select(args):
 
 
 def _cmd_predict(args):
+    from . import learning
+
     names, table = pipeline.read_feature_csv(args.features)
     loaded = [learning.load_model(path) for path in args.model]
     targets = [m.target_id for m in loaded]
     repeated = sorted({t for t in targets if targets.count(t) > 1})
     if repeated:
         raise ValidationError(f"more than one model given for targets: {repeated}")
-    missing = [t for t in learning.TARGET_IDS if t not in targets]
+    missing = [t for t in pipeline.TARGET_IDS if t not in targets]
     if missing:
         raise ValidationError(f"no model provided for targets: {missing}")
     metrics = sorted({m.metric for m in loaded})
@@ -250,7 +286,7 @@ def _cmd_predict(args):
     X = np.array([table[c] for c in clip_ids]).reshape(len(clip_ids), len(names))
     preds = [
         learning.predict(models[t], X, feature_names=names).tolist()
-        for t in learning.TARGET_IDS
+        for t in pipeline.TARGET_IDS
     ]
     rows = []
     for clip_id, p in zip(clip_ids, zip(*preds)):
@@ -322,6 +358,8 @@ def _check_outputs(args):
 
 
 def _cmd_evaluate(args):
+    from . import evaluation
+
     pred = pipeline.read_ladders_csv(args.pred)
     combo = _one_combination(args.pred, pred)
     eel, train_l = (pipeline.read_ladders_csv(p) for p in (args.eel, args.sl_from_train))
@@ -348,6 +386,8 @@ def _cmd_evaluate(args):
 
 
 def _cmd_bdbr(args):
+    from . import evaluation
+
     ref = pipeline.read_rate_quality_csv(args.ref)
     test = pipeline.read_rate_quality_csv(args.test)
     print(f"{evaluation.bd_rate(ref, test):.6f}")
@@ -396,7 +436,7 @@ def _parse_qp_set(spec):
 
 
 def _cmd_synth_rd(args):
-    from . import synth  # imports scipy.ndimage, which no other command needs
+    from . import stats, synth  # synth imports scipy.ndimage, which no other command needs
 
     media_io.check_clip_id(args.clip_id)
     stats.check_seed(args.seed)  # checked even when the params file has its own seed

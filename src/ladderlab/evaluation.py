@@ -100,18 +100,21 @@ def bd_rate(reference, test):
             f"non-overlapping quality ranges: [{ref[:, 1].min()}, {ref[:, 1].max()}] "
             f"vs [{tst[:, 1].min()}, {tst[:, 1].max()}]"
         )
+    # Qualities so large that their cubes overflow raise here, before LAPACK
+    # would print its own complaint and fail to converge.
     try:
-        poly_ref = np.polyfit(ref[:, 1], np.log10(ref[:, 0]), 3)
-        poly_tst = np.polyfit(tst[:, 1], np.log10(tst[:, 0]), 3)
-    except np.linalg.LinAlgError as exc:  # e.g. qualities so large their cubes overflow
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            poly_ref = np.polyfit(ref[:, 1], np.log10(ref[:, 0]), 3)
+            poly_tst = np.polyfit(tst[:, 1], np.log10(tst[:, 0]), 3)
+            int_ref = np.polyint(poly_ref)
+            int_tst = np.polyint(poly_tst)
+            avg_diff = (
+                (np.polyval(int_tst, hi) - np.polyval(int_tst, lo))
+                - (np.polyval(int_ref, hi) - np.polyval(int_ref, lo))
+            ) / (hi - lo)
+            return float(100.0 * (10.0**avg_diff - 1.0))
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ContractError(f"cannot fit the rate-quality polynomials: {exc}") from exc
-    int_ref = np.polyint(poly_ref)
-    int_tst = np.polyint(poly_tst)
-    avg_diff = (
-        (np.polyval(int_tst, hi) - np.polyval(int_tst, lo))
-        - (np.polyval(int_ref, hi) - np.polyval(int_ref, lo))
-    ) / (hi - lo)
-    return float(100.0 * (10.0**avg_diff - 1.0))
 
 
 @dataclass

@@ -15,14 +15,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .pipeline import json_object, read_input, write_json
+from .pipeline import MODEL_KINDS, TARGET_IDS, json_object, read_input, write_json
 from .rd_core import METRICS
 from .stats import check_seed, pearson, seeded_rng
 
 MODEL_FORMAT_TAG = "ladderlab-model-v2"
-
-TARGET_IDS = ("p1", "p2", "p3")
-MODEL_KINDS = ("extratrees", "rf")
 
 _VAR_EPS = 1e-12
 _VALIDATION_FRACTION = 0.2  # share of rows `rfe_select` holds out

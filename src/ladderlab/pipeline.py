@@ -5,19 +5,13 @@ so outputs diff cleanly and golden tests stay byte-stable.  Floats are
 written with repr, which round-trips exactly.
 """
 
-import concurrent.futures
 import contextlib
 import json
 import math
 import os
-import shlex
-import string
-import subprocess
 from dataclasses import dataclass, fields
 
 from .errors import ContractError, DriverError, ValidationError
-from .features_live import LIVE_FEATURE_NAMES
-from .features_vod import VOD_FEATURE_NAMES
 from .media_io import VideoClip, check_clip_id
 from .rd_core import (
     BitrateLadder,
@@ -35,6 +29,9 @@ LADDER_HEADER = "clip_id,codec,platform,metric,P1_kbps,P2_kbps,P3_kbps"
 
 CODECS = ("avc", "hevc", "vvc")
 PLATFORMS = ("software", "hardware")
+# Cross-over targets and model kinds; here, so that the CLI's parser needs no `learning`.
+TARGET_IDS = ("p1", "p2", "p3")
+MODEL_KINDS = ("extratrees", "rf")
 
 # The placeholders an encode or metric template may use; run_encode binds each.
 TEMPLATE_FIELDS = ("input", "width", "height", "qp", "fps", "preset", "codec", "output")
@@ -68,14 +65,11 @@ class Manifest:
 
 
 def json_integer(rec, key):
-    """rec[key] as an int; int() alone would truncate 64.9 and take True as 1."""
+    """rec[key] if it is a JSON integer; int() would also take "64", 64.9 and true."""
     value = rec[key]
-    if isinstance(value, (bool, float)):
+    if type(value) is not int:
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{key}: {exc}") from exc
+    return value
 
 
 def _decode_error(path, encoding):
@@ -248,6 +242,8 @@ class EncoderProfile:
 
 def _check_template(name, template):
     """Reject a template whose fields are not all bare TEMPLATE_FIELDS names."""
+    import string  # loaded only by `encode`, as are `_run_command`'s modules
+
     try:
         fields = list(string.Formatter().parse(template))
     except ValueError as exc:  # a lone { or }
@@ -283,6 +279,9 @@ def load_profile(path):
 
 
 def _run_command(cmd):
+    import shlex
+    import subprocess
+
     try:
         proc = subprocess.run(
             shlex.split(cmd), capture_output=True, text=True, check=False
@@ -349,6 +348,8 @@ def parallel_map(fn, items, jobs):
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
+    import concurrent.futures  # and logging with it: loaded only by a stage that starts workers
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -412,7 +413,10 @@ def json_number(rec, key, low=None):
 
 def write_feature_csv(path, kind, rows):
     """rows: iterable of (clip_id, vector); written sorted by clip_id."""
-    names = VOD_FEATURE_NAMES if kind == "vod" else LIVE_FEATURE_NAMES
+    if kind == "vod":
+        from .features_vod import VOD_FEATURE_NAMES as names
+    else:
+        from .features_live import LIVE_FEATURE_NAMES as names
     with write_output(path) as f:
         f.write("clip_id," + ",".join(f"F{i + 1}" for i in range(len(names))) + "\n")
         for clip_id, vec in sorted(rows, key=lambda r: r[0]):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from ladderlab.cli import main
 from ladderlab.pipeline import read_feature_csv, read_ladders_csv
+from test_cold_path import child_env
 
 
 def write_params(tmp_path, targets=(100.0, 800.0, 4000.0)):
@@ -471,8 +474,8 @@ def test_bad_table_cells_exit_1_naming_line(tmp_path, capsys, command, table, ed
 
 @pytest.mark.parametrize("edit, want", [
     (lambda rec: rec.pop("path"), "missing field 'path'"),
-    (lambda rec: rec.update(width="wide"), "invalid literal for int()"),
-    (lambda rec: rec.update(frame_count=None), "int() argument must be"),
+    (lambda rec: rec.update(width="wide"), "width must be an integer, got 'wide'"),
+    (lambda rec: rec.update(frame_count=None), "frame_count must be an integer, got None"),
     (lambda rec: rec.update(clip_id="a,b"), "clip_id 'a,b'"),
     (lambda rec: rec.update(clip_id=""), "clip_id ''"),
     (lambda rec: rec.update(pixel_format=None), "only yuv420p supported"),
@@ -581,6 +584,14 @@ def _json_input(tmp_path, source):
     if source == "params":
         path = str(write_params(tmp_path))
         return path, ["synth", "rd", "--params", path, "--out", out]
+    if source == "manifest":
+        clip = tmp_path / "c0.yuv"
+        clip.write_bytes(bytes(64 * 64 * 3 // 2 * 4))
+        path = str(tmp_path / "manifest.jsonl")
+        with open(path, "w") as f:
+            json.dump({"clip_id": "c0", "path": str(clip), "width": 64, "height": 64,
+                       "frame_count": 4}, f)
+        return path, ["features", "vod", "--manifest", path, "--out", out]
     path = str(tmp_path / "profile.json")
     with open(path, "w") as f:
         json.dump({"codec": "avc", "platform": "software", "encode_template": "enc",
@@ -670,8 +681,8 @@ def _log_equal_knots(doc):
     ("profile", lambda doc: {**doc, "metric_template": "met {bitrate}"},
      "metric_template: 'met {bitrate}' may use only the placeholders"),
     ("params", lambda doc: {**doc, "seed": 2.7}, "seed must be an integer, got 2.7"),
-    ("curve", _first_point("qp", "not a qp"), "qp: invalid literal for int()"),
-    ("curve", _first_point("qp", [1, 2]), "qp: int() argument must be"),
+    ("curve", _first_point("qp", "not a qp"), "qp must be an integer, got 'not a qp'"),
+    ("curve", _first_point("qp", [1, 2]), "qp must be an integer, got [1, 2]"),
     ("curve", _first_point("qp", True), "qp must be an integer, got True"),
     ("curve", _first_point("qp", 30.0), "qp must be an integer, got 30.0"),
     ("model", _inner_last_node, "tree 0: a child index does not lie after its node"),
@@ -708,6 +719,12 @@ def _log_equal_knots(doc):
      "intercept must be a number, got '10'"),
     ("params", lambda doc: (doc["resolutions"]["720x480"].update(slope=True), doc)[1],
      "slope must be a number, got True"),
+    ("curve", _first_point("qp", "40"), "qp must be an integer, got '40'"),
+    ("params", lambda doc: {**doc, "seed": "3"}, "seed must be an integer, got '3'"),
+    ("manifest", lambda doc: {**doc, "width": "64"}, "width must be an integer, got '64'"),
+    ("manifest", lambda doc: {**doc, "height": " 64 "}, "height must be an integer, got ' 64 '"),
+    ("manifest", lambda doc: {**doc, "frame_count": "4"},
+     "frame_count must be an integer, got '4'"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
@@ -722,7 +739,9 @@ def _log_equal_knots(doc):
         "profile-qp-string", "curve-bitrate-string", "curve-quality-true", "model-threshold-nan",
         "model-threshold-string", "model-value-true", "model-gains-strings",
         "model-n-trees-true", "profile-qp-sets-typo", "profile-fps-negative", "profile-fps-true",
-        "params-intercept-string", "params-slope-true"])
+        "params-intercept-string", "params-slope-true", "curve-qp-string-40",
+        "params-seed-string", "manifest-width-string", "manifest-height-spaced-string",
+        "manifest-frame-count-string"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:
@@ -736,7 +755,8 @@ def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, w
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
-    assert want in err and (f"error: {path}: " in err or f"{want}{path}" in err)
+    where = f"{path}:1" if source == "manifest" else path  # a JSON-lines file names the line
+    assert want in err and (f"error: {where}: " in err or f"{want}{path}" in err)
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -1060,6 +1080,38 @@ def test_interpolant_that_overflows_ends_hull_and_evaluate_naming_clip(tmp_path,
                      "--out", f"{out}.json"]) == 1
         assert capsys.readouterr().err == want
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curves", "ladders.csv", "rd.csv"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bdbr"])
+def test_qualities_whose_cubes_overflow_give_one_error_line(tmp_path, command):
+    """No numpy warning and no LAPACK message comes before the error line.
+
+    LAPACK writes to the process's stdout, so the command runs in its own
+    interpreter and both streams are read whole."""
+    _, curves, ladders = _codec_inputs(tmp_path, "avc")
+    path = sorted(curves.iterdir())[0]
+    doc = json.loads(path.read_text())
+    for points in doc["resolutions"].values():
+        for p in points:
+            p["quality"] *= 1e110
+    path.write_text(json.dumps(doc))
+    if command == "evaluate":
+        argv = ["evaluate", "--pred", str(ladders), "--eel", str(ladders),
+                "--sl-from-train", str(ladders), "--curves", str(curves),
+                "--out", str(tmp_path / "report.json")]
+    else:
+        samples = tmp_path / "samples.csv"
+        samples.write_text("bitrate_kbps,quality_value\n" + "".join(
+            f"{p['bitrate_kbps']!r},{p['quality']!r}\n" for p in doc["resolutions"]["720x480"]))
+        argv = ["bdbr", "--ref", str(samples), "--test", str(samples)]
+    proc = subprocess.run([sys.executable, "-m", "ladderlab.cli", *argv], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ")
+    assert "cannot fit the rate-quality polynomials: " in proc.stderr
+    assert not (tmp_path / "report.json").exists()
 
 
 # Each command with its --out naming one of its inputs, given as {input};

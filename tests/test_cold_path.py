@@ -1,14 +1,17 @@
-"""The CLI's import and its RD, feature and learning stages load no scipy
-module and no numpy.ma.
+"""What a CLI stage loads: no scipy, no numpy.ma, and only its own
+ladderlab modules.
 
 scipy is imported only by the `synth` commands.  The feature stages load
 scipy's compiled pocketfft extension from its file, which imports no
 scipy module.  numpy imports numpy.ma lazily, from np.unique of a plain
 array and from np.percentile among others, at a few ms and a few hundred
-kB each time.  The stages run in a fresh interpreter, since this test
-process has both loaded already; their inputs are written here.
+kB each time.  `ladderlab.cli` imports only the modules every command
+needs, and each command imports the ones it runs.  The stages run in a
+fresh interpreter, since this test process has loaded all of these
+already; their inputs are written here.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -16,8 +19,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ladderlab
+from ladderlab.cli import main
 from ladderlab.media_io import write_frames
 from test_golden_rd import rd_stage_argvs, write_rd_inputs
 
@@ -38,26 +43,67 @@ for argv in json.loads(sys.stdin.read()):
 print(json.dumps({"import": after_import, "stages": unwanted_modules()}))
 """
 
+# One stage in a fresh interpreter: which ladderlab and job-running modules it
+# loaded, and how many objects the import of ladderlab.cli left frozen.
+CENSUS_CHILD = r"""
+import gc, json, sys
 
-def test_cli_stages_load_no_scipy(tmp_path):
-    """Neither the import nor any stage loads scipy or numpy.ma."""
+from ladderlab.cli import main
+
+frozen = gc.get_freeze_count()
+assert main(json.loads(sys.stdin.read())) == 0
+print(json.dumps({
+    "ladderlab": sorted(m.split(".")[1] for m in sys.modules if m.startswith("ladderlab.")),
+    "jobs": sorted(m for m in ("subprocess", "concurrent.futures") if m in sys.modules),
+    "frozen": frozen,
+}))
+"""
+
+# The ladderlab modules every stage loads: those `ladderlab.cli` imports.
+BASE = ["cli", "errors", "media_io", "pipeline", "rd_core"]
+CENSUS = {  # stage -> (ladderlab modules beyond BASE, job-running modules)
+    "rd build": ([], []),
+    "hull": ([], []),
+    "evaluate": (["evaluation", "stats"], []),
+    "features vod": (["features_vod", "stats"], []),
+    # the process pool's multiprocessing imports subprocess
+    "features vod --jobs 2": (["features_vod", "stats"], ["concurrent.futures", "subprocess"]),
+    "features live": (["features_live", "features_vod", "stats"], []),
+    "train p1": (["learning", "stats"], []),
+    "predict": (["learning", "stats"], []),
+}
+
+
+def child_env():
+    """os.environ with the ladderlab under test first on PYTHONPATH."""
+    src = str(Path(ladderlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+
+
+def write_stage_inputs(tmp_path):
+    """{stage name: argv} of every stage but `synth`, `encode`, `select` and
+    `bdbr`, in an order that runs; the inputs no stage writes are written here."""
     write_rd_inputs(tmp_path)
-    stages = rd_stage_argvs(tmp_path)
+    stages = dict(zip(("rd build", "hull", "evaluate"), rd_stage_argvs(tmp_path)))
     frames = np.random.default_rng(1)
-    with open(tmp_path / "clip.yuv", "wb") as f:
-        write_frames(f, [
-            (frames.integers(0, 256, (64, 96), dtype=np.uint8),
-             frames.integers(0, 256, (32, 48), dtype=np.uint8),
-             frames.integers(0, 256, (32, 48), dtype=np.uint8))
-            for _ in range(3)
-        ])
-    (tmp_path / "manifest.jsonl").write_text(json.dumps({
-        "clip_id": "clip", "path": str(tmp_path / "clip.yuv"),
+    for name in ("clip", "clip2"):
+        with open(tmp_path / f"{name}.yuv", "wb") as f:
+            write_frames(f, [
+                (frames.integers(0, 256, (64, 96), dtype=np.uint8),
+                 frames.integers(0, 256, (32, 48), dtype=np.uint8),
+                 frames.integers(0, 256, (32, 48), dtype=np.uint8))
+                for _ in range(3)
+            ])
+    (tmp_path / "manifest.jsonl").write_text("".join(json.dumps({
+        "clip_id": name, "path": str(tmp_path / f"{name}.yuv"),
         "width": 96, "height": 64, "frame_count": 3,
-    }) + "\n")
-    for kind in ("vod", "live"):
-        stages.append(["features", kind, "--manifest", str(tmp_path / "manifest.jsonl"),
-                       "--out", str(tmp_path / f"{kind}.csv")])
+    }) + "\n" for name in ("clip", "clip2")))
+    for kind, jobs in (("vod", "1"), ("live", "1"), ("vod", "2")):
+        name = f"features {kind}" + (f" --jobs {jobs}" if jobs != "1" else "")
+        stages[name] = ["features", kind, "--manifest", str(tmp_path / "manifest.jsonl"),
+                        "--out", str(tmp_path / f"{kind}{jobs}.csv"), "--jobs", jobs]
     rng = np.random.default_rng(0)
     with open(tmp_path / "features.csv", "w") as f:
         f.write("clip_id,F1,F2,F3\n")
@@ -67,22 +113,67 @@ def test_cli_stages_load_no_scipy(tmp_path):
                "--out", str(tmp_path / "pred_learned.csv")]
     for target in ("p1", "p2", "p3"):
         model = str(tmp_path / f"model_{target}.json")
-        stages.append(["train", "--features", str(tmp_path / "features.csv"),
-                       "--ladders", str(tmp_path / "ladders.csv"), "--target", target,
-                       "--n-trees", "3", "--out", model])
+        stages[f"train {target}"] = [
+            "train", "--features", str(tmp_path / "features.csv"),
+            "--ladders", str(tmp_path / "ladders.csv"), "--target", target,
+            "--n-trees", "3", "--out", model]
         predict += ["--model", model]
-    stages.append(predict)
+    stages["predict"] = predict
+    return stages
 
-    src = str(Path(ladderlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    ))
+
+def test_cli_stages_load_no_scipy(tmp_path):
+    """Neither the import nor any stage loads scipy or numpy.ma."""
+    stages = write_stage_inputs(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD], input=json.dumps(stages), env=env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", CHILD], input=json.dumps(list(stages.values())),
+        env=child_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"import": [], "stages": []}
     assert (tmp_path / "pred_learned.csv").exists()
     for kind in ("vod", "live"):
-        assert (tmp_path / f"{kind}.csv").read_text().splitlines()[1].startswith("clip,")
+        assert (tmp_path / f"{kind}1.csv").read_text().splitlines()[1].startswith("clip,")
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """Every stage's argv, with the inputs of all of them written by running
+    the chain here."""
+    tmp_path = tmp_path_factory.mktemp("stages")
+    stages = write_stage_inputs(tmp_path)
+    for argv in stages.values():
+        assert main(argv) == 0, argv
+    return tmp_path, stages
+
+
+@pytest.mark.parametrize("stage", sorted(CENSUS))
+def test_each_stage_loads_only_the_modules_it_runs(stage_inputs, stage):
+    """`rd build` and `hull` load no learning, evaluation or feature module;
+    only a stage that starts worker processes loads `concurrent.futures`
+    or `subprocess`."""
+    tmp_path, stages = stage_inputs
+    argv = list(stages[stage])
+    out = argv.index("--out") + 1
+    argv[out] = str(tmp_path / f"census_{stage.replace(' ', '_')}_{os.path.basename(argv[out])}")
+    proc = subprocess.run(
+        [sys.executable, "-c", CENSUS_CHILD], input=json.dumps(argv),
+        env=child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.splitlines()[-1])
+    modules, jobs = CENSUS[stage]
+    assert found["ladderlab"] == sorted(BASE + modules)
+    assert found["jobs"] == jobs
+    assert found["frozen"] > 0
+
+
+def test_main_freezes_no_objects(stage_inputs):
+    """The import freezes its objects once; main() freezes none, so a
+    process that calls it many times keeps collecting its garbage."""
+    tmp_path, stages = stage_inputs
+    frozen = gc.get_freeze_count()
+    for i in range(2):
+        assert main(["hull", "--curves", str(tmp_path / "curves"), "--metric", "ypsnr",
+                     "--out", str(tmp_path / f"freeze{i}.csv")]) == 0
+    assert gc.get_freeze_count() == frozen

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import importlib.util
 import json
@@ -208,7 +209,8 @@ def test_parallel_map_starts_no_more_workers_than_items(monkeypatch, jobs, n_ite
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", Recorder)
+    # parallel_map imports concurrent.futures when it starts workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     assert parallel_map(_square, range(n_items), jobs) == [x * x for x in range(n_items)]
     assert started == ([] if workers is None else [workers])
 
