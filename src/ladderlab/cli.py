@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import gc
 import importlib
+import json
 import math
 import os
 import sys
@@ -206,38 +207,31 @@ def _cmd_hull(args):
     pipeline.write_ladders_csv(args.out, rows)
 
 
-def _one_combination(path, keyed):
-    """The single (codec, platform, metric) of a ladder file or curves directory.
+def _clip_ladders(path):
+    """(codec, platform, metric), {clip_id: BitrateLadder} of a ladder file.
 
-    Commands key these rows by clip_id alone, so a mixed input would
-    silently keep one row per clip.
+    Commands key its rows by clip_id alone, so a file that mixes
+    combinations, which would silently keep one row per clip, is refused.
     """
-    combos = sorted({k[1:] for k in keyed})
+    ladders = pipeline.read_ladders_csv(path)
+    combos = sorted({k[1:] for k in ladders})
     if len(combos) != 1:
         raise ValidationError(
             f"{path}: expected one codec/platform/metric combination, found {combos}"
         )
-    return combos[0]
+    return combos[0], {k[0]: v for k, v in ladders.items()}
 
 
 def _training_matrix(features_path, ladders_path, target):
     from . import learning
 
     names, table = pipeline.read_feature_csv(features_path)
-    ladders = pipeline.read_ladders_csv(ladders_path)
-    codec, platform, metric = _one_combination(ladders_path, ladders)
-    clip_ids = sorted(
-        cid for (cid, *_rest) in ladders if cid in table
-    )
+    (_, _, metric), ladders = _clip_ladders(ladders_path)
+    clip_ids = sorted(c for c in ladders if c in table)
     if not clip_ids:
         raise ValidationError("no clips shared between features and ladders")
     X = np.array([table[c] for c in clip_ids])
-    y = np.array(
-        [
-            math.log(getattr(ladders[(c, codec, platform, metric)].cross_overs, target))
-            for c in clip_ids
-        ]
-    )
+    y = np.array([math.log(getattr(ladders[c].cross_overs, target)) for c in clip_ids])
     return learning.TrainingMatrix(clip_ids, names, X, y), metric
 
 
@@ -279,8 +273,6 @@ def _cmd_predict(args):
     metrics = sorted({m.metric for m in loaded})
     if len(metrics) != 1:
         raise ValidationError(f"models were trained for different metrics: {metrics}")
-    if any(m.feature_names != loaded[0].feature_names for m in loaded):
-        raise ValidationError("models were trained on different feature columns")
     models = {m.target_id: m for m in loaded}
     clip_ids = sorted(table)
     X = np.array([table[c] for c in clip_ids]).reshape(len(clip_ids), len(names))
@@ -360,24 +352,21 @@ def _check_outputs(args):
 def _cmd_evaluate(args):
     from . import evaluation
 
-    pred = pipeline.read_ladders_csv(args.pred)
-    combo = _one_combination(args.pred, pred)
-    eel, train_l = (pipeline.read_ladders_csv(p) for p in (args.eel, args.sl_from_train))
-    for path, keyed in ((args.eel, eel), (args.sl_from_train, train_l)):
-        found = _one_combination(path, keyed)
+    combo, pred = _clip_ladders(args.pred)
+    (eel_combo, eel), (sl_combo, train_l) = (
+        _clip_ladders(p) for p in (args.eel, args.sl_from_train))
+    for path, found in ((args.eel, eel_combo), (args.sl_from_train, sl_combo)):
         if found != combo:
             raise ValidationError(f"{path}: holds {found}, but {args.pred} holds {combo}")
     # Like `hull --metric`, take from a curves directory only the curves
     # of the combination the predictions were made for.
-    curves = {k: v for k, v in pipeline.read_curves_dir(args.curves).items()
+    curves = {k[0]: v for k, v in pipeline.read_curves_dir(args.curves).items()
               if k[1:] == combo}
     if not curves:
         raise ValidationError(f"{args.curves}: no curves for {combo}")
     sl = evaluation.static_ladder([l.cross_overs for l in train_l.values()])
-    pred_by_clip = {k[0]: v for k, v in pred.items()}
-    eel_by_clip = {k[0]: v for k, v in eel.items() if k[0] in pred_by_clip}
-    curves_by_clip = {k[0]: v for k, v in curves.items() if k[0] in pred_by_clip}
-    report = evaluation.evaluate_method(pred_by_clip, eel_by_clip, sl, curves_by_clip)
+    eel = {c: l for c, l in eel.items() if c in pred}
+    report = evaluation.evaluate_method(pred, eel, sl, curves)
     pipeline.write_json(args.out, dataclasses.asdict(report))
     with pipeline.write_output(_table_path(args.out)) as f:
         f.write("clip_id,bdbr_vs_eel,bdbr_vs_sl\n")
@@ -453,18 +442,23 @@ def _cmd_synth_rd(args):
 def _cmd_synth_clip(args):
     from . import synth
 
-    manifest = pipeline.Manifest(clips=[], strata={})
+    listed = b""
     if args.manifest and os.path.isfile(args.manifest):
-        manifest = pipeline.load_manifest(args.manifest)
-    if any(c.clip_id == args.clip_id for c in manifest.clips):
-        raise ValidationError(f"{args.manifest}: already holds clip_id {args.clip_id!r}")
+        if any(c.clip_id == args.clip_id for c in pipeline.load_manifest(args.manifest).clips):
+            raise ValidationError(f"{args.manifest}: already holds clip_id {args.clip_id!r}")
+        with pipeline.read_input(args.manifest, "manifest") as source:
+            listed = source.file.buffer.read()  # its bytes, line ends and all
     clip = synth.synth_clip(
         args.out, args.clip_id, args.width, args.height, args.frames,
         args.sigma, args.motion, args.seed, fps=args.fps,
     )
     if args.manifest:
-        manifest.clips.append(clip)
-        pipeline.save_manifest(args.manifest, manifest)
+        # Append one record line; the records already listed keep their bytes.
+        if listed and not listed.endswith(b"\n"):
+            listed += b"\n"
+        record = json.dumps(dataclasses.asdict(clip), sort_keys=True) + "\n"
+        with pipeline.write_output(args.manifest, "wb") as f:
+            f.write(listed + record.encode())
 
 
 def main(argv=None):

@@ -156,8 +156,7 @@ class _TreeBuilder:
         self.build(idx[~mask])
 
     def _candidates(self):
-        m = min(self.max_features, self.d)
-        cand = self.rng.choice(self.d, size=m, replace=False)
+        cand = self.rng.choice(self.d, size=self.max_features, replace=False)
         # Ties between equally good splits break toward the lowest
         # column index, so candidates are evaluated in sorted order.
         return np.sort(cand)
@@ -402,7 +401,6 @@ def rfe_select(matrix, kind="extratrees", hyperparams=Hyperparams(), seed=0):
     train_idx = np.sort(perm[n_val:])
 
     current = list(matrix.feature_names)
-    trace = []
     stages = []
     while True:
         sub_train = matrix.subset_rows(train_idx).subset_features(current)
@@ -414,22 +412,17 @@ def rfe_select(matrix, kind="extratrees", hyperparams=Hyperparams(), seed=0):
         else:
             plcc = pearson(pred, sub_val.y)
         imp = impurity_importance(model)
-        trace.append((len(current), plcc))
         stages.append((list(current), plcc, list(imp)))
         if len(current) == 1:
             break
         k = math.ceil(0.1 * len(current))
-        # Stable sort: equal importances drop the later column first is
-        # avoided by sorting on (importance, index) ascending.
+        # Of columns with equal importance, the earlier one is dropped first.
         order = sorted(range(len(current)), key=lambda i: (imp[i], i))
         drop = {current[i] for i in order[:k]}
         current = [f for f in current if f not in drop]
 
-    best = max(
-        range(len(stages)),
-        key=lambda i: (stages[i][1], -len(stages[i][0])),
-    )
-    kept, _, imp = stages[best]
+    kept, _, imp = max(stages, key=lambda s: (s[1], -len(s[0])))
+    trace = [(len(names), plcc) for names, plcc, _ in stages]
     return SelectionReport(kept=kept, trace=trace, importances=imp)
 
 

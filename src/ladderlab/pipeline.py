@@ -9,7 +9,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ContractError, DriverError, ValidationError
 from .media_io import VideoClip, check_clip_id
@@ -69,6 +69,14 @@ def json_integer(rec, key):
     value = rec[key]
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_string(rec, key):
+    """rec[key] if it is a JSON string; str() would also take null, 64 and true."""
+    value = rec[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a string, got {value!r}")
     return value
 
 
@@ -188,12 +196,13 @@ def load_manifest(path):
             rec = source.json(line)
             clip = VideoClip(
                 clip_id=rec["clip_id"],
-                path=str(rec["path"]),
+                path=json_string(rec, "path"),
                 width=json_integer(rec, "width"),
                 height=json_integer(rec, "height"),
                 fps=json_number(rec, "fps") if "fps" in rec else 60.0,
                 frame_count=json_integer(rec, "frame_count"),
-                pixel_format=str(rec.get("pixel_format", "yuv420p")),
+                pixel_format=(json_string(rec, "pixel_format") if "pixel_format" in rec
+                              else "yuv420p"),
             )
             if clip.clip_id in clips:
                 raise ValidationError(f"duplicate clip_id {clip.clip_id!r}")
@@ -208,15 +217,7 @@ def load_manifest(path):
 def save_manifest(path, manifest):
     with write_output(path) as f:
         for c in manifest.clips:
-            rec = {
-                "clip_id": c.clip_id,
-                "path": c.path,
-                "width": c.width,
-                "height": c.height,
-                "fps": c.fps,
-                "frame_count": c.frame_count,
-                "pixel_format": c.pixel_format,
-            }
+            rec = asdict(c)
             if c.clip_id in manifest.strata:
                 rec["stratum"] = manifest.strata[c.clip_id]
             f.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -271,9 +272,9 @@ def load_profile(path):
             codec=doc["codec"],
             platform=doc["platform"],
             qp_set=tuple(qp_set),
-            preset=str(doc.get("preset", "medium")),
-            encode_template=str(doc["encode_template"]),
-            metric_template=str(doc["metric_template"]),
+            preset=json_string(doc, "preset") if "preset" in doc else "medium",
+            encode_template=json_string(doc, "encode_template"),
+            metric_template=json_string(doc, "metric_template"),
             fps=json_number(doc, "fps", 0.0) if "fps" in doc else 60.0,
         )
 

@@ -98,6 +98,13 @@ def synth_clip(path, clip_id, width, height, frames, texture_sigma, motion,
         fps=fps,
         frame_count=frames,
     )
+    # Checked, like the clip record, before the file is written: a NaN
+    # shift cannot be rounded to an int, and a NaN pixel has no uint8 value.
+    if not (math.isfinite(texture_sigma) and texture_sigma >= 0):
+        raise ValidationError(
+            f"{clip_id}: texture sigma must be finite and non-negative, got {texture_sigma}")
+    if not math.isfinite(motion):
+        raise ValidationError(f"{clip_id}: motion must be finite, got {motion}")
     rng = seeded_rng(seed, 0xC11F)
     base = rng.normal(0.0, 1.0, size=(height, width))
     base = ndimage.gaussian_filter(base, sigma=1.5, mode="wrap")

@@ -405,6 +405,60 @@ def test_synth_clip_bad_fps_leaves_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+_SYNTH_CLIP = ["synth", "clip", "--clip-id", "c0", "--width", "64", "--height", "64",
+               "--frames", "3"]
+
+
+@pytest.mark.parametrize("flag, value, want", [
+    ("--motion", "nan", "c0: motion must be finite, got nan"),
+    ("--motion", "inf", "c0: motion must be finite, got inf"),
+    ("--sigma", "nan", "c0: texture sigma must be finite and non-negative, got nan"),
+    ("--sigma", "inf", "c0: texture sigma must be finite and non-negative, got inf"),
+    ("--sigma", "-1", "c0: texture sigma must be finite and non-negative, got -1.0"),
+], ids=["motion-nan", "motion-inf", "sigma-nan", "sigma-inf", "sigma-negative"])
+def test_synth_clip_rejects_non_finite_motion_and_sigma(tmp_path, capsys, flag, value, want):
+    out, manifest = tmp_path / "c0.yuv", tmp_path / "m.jsonl"
+    code = main([*_SYNTH_CLIP, "--out", str(out), "--manifest", str(manifest), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: {want}\n" in err and "Traceback" not in err
+    assert not out.exists() and not manifest.exists()
+
+
+def test_synth_clip_nan_motion_prints_only_the_error_line(tmp_path):
+    """Run in its own interpreter, so that a warning printed outside main() shows."""
+    out = tmp_path / "c0.yuv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ladderlab.cli", *_SYNTH_CLIP, "--out", str(out),
+         "--motion", "nan"], env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: c0: motion must be finite, got nan\n"
+    assert not out.exists()
+
+
+def test_synth_clip_appends_to_a_manifest_and_keeps_its_records(tmp_path):
+    """Another record's keys and bytes survive; the new line is the clip's record."""
+    listed = tmp_path / "a.yuv"
+    listed.write_bytes(bytes(64 * 64 * 3 // 2 * 2))
+    manifest = tmp_path / "m.jsonl"
+    before = (f'\r\n{{"clip_id": "a", "path": "{listed}", "width": 64, "height": 64,\t'
+              '"frame_count": 2, "source": "camera-7"}')  # no final newline, no fps
+    manifest.write_bytes(before.encode())
+    out = tmp_path / "b.yuv"
+    assert main([*_SYNTH_CLIP, "--clip-id", "b", "--out", str(out), "--motion", "1.5",
+                 "--manifest", str(manifest)]) == 0
+    record = {"clip_id": "b", "path": str(out), "width": 64, "height": 64, "fps": 60.0,
+              "frame_count": 3, "pixel_format": "yuv420p"}
+    assert manifest.read_bytes().decode() == (
+        before + "\n" + json.dumps(record, sort_keys=True) + "\n")
+    fresh = tmp_path / "fresh.jsonl"
+    assert main([*_SYNTH_CLIP, "--clip-id", "b", "--out", str(tmp_path / "b2.yuv"),
+                 "--motion", "1.5", "--manifest", str(fresh)]) == 0
+    assert fresh.read_text() == json.dumps({**record, "path": str(tmp_path / "b2.yuv")},
+                                           sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("name, want", [
     ("nodir/m.jsonl", "the directory of {m} does not exist"),
     ("m.jsonl", "synth clip writes a file, but {m} is a directory"),
@@ -478,7 +532,7 @@ def test_bad_table_cells_exit_1_naming_line(tmp_path, capsys, command, table, ed
     (lambda rec: rec.update(frame_count=None), "frame_count must be an integer, got None"),
     (lambda rec: rec.update(clip_id="a,b"), "clip_id 'a,b'"),
     (lambda rec: rec.update(clip_id=""), "clip_id ''"),
-    (lambda rec: rec.update(pixel_format=None), "only yuv420p supported"),
+    (lambda rec: rec.update(pixel_format=None), "pixel_format must be a string, got None"),
     (lambda rec: rec.update(width=64.9), "width must be an integer, got 64.9"),
     (lambda rec: rec.update(height=True), "height must be an integer, got True"),
     (lambda rec: rec.update(frame_count=2.0), "frame_count must be an integer, got 2.0"),
@@ -725,6 +779,14 @@ def _log_equal_knots(doc):
     ("manifest", lambda doc: {**doc, "height": " 64 "}, "height must be an integer, got ' 64 '"),
     ("manifest", lambda doc: {**doc, "frame_count": "4"},
      "frame_count must be an integer, got '4'"),
+    ("profile", lambda doc: {**doc, "encode_template": None, "metric_template": None},
+     "encode_template must be a string, got None"),
+    ("profile", lambda doc: {**doc, "metric_template": 7},
+     "metric_template must be a string, got 7"),
+    ("profile", lambda doc: {**doc, "preset": 4}, "preset must be a string, got 4"),
+    ("manifest", lambda doc: {**doc, "path": None}, "path must be a string, got None"),
+    ("manifest", lambda doc: {**doc, "pixel_format": 420},
+     "pixel_format must be a string, got 420"),
 ], ids=["model-missing", "model-truncated", "model-list", "model-self-loop",
         "model-negative-child", "model-child-out-of-range", "model-feature-out-of-range",
         "model-threshold-null", "model-gains-short", "profile-no-codec", "profile-av1",
@@ -741,7 +803,8 @@ def _log_equal_knots(doc):
         "model-n-trees-true", "profile-qp-sets-typo", "profile-fps-negative", "profile-fps-true",
         "params-intercept-string", "params-slope-true", "curve-qp-string-40",
         "params-seed-string", "manifest-width-string", "manifest-height-spaced-string",
-        "manifest-frame-count-string"])
+        "manifest-frame-count-string", "profile-templates-null", "profile-template-number",
+        "profile-preset-number", "manifest-path-null", "manifest-pixel-format-number"])
 def test_bad_json_documents_exit_1_naming_file(tmp_path, capsys, source, edit, want):
     path, argv = _json_input(tmp_path, source)
     with open(path) as f:
