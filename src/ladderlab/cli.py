@@ -172,10 +172,8 @@ def _extract_one(arg):
 def _cmd_features(args):
     # Loaded here, before parallel_map forks, and not once in each worker.
     importlib.import_module(f".features_{args.kind}", __package__)
-    manifest = pipeline.load_manifest(args.manifest)
-    rows = pipeline.parallel_map(
-        _extract_one, [(args.kind, c) for c in manifest.clips], args.jobs
-    )
+    clips = _manifest_clips(args)
+    rows = pipeline.parallel_map(_extract_one, [(args.kind, c) for c in clips], args.jobs)
     pipeline.write_feature_csv(args.out, args.kind, rows)
 
 
@@ -298,9 +296,10 @@ def _check_outputs(args):
     Every command but `bdbr` writes --out, and `evaluate` also writes its
     per-clip table, which may not be --out itself.  An output may not be
     one of the command's inputs (each subcommand lists its input options
-    as `inputs`) or a clip file its --manifest lists; paths are compared
-    after resolving symlinks and `..`.  `rd build` writes a directory (made
-    if missing) and the others a file into an existing directory, and an
+    as `inputs`); paths are compared after resolving symlinks and `..`.
+    (`_manifest_clips` refuses a clip file the --manifest lists, before
+    the command writes anything.)  `rd build` writes a directory (made if
+    missing) and the others a file into an existing directory, and an
     existing output must be of that kind.  So must `synth clip`'s
     --manifest, which it also writes.
     """
@@ -340,13 +339,24 @@ def _check_outputs(args):
                 f"{option}: {command} writes a {want}, but {out} is a {found}")
         if want == "file" and not os.path.isdir(os.path.dirname(os.path.realpath(out))):
             raise ValidationError(f"{option}: the directory of {out} does not exist")
-    manifest = getattr(args, "manifest", None)
-    if manifest and os.path.isfile(manifest):
-        out = os.path.realpath(args.out)
-        for c in pipeline.load_manifest(manifest).clips:
-            if os.path.realpath(c.path) == out:
-                raise ValidationError(
-                    f"--out {args.out}: {manifest} lists it as the file of clip {c.clip_id!r}")
+
+
+def _manifest_clips(args):
+    """The clips of the command's --manifest, which is parsed only here.
+
+    None when `synth clip`'s --manifest is not given or does not exist
+    yet.  An --out that the manifest lists as a clip's file is refused.
+    """
+    path = args.manifest
+    if path is None or (args.func is _cmd_synth_clip and not os.path.isfile(path)):
+        return None
+    clips = pipeline.load_manifest(path).clips
+    out = os.path.realpath(args.out)
+    for c in clips:
+        if os.path.realpath(c.path) == out:
+            raise ValidationError(
+                f"--out {args.out}: {path} lists it as the file of clip {c.clip_id!r}")
+    return clips
 
 
 def _cmd_evaluate(args):
@@ -389,11 +399,11 @@ def _encode_one(arg):
 
 def _cmd_encode(args):
     profile = pipeline.load_profile(args.profile)
-    manifest = pipeline.load_manifest(args.manifest)
+    clips = _manifest_clips(args)
     os.makedirs(args.workdir, exist_ok=True)
     jobs_spec = [
         (clip, res, qp)
-        for clip in manifest.clips
+        for clip in clips
         for res in rd_core.LADDER_RESOLUTIONS
         for qp in profile.qp_set
     ]
@@ -443,8 +453,9 @@ def _cmd_synth_clip(args):
     from . import synth
 
     listed = b""
-    if args.manifest and os.path.isfile(args.manifest):
-        if any(c.clip_id == args.clip_id for c in pipeline.load_manifest(args.manifest).clips):
+    clips = _manifest_clips(args)
+    if clips is not None:
+        if any(c.clip_id == args.clip_id for c in clips):
             raise ValidationError(f"{args.manifest}: already holds clip_id {args.clip_id!r}")
         with pipeline.read_input(args.manifest, "manifest") as source:
             listed = source.file.buffer.read()  # its bytes, line ends and all

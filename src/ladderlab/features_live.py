@@ -88,6 +88,15 @@ def energy_gradient(h_prev, h_curr):
     return abs(h_curr - h_prev) / h_prev
 
 
+def _luma_values(luma):
+    """(block energies, BR) of a luma plane; BR is the mean luma of the
+    tiled area, an exact integer sum over n."""
+    energies = block_energies(luma)
+    nh, nw = luma.shape[0] // ENERGY_BLOCK, luma.shape[1] // ENERGY_BLOCK
+    tiled = luma[: nh * ENERGY_BLOCK, : nw * ENERGY_BLOCK]
+    return energies, int(tiled.sum(dtype=np.int64)) / tiled.size
+
+
 def extract_live(clip):
     """Extract the 40-dimensional live feature vector of a clip.
 
@@ -100,13 +109,10 @@ def extract_live(clip):
     br_series = []
     h_series = []
     prev_blocks = None
-    for y, _, _ in read_frames(clip):
-        energies = block_energies(y)
+    # `map` holds no luma plane once its values are taken, so the next is read alone
+    for energies, brightness in map(_luma_values, read_frames(clip, chroma=False)):
         e_series.append(float(energies.mean()))
-        # BR: mean luma of the tiled area, an exact integer sum over n
-        nh, nw = y.shape[0] // ENERGY_BLOCK, y.shape[1] // ENERGY_BLOCK
-        tiled = y[: nh * ENERGY_BLOCK, : nw * ENERGY_BLOCK]
-        br_series.append(int(tiled.sum(dtype=np.int64)) / tiled.size)
+        br_series.append(brightness)
         if prev_blocks is not None:
             h_series.append(temporal_energy(prev_blocks, energies))
         prev_blocks = energies

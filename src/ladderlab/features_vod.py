@@ -454,25 +454,37 @@ def _mean_std(values):
     return float(v.mean()), stats.pop_std(v)
 
 
-def extract_vod(clip):
-    """Extract the 30-dimensional VoD feature vector of a clip."""
-    per_frame = {k: [] for k in ("cor", "con", "enr", "hom", "ent", "si", "cf", "noise")}
-    tc_stats = []
-    ti_vals = []
-    ncc_vals = []
-    prev_luma = None
-    for y, cb, cr in read_frames(clip):
-        for key, value in zip(("con", "cor", "enr", "hom", "ent"), glcm_descriptors(y)):
-            per_frame[key].append(value)
-        per_frame["si"].append(spatial_information(y))
-        per_frame["cf"].append(colorfulness(y, cb, cr))
-        per_frame["noise"].append(noise_estimate(y))
-        if prev_luma is not None:
-            tc_stats.append(temporal_coherence(prev_luma, y))
-            ti_vals.append(temporal_information(prev_luma, y))
-            ncc_vals.append(ncc(prev_luma, y))
-        prev_luma = y
+def _frame_values(frame):
+    """GLCM (con, cor, enr, hom, ent), SI, CF and noise of a (luma, cb, cr)
+    frame."""
+    luma, cb, cr = frame
+    return (*glcm_descriptors(luma), spatial_information(luma),
+            colorfulness(luma, cb, cr), noise_estimate(luma))
 
+
+def _pair_values(clip):
+    """(TC statistics, TI, NCC) of each consecutive pair of the clip's luma
+    planes; the previous plane is the only one held while the next is read."""
+    values = []
+    prev = None
+    for curr in read_frames(clip, chroma=False):
+        if prev is not None:
+            values.append((temporal_coherence(prev, curr), temporal_information(prev, curr),
+                           ncc(prev, curr)))
+        prev = curr
+    return values
+
+
+def extract_vod(clip):
+    """Extract the 30-dimensional VoD feature vector of a clip.
+
+    The pair descriptors read the clip's luma planes first; the per-frame
+    descriptors then read it again, a whole frame at a time.  `map` holds
+    no frame once its values are taken, so the next is read alone.
+    """
+    tc_stats, ti_vals, ncc_vals = zip(*_pair_values(clip))
+    per_frame = dict(zip(("con", "cor", "enr", "hom", "ent", "si", "cf", "noise"),
+                         zip(*map(_frame_values, read_frames(clip)))))
     tc = np.asarray(tc_stats, dtype=np.float64)  # columns: mean,std,skw,kur,entr
     values = []
     for key in ("cor", "con", "enr", "hom", "ent"):

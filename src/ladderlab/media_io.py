@@ -57,29 +57,40 @@ class VideoClip:
         return self.frame_count / self.fps
 
 
-def read_frames(clip):
-    """Yield (luma, cb, cr) uint8 planes for every frame of the clip.
+def read_frames(clip, chroma=True):
+    """Yield (luma, cb, cr) uint8 planes for every frame of the clip, or
+    with `chroma=False` each frame's luma plane alone.
 
-    Chroma planes are (height/2, width/2).  Each plane is a new read-only
-    array that owns its memory, so a plane kept by the caller holds no
-    other plane.  A short file raises TruncatedFileError naming the
-    failing frame index.
+    Chroma planes are (height/2, width/2); a luma-only read seeks past
+    them.  Each plane is a new read-only array that owns its memory, so a
+    plane kept by the caller holds no other plane.  A file too short for
+    a frame, chroma included, raises TruncatedFileError naming that
+    frame's index.
     """
     if not os.path.isfile(clip.path):
         raise ValidationError(f"file not found: {clip.path}")
+    w, h = clip.width, clip.height
     expected = clip.frame_count * clip.frame_bytes
     actual = os.path.getsize(clip.path)
     if actual > expected:
         raise ValidationError(
-            f"{clip.path}: file size {actual} exceeds header-implied {expected}"
+            f"{clip.path}: file size {actual} exceeds the {expected} bytes of the "
+            f"manifest's {clip.frame_count} frames of {w}x{h} I420"
         )
-    w, h = clip.width, clip.height
     shapes = ((h, w), (h // 2, w // 2), (h // 2, w // 2))
     with open(clip.path, "rb") as f:
         for i in range(clip.frame_count):
+            # decided from the size, so a luma-only read that would skip
+            # a short chroma plane raises at its frame too
+            if actual < (i + 1) * clip.frame_bytes:
+                raise TruncatedFileError(clip.path, i)
+            f.seek(i * clip.frame_bytes)
             # no local name holds a plane, so the generator keeps none of
             # the last frame while it reads the next
-            yield tuple(_read_plane(f, shape, clip.path, i) for shape in shapes)
+            if chroma:
+                yield tuple(_read_plane(f, shape, clip.path, i) for shape in shapes)
+            else:
+                yield _read_plane(f, shapes[0], clip.path, i)
 
 
 def _read_plane(f, shape, path, frame_index):

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ladderlab import pipeline
 from ladderlab.cli import main
 from ladderlab.pipeline import read_feature_csv, read_ladders_csv
 from test_cold_path import child_env
@@ -859,6 +860,38 @@ def test_features_truncated_clip_names_clip_and_frame(tmp_path, capsys, kind, jo
     assert err.count("error:") == 1 and "Traceback" not in err
     assert f"error: c1: {clip}: truncated read at frame index 3" in err
     assert not out.exists()
+
+
+def test_features_rejects_clip_longer_than_its_manifest_says(tmp_path, capsys):
+    manifest, clip = _one_clip_manifest(tmp_path)
+    with open(clip, "ab") as f:
+        f.write(b"\0")
+    out = tmp_path / "features.csv"
+    capsys.readouterr()
+    assert main(["features", "vod", "--manifest", str(manifest), "--out", str(out)]) == 1
+    # one line, naming the clip and its file
+    assert capsys.readouterr().err == (
+        f"error: c0: {clip}: file size 3073 exceeds the 3072 bytes of the "
+        "manifest's 2 frames of 32x32 I420\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["features vod", "synth clip"])
+def test_a_command_parses_its_manifest_once(tmp_path, monkeypatch, command):
+    manifest, _ = _one_clip_manifest(tmp_path)
+    argv = {"features vod": ["features", "vod", "--out", str(tmp_path / "f.csv")],
+            "synth clip": ["synth", "clip", "--out", str(tmp_path / "c1.yuv"), "--clip-id", "c1",
+                           "--width", "32", "--height", "32", "--frames", "2"]}[command]
+    loads = []
+    load_manifest = pipeline.load_manifest
+
+    def counting(path):
+        loads.append(path)
+        return load_manifest(path)
+
+    monkeypatch.setattr(pipeline, "load_manifest", counting)
+    assert main([*argv, "--manifest", str(manifest)]) == 0
+    assert loads == [str(manifest)]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

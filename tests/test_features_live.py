@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gray_frames
-from ladderlab import features_vod
+from ladderlab import features_vod, media_io
 from ladderlab.cli import main
 from ladderlab.errors import ContractError, ValidationError
 from ladderlab.features_live import (
@@ -177,6 +177,23 @@ def test_extract_live_golden_series(make_clip):
     assert f["mean_h"] == pytest.approx(np.mean(h), rel=1e-9)
     assert f["mean_eps"] == pytest.approx(np.mean(eps), rel=1e-9)
     assert f["mean_BR"] == pytest.approx(np.mean([y.mean() for y in lumas]), rel=1e-9)
+
+
+def test_extract_live_reads_no_chroma_plane(make_clip, monkeypatch):
+    rng = np.random.default_rng(24)
+    clip = make_clip(gray_frames([rng.integers(0, 256, (64, 96), dtype=np.uint8)
+                                  for _ in range(3)]))
+    want = extract_live(clip)
+    shapes = []
+    read_plane = media_io._read_plane
+
+    def recording(f, shape, path, frame_index):
+        shapes.append(shape)
+        return read_plane(f, shape, path, frame_index)
+
+    monkeypatch.setattr(media_io, "_read_plane", recording)
+    assert extract_live(clip) == want
+    assert shapes == [(64, 96)] * 3
 
 
 def test_extract_live_needs_three_frames(make_clip):

@@ -272,14 +272,16 @@ def test_descriptor_peak_memory_per_luma_pixel(hd_frame_args, name):
     assert left < 1 << 16
 
 
-@pytest.mark.parametrize("extract, measured", [(extract_vod, 4.32), (extract_live, 2.76)],
+@pytest.mark.parametrize("extract, measured", [(extract_vod, 2.97), (extract_live, 1.50)],
                          ids=["extract_vod", "extract_live"])
 def test_extractor_peak_memory_per_luma_pixel(make_clip, extract, measured):
     # peak traced bytes per luma pixel of a seeded 3-frame 1920x1080 clip,
-    # as measured; the bound allows 1 byte more.  `read_frames` gives every
-    # plane its own array, so a kept luma plane (TC, TI and NCC read the
-    # previous one) holds no chroma, and the live DCT holds one block row
-    # of float64 at a time
+    # as measured; the bound allows 1 byte more.  TC, TI and NCC read luma
+    # planes only and hold two (2 B), the per-frame descriptors then read
+    # one whole frame at a time (1.5 B) and CF forms its opponent values
+    # on top of it, and live reads one luma plane at a time and holds one
+    # block row of float64 for its DCT; no frame is held while the next
+    # is read
     rng = np.random.default_rng(17)
     clip = make_clip([(rng.integers(0, 256, (1080, 1920), dtype=np.uint8),
                        rng.integers(0, 256, (540, 960), dtype=np.uint8),

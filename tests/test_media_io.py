@@ -37,8 +37,11 @@ def test_planes_own_their_memory_and_are_read_only(make_clip):
     rng = np.random.default_rng(1)
     clip = make_clip([(rng.integers(0, 256, (6, 8)), rng.integers(0, 256, (3, 4)),
                        rng.integers(0, 256, (3, 4))) for _ in range(2)])
-    for frame in read_frames(clip):
-        for plane in frame:
+    lumas = list(read_frames(clip, chroma=False))
+    assert len(lumas) == 2
+    for frame, luma in zip(read_frames(clip), lumas):
+        assert luma.shape == (6, 8) and np.array_equal(luma, frame[0])
+        for plane in (*frame, luma):
             # a kept plane holds no other plane's bytes
             assert plane.base is None and plane.flags.owndata
             assert plane.flags.c_contiguous
@@ -60,13 +63,14 @@ def test_truncated_file_names_frame_index(make_clip, tmp_path):
         (24 + 22, 1),  # inside frame 1's Cr
     ]:
         short.write_bytes(data[:length])
-        frames = read_frames(bad)
-        for _ in range(frame_index):
-            next(frames)
-        with pytest.raises(TruncatedFileError) as exc:
-            next(frames)
-        assert exc.value.frame_index == frame_index, length
-        assert str(exc.value) == f"{short}: truncated read at frame index {frame_index}"
+        # a luma-only read, which skips the chroma, raises at the same frame
+        for frames in (read_frames(bad), read_frames(bad, chroma=False)):
+            for _ in range(frame_index):
+                next(frames)
+            with pytest.raises(TruncatedFileError) as exc:
+                next(frames)
+            assert exc.value.frame_index == frame_index, length
+            assert str(exc.value) == f"{short}: truncated read at frame index {frame_index}"
 
 
 def test_odd_dimensions_rejected():
