@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .features_vod import band_rows, pocketfft
-from .media_io import read_frames
+from .features_vod import band_rows, keep_temporaries_on_heap, pocketfft
+from .media_io import PlaneRows, read_frames
 from .stats import ten_stats
 
 ENERGY_BLOCK = 32
@@ -34,8 +34,9 @@ class LiveFeatureVector:
             raise ValidationError("non-finite feature value")
 
 
-def _band_energies(band, nw):
-    """Block energies of a band of whole block rows, `nw` blocks wide."""
+def _band_energies(band):
+    """Block energies of a band of whole block rows."""
+    nw = band.shape[1] // ENERGY_BLOCK
     # cropped to whole blocks after the conversion, as a view, the layout
     # the DCT saw when whole planes were converted
     plane = np.asarray(band, dtype=np.float64)[:, : nw * ENERGY_BLOCK]
@@ -49,25 +50,31 @@ def _band_energies(band, nw):
     return coef.sum(axis=(1, 3)).reshape(-1) / (ENERGY_BLOCK * ENERGY_BLOCK)
 
 
-def block_energies(luma):
-    """Per-block texture energies: mean |AC coefficient| of the orthonormal DCT-II.
-
-    Blocks are ordered row-major over the tiling.  The DCT is taken in
-    bands of `band_rows`, so only one band is held as float64 at a time;
-    each block's coefficients do not depend on the band.
-    """
-    luma = np.asarray(luma)
+def _tiled_bands(luma):
+    """The bands of whole block rows of a luma plane's tiling, full width,
+    in rows as `band_rows` gives them, each read when it is asked for."""
+    if not isinstance(luma, PlaneRows):
+        luma = np.asarray(luma)
     h, w = luma.shape
     nh, nw = h // ENERGY_BLOCK, w // ENERGY_BLOCK
     if nh == 0 or nw == 0:
         raise ContractError(
             f"plane {w}x{h} smaller than one {ENERGY_BLOCK}x{ENERGY_BLOCK} block"
         )
-    luma = luma[: nh * ENERGY_BLOCK]
     rows = band_rows(nw * ENERGY_BLOCK, ENERGY_BLOCK)
-    return np.concatenate([
-        _band_energies(luma[top : top + rows], nw) for top in range(0, luma.shape[0], rows)
-    ])
+    for top in range(0, nh * ENERGY_BLOCK, rows):
+        yield luma[top : min(top + rows, nh * ENERGY_BLOCK)]
+
+
+def block_energies(luma):
+    """Per-block texture energies: mean |AC coefficient| of the orthonormal DCT-II.
+
+    Blocks are ordered row-major over the tiling.  The DCT is taken in
+    bands of `band_rows`, so only one band is held as float64 at a time;
+    each block's coefficients do not depend on the band.  `luma` is a
+    uint8 plane or a `media_io.PlaneRows` reader of one.
+    """
+    return np.concatenate([_band_energies(band) for band in _tiled_bands(luma)])
 
 
 def temporal_energy(prev_blocks, curr_blocks):
@@ -89,12 +96,12 @@ def energy_gradient(h_prev, h_curr):
 
 
 def _luma_values(luma):
-    """(block energies, BR) of a luma plane; BR is the mean luma of the
-    tiled area, an exact integer sum over n."""
+    """(block energies, BR) of a luma plane or reader; BR is the mean luma
+    of the tiled area, an exact integer sum over n."""
     energies = block_energies(luma)
-    nh, nw = luma.shape[0] // ENERGY_BLOCK, luma.shape[1] // ENERGY_BLOCK
-    tiled = luma[: nh * ENERGY_BLOCK, : nw * ENERGY_BLOCK]
-    return energies, int(tiled.sum(dtype=np.int64)) / tiled.size
+    cols = luma.shape[1] // ENERGY_BLOCK * ENERGY_BLOCK
+    total = sum(int(band[:, :cols].sum(dtype=np.int64)) for band in _tiled_bands(luma))
+    return energies, total / (energies.size * ENERGY_BLOCK * ENERGY_BLOCK)
 
 
 def extract_live(clip):
@@ -105,12 +112,13 @@ def extract_live(clip):
     """
     if clip.frame_count < 3:
         raise ValidationError("live features need >= 3 frames")
+    keep_temporaries_on_heap()
     e_series = []
     br_series = []
     h_series = []
     prev_blocks = None
-    # `map` holds no luma plane once its values are taken, so the next is read alone
-    for energies, brightness in map(_luma_values, read_frames(clip, chroma=False)):
+    # reads each frame's luma rows as its bands need them, never a chroma row
+    for energies, brightness in (_luma_values(y) for y, _, _ in read_frames(clip, rows=True)):
         e_series.append(float(energies.mean()))
         br_series.append(brightness)
         if prev_blocks is not None:

@@ -18,12 +18,13 @@ import numpy as np
 
 from . import stats
 from .errors import ContractError, ValidationError
-from .media_io import read_frames
+from .media_io import PlaneRows, read_frames
 
 GLCM_LEVELS = 32
 TC_BLOCK = 32
 _BAND_PIXELS = 1 << 16  # most luma pixels in a band of whole block rows (GLCM and noise
 # with 1-row blocks, TC, live DCT), unless one block row holds more
+_HEAP_BLOCK = 4 << 20  # bytes: above any band's or leaf's temporaries at 2160p
 
 VOD_FEATURE_NAMES = (
     # GLCM: correlation, contrast, energy, homogeneity, entropy
@@ -58,7 +59,9 @@ class VodFeatureVector:
 
 
 def _uint8(plane):
-    """`plane` as an array of 8-bit samples, as `read_frames` gives them.
+    """`plane` as an array of 8-bit samples, as `read_frames` gives them,
+    or a `PlaneRows` reader of one, whose rows the kernels read a range
+    at a time.
 
     The kernels widen uint8 to int16, in which Sobel sums and the
     Laplacian are exact integers, or subtract uint8 planes straight into
@@ -66,7 +69,8 @@ def _uint8(plane):
     as a float64 computation would.  Any other dtype is refused: TI's
     exact-integer mean would truncate a float plane.
     """
-    plane = np.asarray(plane)
+    if not isinstance(plane, PlaneRows):
+        plane = np.asarray(plane)
     if plane.dtype != np.uint8:
         raise ContractError(f"VoD descriptors need uint8 planes, got {plane.dtype}")
     return plane
@@ -76,6 +80,38 @@ def band_rows(width, block):
     """Rows of a `width`-pixel plane in one band of whole `block`-row
     strips: as many as fit in `_BAND_PIXELS`, and at least one."""
     return block * max(1, _BAND_PIXELS // (block * width))
+
+
+def _flat(plane, lo, hi):
+    """Values lo..hi-1 of a plane in row-major order, from the rows they
+    cover."""
+    w = plane.shape[1]
+    top = lo // w
+    return plane[top : (hi - 1) // w + 1].reshape(-1)[lo - top * w : hi - top * w]
+
+
+def _sum(plane):
+    """The exact integer sum of a uint8 plane, one band of rows at a time."""
+    rows = band_rows(plane.shape[1], 1)
+    return sum(int(plane[top : top + rows].sum(dtype=np.int64))
+               for top in range(0, plane.shape[0], rows))
+
+
+@functools.cache
+def keep_temporaries_on_heap():
+    """Have glibc's malloc serve the kernels' temporaries from its heap,
+    once per process.
+
+    The kernels allocate and free up to about 1 MB per band or leaf,
+    hundreds of times per 2160p frame.  glibc starts with a 128 kB mmap
+    threshold: a larger block is a new mapping whose pages fault in on
+    first touch, and a free heap top is trimmed, so SI and CF took about
+    twice as long per call.  Freeing a mapped block raises the mmap
+    threshold to its size and the trim threshold to twice that, for the
+    rest of the process; this frees one of `_HEAP_BLOCK` bytes, never
+    touched, so it adds nothing to the resident set.
+    """
+    np.empty(_HEAP_BLOCK, dtype=np.uint8)
 
 
 def _pocketfft_dir():
@@ -232,12 +268,12 @@ def temporal_coherence(prev, curr):
         raise ContractError(
             f"plane {w}x{h} smaller than one {TC_BLOCK}x{TC_BLOCK} block"
         )
-    prev = prev[: nh * TC_BLOCK, : nw * TC_BLOCK]
-    curr = curr[: nh * TC_BLOCK, : nw * TC_BLOCK]
-    rows = band_rows(prev.shape[1], TC_BLOCK)
+    cols = nw * TC_BLOCK
+    rows = band_rows(cols, TC_BLOCK)
+    bands = [(top, min(top + rows, nh * TC_BLOCK)) for top in range(0, nh * TC_BLOCK, rows)]
     tc = np.concatenate([
-        _block_tc(prev[top : top + rows], curr[top : top + rows], nh > 1)
-        for top in range(0, prev.shape[0], rows)
+        _block_tc(prev[top:end][:, :cols], curr[top:end][:, :cols], nh > 1)
+        for top, end in bands
     ])
     tc = np.clip(tc, -1.0, 1.0)
     return (
@@ -293,16 +329,14 @@ def temporal_information(prev, curr):
     curr = _uint8(curr)
     if prev.shape != curr.shape:
         raise ContractError("TI needs equal-size planes")
-    a = prev.reshape(-1)
-    b = curr.reshape(-1)
 
     def difference(lo, hi, out):
         # a difference of uint8 planes is exact in float64
-        np.subtract(b[lo:hi], a[lo:hi], out=out[0], dtype=np.float64)
+        np.subtract(_flat(curr, lo, hi), _flat(prev, lo, hi), out=out[0], dtype=np.float64)
 
     # integer differences add up exactly in float64 in any order
-    mean = (int(b.sum(dtype=np.int64)) - int(a.sum(dtype=np.int64))) / a.size
-    return _moments(a.size, 1, difference, [mean])[0][1]
+    n = prev.shape[0] * prev.shape[1]
+    return _moments(n, 1, difference, [(_sum(curr) - _sum(prev)) / n])[0][1]
 
 
 def yuv420_to_rgb(luma, cb, cr):
@@ -399,23 +433,24 @@ def ncc(prev, curr):
 
     Both planes constant -> 1; exactly one constant -> 0.
     """
-    prev = _uint8(prev).ravel()
-    curr = _uint8(curr).ravel()
+    prev = _uint8(prev)
+    curr = _uint8(curr)
     if prev.shape != curr.shape:
         raise ContractError("NCC needs equal-size planes")
-    # a uint8 plane's mean is an exact integer sum over n
-    mean_a = prev.mean()
-    mean_b = curr.mean()
+    # a uint8 plane's mean, as np.mean gives it, is an exact integer sum over n
+    n = prev.shape[0] * prev.shape[1]
+    mean_a = _sum(prev) / n
+    mean_b = _sum(curr) / n
 
     def centred(lo, hi, out):
         da, db, cross = out
-        np.subtract(prev[lo:hi], mean_a, out=da, dtype=np.float64)
-        np.subtract(curr[lo:hi], mean_b, out=db, dtype=np.float64)
+        np.subtract(_flat(prev, lo, hi), mean_a, out=da, dtype=np.float64)
+        np.subtract(_flat(curr, lo, hi), mean_b, out=db, dtype=np.float64)
         np.multiply(da, db, out=cross)
         da *= da
         db *= db
 
-    sa, sb, cross = stats.tree_sums(prev.size, 3, centred)
+    sa, sb, cross = stats.tree_sums(n, 3, centred)
     na = np.sqrt(sa)
     nb = np.sqrt(sb)
     if na <= 1e-12 and nb <= 1e-12:
@@ -462,29 +497,26 @@ def _frame_values(frame):
             colorfulness(luma, cb, cr), noise_estimate(luma))
 
 
-def _pair_values(clip):
-    """(TC statistics, TI, NCC) of each consecutive pair of the clip's luma
-    planes; the previous plane is the only one held while the next is read."""
-    values = []
-    prev = None
-    for curr in read_frames(clip, chroma=False):
-        if prev is not None:
-            values.append((temporal_coherence(prev, curr), temporal_information(prev, curr),
-                           ncc(prev, curr)))
-        prev = curr
-    return values
-
-
 def extract_vod(clip):
     """Extract the 30-dimensional VoD feature vector of a clip.
 
-    The pair descriptors read the clip's luma planes first; the per-frame
-    descriptors then read it again, a whole frame at a time.  `map` holds
-    no frame once its values are taken, so the next is read alone.
+    Every descriptor reads the rows it needs from the clip's file, so no
+    plane is held: the previous frame's luma reader serves the pair
+    descriptors.
     """
-    tc_stats, ti_vals, ncc_vals = zip(*_pair_values(clip))
+    keep_temporaries_on_heap()
+    frame_values, pair_values = [], []
+    prev = None
+    for frame in read_frames(clip, rows=True):
+        frame_values.append(_frame_values(frame))
+        curr = frame[0]
+        if prev is not None:
+            pair_values.append((temporal_coherence(prev, curr),
+                                temporal_information(prev, curr), ncc(prev, curr)))
+        prev = curr
     per_frame = dict(zip(("con", "cor", "enr", "hom", "ent", "si", "cf", "noise"),
-                         zip(*map(_frame_values, read_frames(clip)))))
+                         zip(*frame_values)))
+    tc_stats, ti_vals, ncc_vals = zip(*pair_values)
     tc = np.asarray(tc_stats, dtype=np.float64)  # columns: mean,std,skw,kur,entr
     values = []
     for key in ("cor", "con", "enr", "hom", "ent"):

@@ -57,15 +57,15 @@ class VideoClip:
         return self.frame_count / self.fps
 
 
-def read_frames(clip, chroma=True):
+def read_frames(clip, rows=False):
     """Yield (luma, cb, cr) uint8 planes for every frame of the clip, or
-    with `chroma=False` each frame's luma plane alone.
+    with `rows=True` a `PlaneRows` reader of each plane.
 
-    Chroma planes are (height/2, width/2); a luma-only read seeks past
-    them.  Each plane is a new read-only array that owns its memory, so a
-    plane kept by the caller holds no other plane.  A file too short for
-    a frame, chroma included, raises TruncatedFileError naming that
-    frame's index.
+    Chroma planes are (height/2, width/2).  Each plane is a new read-only
+    array that owns its memory, so a plane kept by the caller holds no
+    other plane.  The readers read nothing until asked and stay valid
+    until the generator closes.  A file too short for a frame, chroma
+    included, raises TruncatedFileError naming that frame's index.
     """
     if not os.path.isfile(clip.path):
         raise ValidationError(f"file not found: {clip.path}")
@@ -78,19 +78,22 @@ def read_frames(clip, chroma=True):
             f"manifest's {clip.frame_count} frames of {w}x{h} I420"
         )
     shapes = ((h, w), (h // 2, w // 2), (h // 2, w // 2))
+    offsets = (0, w * h, w * h + w * h // 4)
     with open(clip.path, "rb") as f:
         for i in range(clip.frame_count):
-            # decided from the size, so a luma-only read that would skip
-            # a short chroma plane raises at its frame too
+            # decided from the size, so readers that may never read a
+            # short chroma plane raise at its frame too
             if actual < (i + 1) * clip.frame_bytes:
                 raise TruncatedFileError(clip.path, i)
-            f.seek(i * clip.frame_bytes)
+            start = i * clip.frame_bytes
             # no local name holds a plane, so the generator keeps none of
             # the last frame while it reads the next
-            if chroma:
-                yield tuple(_read_plane(f, shape, clip.path, i) for shape in shapes)
+            if rows:
+                yield tuple(PlaneRows(f, start + offset, shape, clip.path, i)
+                            for offset, shape in zip(offsets, shapes))
             else:
-                yield _read_plane(f, shapes[0], clip.path, i)
+                f.seek(start)
+                yield tuple(_read_plane(f, shape, clip.path, i) for shape in shapes)
 
 
 def _read_plane(f, shape, path, frame_index):
@@ -99,6 +102,42 @@ def _read_plane(f, shape, path, frame_index):
         raise TruncatedFileError(path, frame_index)
     plane.flags.writeable = False
     return plane
+
+
+class PlaneRows:
+    """One uint8 plane of a clip's open file, read a range of rows at a time.
+
+    `rows[top:end]` reads rows top..end-1, clipped as a slice of an array
+    of `shape` would be, into a new read-only array that owns its memory;
+    it may be asked for again and reads the file again.  A file that has
+    shrunk since `read_frames` checked its size raises TruncatedFileError
+    naming this plane's frame.
+    """
+
+    dtype = np.dtype(np.uint8)
+    ndim = 2
+
+    def __init__(self, f, offset, shape, path, frame_index):
+        self._f = f
+        self._offset = offset
+        self.shape = shape
+        self._path = path
+        self._frame_index = frame_index
+
+    @property
+    def size(self):
+        return self.shape[0] * self.shape[1]
+
+    def __getitem__(self, rows):
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError(f"a plane reader takes a range of rows, got {rows!r}")
+        top, end, _ = rows.indices(self.shape[0])
+        band = np.empty((max(end - top, 0), self.shape[1]), dtype=np.uint8)
+        start = self._offset + top * self.shape[1]
+        if band.size and os.preadv(self._f.fileno(), [band], start) < band.size:
+            raise TruncatedFileError(self._path, self._frame_index)
+        band.flags.writeable = False
+        return band
 
 
 def write_frames(f, frames):

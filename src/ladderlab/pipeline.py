@@ -180,10 +180,14 @@ def write_output(path, mode="w"):
 
 
 def write_json(path, doc, indent=1):
-    """Write `doc` with sorted keys and a final newline; indent=None writes it compact."""
+    """Write `doc` with sorted keys and a final newline; indent=None writes it compact.
+    A non-finite number, which JSON cannot hold, is one ValidationError and no write."""
     with write_output(path) as f:
-        json.dump(doc, f, sort_keys=True, indent=indent,
-                  separators=(",", ":") if indent is None else None)
+        try:
+            json.dump(doc, f, sort_keys=True, indent=indent, allow_nan=False,
+                      separators=(",", ":") if indent is None else None)
+        except ValueError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
         f.write("\n")
 
 

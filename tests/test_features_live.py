@@ -184,16 +184,16 @@ def test_extract_live_reads_no_chroma_plane(make_clip, monkeypatch):
     clip = make_clip(gray_frames([rng.integers(0, 256, (64, 96), dtype=np.uint8)
                                   for _ in range(3)]))
     want = extract_live(clip)
-    shapes = []
-    read_plane = media_io._read_plane
+    planes = []
+    getitem = media_io.PlaneRows.__getitem__
 
-    def recording(f, shape, path, frame_index):
-        shapes.append(shape)
-        return read_plane(f, shape, path, frame_index)
+    def recording(self, rows):
+        planes.append((self._frame_index, self.shape))
+        return getitem(self, rows)
 
-    monkeypatch.setattr(media_io, "_read_plane", recording)
+    monkeypatch.setattr(media_io.PlaneRows, "__getitem__", recording)
     assert extract_live(clip) == want
-    assert shapes == [(64, 96)] * 3
+    assert sorted(set(planes)) == [(i, (64, 96)) for i in range(3)]
 
 
 def test_extract_live_needs_three_frames(make_clip):

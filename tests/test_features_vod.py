@@ -272,24 +272,44 @@ def test_descriptor_peak_memory_per_luma_pixel(hd_frame_args, name):
     assert left < 1 << 16
 
 
-@pytest.mark.parametrize("extract, measured", [(extract_vod, 2.97), (extract_live, 1.50)],
+def seeded_clip(make_clip, width, height, frames=3):
+    rng = np.random.default_rng(17)
+    return make_clip([(rng.integers(0, 256, (height, width), dtype=np.uint8),
+                       rng.integers(0, 256, (height // 2, width // 2), dtype=np.uint8),
+                       rng.integers(0, 256, (height // 2, width // 2), dtype=np.uint8))
+                      for _ in range(frames)])
+
+
+def traced_extract(extract, clip):
+    """(peak, left) traced bytes of `extract(clip)` after a first call, which
+    imports what the statistics import on first use."""
+    extract(clip)
+    return traced_peak_and_left(lambda: extract(clip))
+
+
+@pytest.mark.parametrize("extract, measured", [(extract_vod, 1.52), (extract_live, 0.53)],
                          ids=["extract_vod", "extract_live"])
 def test_extractor_peak_memory_per_luma_pixel(make_clip, extract, measured):
     # peak traced bytes per luma pixel of a seeded 3-frame 1920x1080 clip,
-    # as measured; the bound allows 1 byte more.  TC, TI and NCC read luma
-    # planes only and hold two (2 B), the per-frame descriptors then read
-    # one whole frame at a time (1.5 B) and CF forms its opponent values
-    # on top of it, and live reads one luma plane at a time and holds one
-    # block row of float64 for its DCT; no frame is held while the next
-    # is read
-    rng = np.random.default_rng(17)
-    clip = make_clip([(rng.integers(0, 256, (1080, 1920), dtype=np.uint8),
-                       rng.integers(0, 256, (540, 960), dtype=np.uint8),
-                       rng.integers(0, 256, (540, 960), dtype=np.uint8)) for _ in range(3)])
-    extract(clip)  # imports what the statistics import on first use
-    peak, left = traced_peak_and_left(lambda: extract(clip))
+    # as measured; the bound allows 1 byte more.  Every descriptor reads
+    # the rows of a band or a summation leaf from the clip's file, so no
+    # plane is held: VoD peaks in CF's opponent values of one leaf, live
+    # in one block row of float64 for its DCT
+    clip = seeded_clip(make_clip, 1920, 1080)
+    peak, left = traced_extract(extract, clip)
     assert peak / (clip.width * clip.height) <= measured + 1.0
     assert left < 1 << 16
+
+
+@pytest.mark.parametrize("extract", [extract_vod, extract_live],
+                         ids=["extract_vod", "extract_live"])
+def test_extractor_peak_memory_does_not_grow_with_frame_size(make_clip, extract):
+    # both sizes get the same TC and DCT band of 61,440 pixels (one block
+    # row at 1920, two at 960) and the same summation leaves, so four
+    # times the pixels may add only what the longer rows add
+    small = traced_extract(extract, seeded_clip(make_clip, 960, 540))[0]
+    large = traced_extract(extract, seeded_clip(make_clip, 1920, 1080))[0]
+    assert large <= small + (1 << 19)
 
 
 # ---------------------------------------------------------------- GLCM

@@ -3,6 +3,7 @@ import pytest
 
 from ladderlab.errors import TruncatedFileError, ValidationError
 from ladderlab.media_io import (
+    PlaneRows,
     VideoClip,
     read_frames,
     write_frames,
@@ -33,21 +34,65 @@ def test_round_trip_identity(make_clip, tmp_path):
     assert out.read_bytes() == open(clip.path, "rb").read()
 
 
+def random_clip(make_clip, seed, frames=2, height=6, width=8):
+    rng = np.random.default_rng(seed)
+    return make_clip([(rng.integers(0, 256, (height, width)),
+                       rng.integers(0, 256, (height // 2, width // 2)),
+                       rng.integers(0, 256, (height // 2, width // 2))) for _ in range(frames)])
+
+
+def assert_owned_and_read_only(plane):
+    # a kept plane or band holds no other plane's bytes
+    assert plane.dtype == np.uint8
+    assert plane.base is None and plane.flags.owndata
+    assert plane.flags.c_contiguous
+    assert not plane.flags.writeable
+    with pytest.raises(ValueError):
+        plane[0, 0] = 1
+
+
 def test_planes_own_their_memory_and_are_read_only(make_clip):
-    rng = np.random.default_rng(1)
-    clip = make_clip([(rng.integers(0, 256, (6, 8)), rng.integers(0, 256, (3, 4)),
-                       rng.integers(0, 256, (3, 4))) for _ in range(2)])
-    lumas = list(read_frames(clip, chroma=False))
-    assert len(lumas) == 2
-    for frame, luma in zip(read_frames(clip), lumas):
-        assert luma.shape == (6, 8) and np.array_equal(luma, frame[0])
-        for plane in (*frame, luma):
-            # a kept plane holds no other plane's bytes
-            assert plane.base is None and plane.flags.owndata
-            assert plane.flags.c_contiguous
-            assert not plane.flags.writeable
-            with pytest.raises(ValueError):
-                plane[0, 0] = 1
+    clip = random_clip(make_clip, 1)
+    frames = list(read_frames(clip))
+    assert len(frames) == 2
+    for frame in frames:
+        for plane in frame:
+            assert_owned_and_read_only(plane)
+
+
+def test_row_readers_read_the_planes_rows(make_clip):
+    clip = random_clip(make_clip, 2, frames=3)
+    frames = read_frames(clip, rows=True)
+    readers = []
+    for frame, planes in zip(frames, read_frames(clip)):
+        readers.append((frame, planes))
+        for reader, plane in zip(frame, planes):
+            assert isinstance(reader, PlaneRows)
+            assert reader.shape == plane.shape and reader.size == plane.size
+            assert reader.dtype == np.uint8 and reader.ndim == 2
+            # slices are clipped as an array's are, and may be asked again
+            for rows in (slice(None), slice(1, 3), slice(2, 99), slice(-2, None),
+                         slice(3, 1), slice(1, 3), slice(None, None, 1)):
+                band = reader[rows]
+                assert np.array_equal(band, plane[rows]) and band.shape == plane[rows].shape
+                if band.size:
+                    assert_owned_and_read_only(band)
+        # the previous frames' readers still read their own rows after
+        # the next frame is yielded
+        for old, old_planes in readers:
+            for reader, plane in zip(old, old_planes):
+                assert np.array_equal(reader[:], plane)
+    for rows in (0, slice(0, 4, 2), (slice(None), 0)):
+        with pytest.raises(TypeError, match="range of rows"):
+            readers[0][0][0][rows]
+
+
+def test_row_readers_refuse_to_read_once_the_generator_closes(make_clip):
+    frames = read_frames(random_clip(make_clip, 3), rows=True)
+    luma = next(frames)[0]
+    frames.close()
+    with pytest.raises(ValueError):
+        luma[0:1]
 
 
 def test_truncated_file_names_frame_index(make_clip, tmp_path):
@@ -63,14 +108,36 @@ def test_truncated_file_names_frame_index(make_clip, tmp_path):
         (24 + 22, 1),  # inside frame 1's Cr
     ]:
         short.write_bytes(data[:length])
-        # a luma-only read, which skips the chroma, raises at the same frame
-        for frames in (read_frames(bad), read_frames(bad, chroma=False)):
+        # row readers, which may never read the chroma, raise at the same frame
+        for frames in (read_frames(bad), read_frames(bad, rows=True)):
             for _ in range(frame_index):
                 next(frames)
             with pytest.raises(TruncatedFileError) as exc:
                 next(frames)
             assert exc.value.frame_index == frame_index, length
             assert str(exc.value) == f"{short}: truncated read at frame index {frame_index}"
+
+
+@pytest.mark.parametrize("plane", [0, 1, 2], ids=["luma", "cb", "cr"])
+def test_row_reader_of_a_file_that_shrank_raises_at_its_frame(make_clip, plane):
+    clip = random_clip(make_clip, 4, frames=3)
+    want = list(read_frames(clip))
+    frames = read_frames(clip, rows=True)
+    first, second = next(frames), next(frames)
+    # cut frame 1's plane after its first row, once the size was checked
+    start, row = ((0, 8), (48, 4), (60, 4))[plane]
+    with open(clip.path, "r+b") as f:
+        f.truncate(clip.frame_bytes + start + row + 1)
+    assert np.array_equal(first[plane][:], want[0][plane])
+    assert np.array_equal(second[plane][0:1], want[1][plane][0:1])
+    with pytest.raises(TruncatedFileError) as exc:
+        second[plane][:]
+    assert exc.value.frame_index == 1
+    assert str(exc.value) == f"{clip.path}: truncated read at frame index 1"
+    # the next frame's readers raise at their own frame
+    with pytest.raises(TruncatedFileError) as exc:
+        next(frames)[0][:]
+    assert exc.value.frame_index == 2
 
 
 def test_odd_dimensions_rejected():

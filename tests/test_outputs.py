@@ -178,6 +178,18 @@ def test_write_output_replaces_whole_or_not_at_all(tmp_path):
     assert path.read_text() == "new\n" and os.listdir(tmp_path) == ["out.csv"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_a_non_finite_number(tmp_path, value):
+    # a NaN or Infinity token is not JSON: the old file keeps its bytes
+    path = tmp_path / "model.json"
+    path.write_text("old\n")
+    with pytest.raises(ValidationError, match=f"^cannot write {path}: Out of range float"):
+        pipeline.write_json(path, {"trees": [{"value": [1.0, value]}]})
+    assert path.read_text() == "old\n" and os.listdir(tmp_path) == ["model.json"]
+    pipeline.write_json(path, {"trees": [{"value": [1.0, 2.0]}]}, indent=None)
+    assert path.read_text() == '{"trees":[{"value":[1.0,2.0]}]}\n'
+
+
 def test_write_output_replaces_a_symlinks_target(tmp_path):
     target = tmp_path / "real" / "out.csv"
     target.parent.mkdir()

@@ -319,6 +319,14 @@ def test_csv_writes_are_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def load_trace_run():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace_run", path)
+    trace_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_run)
+    return trace_run
+
+
 @pytest.mark.parametrize("probe, keys", [
     ("probe_rd_and_evaluation", {
         "rd_core.build_rd_curve_us", "rd_core.cross_over_us", "rd_core.eel_ladder_us",
@@ -345,10 +353,24 @@ def test_benchmark_probes_run(tmp_path, probe, keys):
     (`train`, `model.trees`, `predict`, the model file) and the feature
     extractors (each VoD descriptor by its arity, from 96p to 2160p); run
     them as they are."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_run.py"
-    spec = importlib.util.spec_from_file_location("perfbench_trace_run", path)
-    trace_run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace_run)
+    trace_run = load_trace_run()
     metrics = getattr(trace_run, probe)(trace_run.Tracer("test"), str(tmp_path), 5)
     assert set(metrics) == keys
     assert all(np.isfinite(v) and v > 0 for v in metrics.values())
+
+
+def test_benchmark_trace_wraps_names_that_exist_and_restores_them():
+    """`--trace 1` wraps each of `_call_sites()` (the extractors'
+    `read_frames` and the VoD kernels among them) while instrumented, and
+    puts the original back on exit."""
+    trace_run = load_trace_run()
+
+    def current():
+        return [owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+                for owner, attr, _, _ in trace_run._call_sites()]
+
+    originals = current()
+    with trace_run.instrumented(trace_run.Tracer("test")):
+        for wrapped, original in zip(current(), originals):
+            assert wrapped is not original and wrapped.__wrapped__ is original
+    assert all(now is original for now, original in zip(current(), originals))
