@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .features_vod import band_rows, keep_temporaries_on_heap, pocketfft
+from .features_vod import band_rows, pocketfft
 from .media_io import PlaneRows, read_frames
 from .stats import ten_stats
 
@@ -50,9 +50,13 @@ def _band_energies(band):
     return coef.sum(axis=(1, 3)).reshape(-1) / (ENERGY_BLOCK * ENERGY_BLOCK)
 
 
-def _tiled_bands(luma):
-    """The bands of whole block rows of a luma plane's tiling, full width,
-    in rows as `band_rows` gives them, each read when it is asked for."""
+def _tiled_values(luma):
+    """(block energies, exact integer sum) of the tiled area of a luma
+    plane or reader, one band of whole block rows at a time.
+
+    The bands are full width, in rows as `band_rows` gives them, and each
+    is read once, when the DCT asks for it.
+    """
     if not isinstance(luma, PlaneRows):
         luma = np.asarray(luma)
     h, w = luma.shape
@@ -61,9 +65,14 @@ def _tiled_bands(luma):
         raise ContractError(
             f"plane {w}x{h} smaller than one {ENERGY_BLOCK}x{ENERGY_BLOCK} block"
         )
-    rows = band_rows(nw * ENERGY_BLOCK, ENERGY_BLOCK)
+    cols = nw * ENERGY_BLOCK
+    rows = band_rows(cols, ENERGY_BLOCK)
+    energies, total = [], 0
     for top in range(0, nh * ENERGY_BLOCK, rows):
-        yield luma[top : min(top + rows, nh * ENERGY_BLOCK)]
+        band = luma[top : min(top + rows, nh * ENERGY_BLOCK)]
+        energies.append(_band_energies(band))
+        total += int(band[:, :cols].sum(dtype=np.int64))
+    return np.concatenate(energies), total
 
 
 def block_energies(luma):
@@ -74,7 +83,7 @@ def block_energies(luma):
     each block's coefficients do not depend on the band.  `luma` is a
     uint8 plane or a `media_io.PlaneRows` reader of one.
     """
-    return np.concatenate([_band_energies(band) for band in _tiled_bands(luma)])
+    return _tiled_values(luma)[0]
 
 
 def temporal_energy(prev_blocks, curr_blocks):
@@ -98,9 +107,7 @@ def energy_gradient(h_prev, h_curr):
 def _luma_values(luma):
     """(block energies, BR) of a luma plane or reader; BR is the mean luma
     of the tiled area, an exact integer sum over n."""
-    energies = block_energies(luma)
-    cols = luma.shape[1] // ENERGY_BLOCK * ENERGY_BLOCK
-    total = sum(int(band[:, :cols].sum(dtype=np.int64)) for band in _tiled_bands(luma))
+    energies, total = _tiled_values(luma)
     return energies, total / (energies.size * ENERGY_BLOCK * ENERGY_BLOCK)
 
 
@@ -112,7 +119,6 @@ def extract_live(clip):
     """
     if clip.frame_count < 3:
         raise ValidationError("live features need >= 3 frames")
-    keep_temporaries_on_heap()
     e_series = []
     br_series = []
     h_series = []

@@ -24,7 +24,6 @@ GLCM_LEVELS = 32
 TC_BLOCK = 32
 _BAND_PIXELS = 1 << 16  # most luma pixels in a band of whole block rows (GLCM and noise
 # with 1-row blocks, TC, live DCT), unless one block row holds more
-_HEAP_BLOCK = 4 << 20  # bytes: above any band's or leaf's temporaries at 2160p
 
 VOD_FEATURE_NAMES = (
     # GLCM: correlation, contrast, energy, homogeneity, entropy
@@ -95,23 +94,6 @@ def _sum(plane):
     rows = band_rows(plane.shape[1], 1)
     return sum(int(plane[top : top + rows].sum(dtype=np.int64))
                for top in range(0, plane.shape[0], rows))
-
-
-@functools.cache
-def keep_temporaries_on_heap():
-    """Have glibc's malloc serve the kernels' temporaries from its heap,
-    once per process.
-
-    The kernels allocate and free up to about 1 MB per band or leaf,
-    hundreds of times per 2160p frame.  glibc starts with a 128 kB mmap
-    threshold: a larger block is a new mapping whose pages fault in on
-    first touch, and a free heap top is trimmed, so SI and CF took about
-    twice as long per call.  Freeing a mapped block raises the mmap
-    threshold to its size and the trim threshold to twice that, for the
-    rest of the process; this frees one of `_HEAP_BLOCK` bytes, never
-    touched, so it adds nothing to the resident set.
-    """
-    np.empty(_HEAP_BLOCK, dtype=np.uint8)
 
 
 def _pocketfft_dir():
@@ -288,18 +270,21 @@ def temporal_coherence(prev, curr):
 def _gradient_squares(luma):
     """Sobel |g|^2 on the interior of a plane or of a band of its rows."""
     # separable Sobel ([1,2,1] smoothing, [-1,0,1] difference) evaluated
-    # only on the interior, where the boundary mode is irrelevant
-    sx = np.add(luma[:-2], luma[2:], dtype=np.int16)
+    # only on the interior, where the boundary mode is irrelevant; widened
+    # once, so every sum is an int16 loop without casts
+    luma = luma.astype(np.int16)
+    sx = luma[:-2] + luma[2:]
     sx += luma[1:-1]
     sx += luma[1:-1]
-    gx = sx[:, 2:] - sx[:, :-2]
-    sy = np.add(luma[:, :-2], luma[:, 2:], dtype=np.int16)
+    gx = (sx[:, 2:] - sx[:, :-2]).astype(np.int32)  # |g|^2 needs 21 bits
+    sy = luma[:, :-2] + luma[:, 2:]
     sy += luma[:, 1:-1]
     sy += luma[:, 1:-1]
-    gy = sy[2:] - sy[:-2]
-    mag2 = np.multiply(gx, gx, dtype=np.int32)  # |g|^2 needs 21 bits
-    mag2 += np.multiply(gy, gy, dtype=np.int32)
-    return mag2
+    gy = (sy[2:] - sy[:-2]).astype(np.int32)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return gx
 
 
 def spatial_information(luma):
@@ -323,8 +308,11 @@ def spatial_information(luma):
     return _moments((h - 2) * row, 1, magnitude)[0][1]
 
 
-def temporal_information(prev, curr):
-    """TI: population std of the frame difference."""
+def temporal_information(prev, curr, sums=None):
+    """TI: population std of the frame difference.
+
+    `sums` are the planes' exact integer sums, where the caller has them.
+    """
     prev = _uint8(prev)
     curr = _uint8(curr)
     if prev.shape != curr.shape:
@@ -335,8 +323,9 @@ def temporal_information(prev, curr):
         np.subtract(_flat(curr, lo, hi), _flat(prev, lo, hi), out=out[0], dtype=np.float64)
 
     # integer differences add up exactly in float64 in any order
+    sum_a, sum_b = sums or (_sum(prev), _sum(curr))
     n = prev.shape[0] * prev.shape[1]
-    return _moments(n, 1, difference, [(_sum(curr) - _sum(prev)) / n])[0][1]
+    return _moments(n, 1, difference, [(sum_b - sum_a) / n])[0][1]
 
 
 def yuv420_to_rgb(luma, cb, cr):
@@ -347,32 +336,38 @@ def yuv420_to_rgb(luma, cb, cr):
     """
     # float32 is plenty for an 8-bit colorfulness statistic and halves
     # the memory traffic on large frames
-    y = np.asarray(luma, dtype=np.float32)
-    cbf = np.asarray(cb, dtype=np.float32)
-    crf = np.asarray(cr, dtype=np.float32)
+    yp = np.subtract(luma, np.float32(16.0), dtype=np.float32)
+    yp *= np.float32(255.0 / 219.0)
     # a chroma term is repeated along its row and broadcast over the two
     # luma rows it covers
-    yp = ((y - np.float32(16.0)) * np.float32(255.0 / 219.0)).reshape(
-        cbf.shape[0], 2, y.shape[1])
-    pb = np.repeat((cbf - np.float32(128.0)) * np.float32(255.0 / 224.0), 2, 1)[:, None]
-    pr = np.repeat((crf - np.float32(128.0)) * np.float32(255.0 / 224.0), 2, 1)[:, None]
+    yp = yp.reshape(yp.shape[0] // 2, 2, yp.shape[1])
+    pb, pr = (_repeat_columns(np.subtract(c, np.float32(128.0), dtype=np.float32)
+                              * np.float32(255.0 / 224.0))[:, None] for c in (cb, cr))
     r = yp + np.float32(1.5748) * pr
-    g = yp - np.float32(0.18732427) * pb - np.float32(0.46812427) * pr
+    g = yp - np.float32(0.18732427) * pb
+    g -= np.float32(0.46812427) * pr
     b = yp + np.float32(1.8556) * pb
-    return tuple(np.clip(p, 0.0, 255.0, out=p).reshape(y.shape) for p in (r, g, b))
+    return tuple(np.clip(p, 0.0, 255.0, out=p).reshape(np.shape(luma)) for p in (r, g, b))
 
 
-def _opponent(luma, cb, cr):
-    """(2, pixels) float32 opponent values rg = r - g and
-    yb = (r + g) / 2 - b of a 4:2:0 frame or row band."""
-    r, g, b = yuv420_to_rgb(luma, cb, cr)
-    out = np.empty((2,) + r.shape, dtype=np.float32)
-    np.subtract(r, g, out=out[0])
-    yb = out[1]
-    np.add(r, g, out=yb)
-    yb *= 0.5
-    yb -= b
-    return out.reshape(2, -1)
+def _repeat_columns(plane):
+    """np.repeat(plane, 2, 1) of a 2-D array, as two strided copies,
+    which numpy makes in half the time."""
+    out = np.empty(plane.shape + (2,), dtype=plane.dtype)
+    out[..., 0] = plane
+    out[..., 1] = plane
+    return out.reshape(plane.shape[0], -1)
+
+
+def _opponent(luma, cb, cr, start, out):
+    """Write float32 opponent values rg = r - g and yb = (r + g) / 2 - b
+    of a 4:2:0 frame or row band, from value `start` on in row-major
+    order, to the two rows of `out`."""
+    r, g, b = (p.reshape(-1)[start : start + out.shape[1]] for p in yuv420_to_rgb(luma, cb, cr))
+    np.subtract(r, g, out=out[0], dtype=np.float32)
+    yb = np.add(r, g)
+    yb *= np.float32(0.5)
+    np.subtract(yb, b, out=out[1], dtype=np.float32)
 
 
 def colorfulness(luma, cb, cr):
@@ -394,8 +389,7 @@ def colorfulness(luma, cb, cr):
 
     def opponent(lo, hi, out):
         top, end = lo // row, (hi - 1) // row + 1
-        values = _opponent(luma[2 * top : 2 * end], cb[top:end], cr[top:end])
-        out[:] = values[:, lo - top * row : hi - top * row]
+        _opponent(luma[2 * top : 2 * end], cb[top:end], cr[top:end], lo - top * row, out)
 
     means = stats.buffered_sums(luma.size, 2, opponent) / luma.size
     (mean_rg, std_rg), (mean_yb, std_yb) = _moments(luma.size, 2, opponent, means)
@@ -428,19 +422,21 @@ def noise_estimate(luma):
     return float(np.sqrt(np.pi / 2.0) * float(total) / (6.0 * (w - 2) * (h - 2)))
 
 
-def ncc(prev, curr):
+def ncc(prev, curr, sums=None):
     """Zero-mean normalized cross correlation at zero displacement.
 
-    Both planes constant -> 1; exactly one constant -> 0.
+    Both planes constant -> 1; exactly one constant -> 0.  `sums` are the
+    planes' exact integer sums, where the caller has them.
     """
     prev = _uint8(prev)
     curr = _uint8(curr)
     if prev.shape != curr.shape:
         raise ContractError("NCC needs equal-size planes")
     # a uint8 plane's mean, as np.mean gives it, is an exact integer sum over n
+    sum_a, sum_b = sums or (_sum(prev), _sum(curr))
     n = prev.shape[0] * prev.shape[1]
-    mean_a = _sum(prev) / n
-    mean_b = _sum(curr) / n
+    mean_a = sum_a / n
+    mean_b = sum_b / n
 
     def centred(lo, hi, out):
         da, db, cross = out
@@ -502,18 +498,20 @@ def extract_vod(clip):
 
     Every descriptor reads the rows it needs from the clip's file, so no
     plane is held: the previous frame's luma reader serves the pair
-    descriptors.
+    descriptors.  Each luma plane is summed once, for both of its pairs'
+    TI and NCC means.
     """
-    keep_temporaries_on_heap()
     frame_values, pair_values = [], []
-    prev = None
+    prev = prev_sum = None
     for frame in read_frames(clip, rows=True):
         frame_values.append(_frame_values(frame))
-        curr = frame[0]
+        curr, curr_sum = frame[0], _sum(frame[0])
         if prev is not None:
+            sums = (prev_sum, curr_sum)
             pair_values.append((temporal_coherence(prev, curr),
-                                temporal_information(prev, curr), ncc(prev, curr)))
-        prev = curr
+                                temporal_information(prev, curr, sums=sums),
+                                ncc(prev, curr, sums=sums)))
+        prev, prev_sum = curr, curr_sum
     per_frame = dict(zip(("con", "cor", "enr", "hom", "ent", "si", "cf", "noise"),
                          zip(*frame_values)))
     tc_stats, ti_vals, ncc_vals = zip(*pair_values)

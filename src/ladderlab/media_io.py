@@ -5,6 +5,7 @@ from the file size (raw YUV carries no header); the file size is only
 checked for consistency.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncatedFileError, ValidationError
+
+_HEAP_BLOCK = 4 << 20  # bytes: above any band's or leaf's temporaries at 2160p
 
 
 def check_clip_id(clip_id):
@@ -77,6 +80,8 @@ def read_frames(clip, rows=False):
             f"{clip.path}: file size {actual} exceeds the {expected} bytes of the "
             f"manifest's {clip.frame_count} frames of {w}x{h} I420"
         )
+    if rows:
+        _keep_temporaries_on_heap()
     shapes = ((h, w), (h // 2, w // 2), (h // 2, w // 2))
     offsets = (0, w * h, w * h + w * h // 4)
     with open(clip.path, "rb") as f:
@@ -86,22 +91,29 @@ def read_frames(clip, rows=False):
             if actual < (i + 1) * clip.frame_bytes:
                 raise TruncatedFileError(clip.path, i)
             start = i * clip.frame_bytes
+            readers = tuple(PlaneRows(f, start + offset, shape, clip.path, i)
+                            for offset, shape in zip(offsets, shapes))
             # no local name holds a plane, so the generator keeps none of
             # the last frame while it reads the next
-            if rows:
-                yield tuple(PlaneRows(f, start + offset, shape, clip.path, i)
-                            for offset, shape in zip(offsets, shapes))
-            else:
-                f.seek(start)
-                yield tuple(_read_plane(f, shape, clip.path, i) for shape in shapes)
+            yield readers if rows else tuple(reader[:] for reader in readers)
 
 
-def _read_plane(f, shape, path, frame_index):
-    plane = np.empty(shape, dtype=np.uint8)
-    if f.readinto(plane) < plane.size:
-        raise TruncatedFileError(path, frame_index)
-    plane.flags.writeable = False
-    return plane
+@functools.cache
+def _keep_temporaries_on_heap():
+    """Have glibc's malloc serve the row readers' bands and the kernels'
+    temporaries from its heap, once per process.
+
+    With readers no plane is allocated, so none is freed; the kernels
+    then allocate and free up to about 1 MB per band or leaf, hundreds
+    of times per 2160p frame.  glibc starts with a 128 kB mmap
+    threshold: a larger block is a new mapping whose pages fault in on
+    first touch, and a free heap top is trimmed, so SI and CF took about
+    twice as long per call.  Freeing a mapped block raises the mmap
+    threshold to its size and the trim threshold to twice that, for the
+    rest of the process; this frees one of `_HEAP_BLOCK` bytes, never
+    touched, so it adds nothing to the resident set.
+    """
+    np.empty(_HEAP_BLOCK, dtype=np.uint8)
 
 
 class PlaneRows:

@@ -59,19 +59,25 @@ def test_features_match_golden_vectors(make_clip):
 
 def test_vod_vector_equals_float64_reference(make_clip, monkeypatch):
     # the exact-integer kernels give the float64 reference's vector, bit
-    # for bit; the references take whole planes, read from the row readers
+    # for bit; the references take whole planes, read from the row readers,
+    # and take their own means, not the sums TI and NCC are handed
     clip = make_clip(golden_frames())
     got = extract_vod(clip).values
     for name, reference in FLOAT64_VOD.items():
-        monkeypatch.setattr(features_vod, name,
-                            lambda *planes, ref=reference: ref(*(p[:] for p in planes)))
+        monkeypatch.setattr(features_vod, name, lambda *planes, ref=reference, sums=None:
+                            ref(*(p[:] for p in planes)))
     assert got == extract_vod(clip).values
 
 
 def test_live_vector_equals_whole_plane_reference(make_clip, monkeypatch):
-    # the banded DCT gives the whole-plane energies' vector, bit for bit
+    # the banded DCT and sum give the whole-plane energies' and tiled
+    # sum's vector, bit for bit
+    def whole_plane_values(luma):
+        luma = luma[:]
+        tiled = luma[: luma.shape[0] // 32 * 32, : luma.shape[1] // 32 * 32]
+        return whole_plane_block_energies(luma), int(tiled.sum(dtype=np.int64))
+
     clip = make_clip(golden_frames())
     got = extract_live(clip).values
-    monkeypatch.setattr(features_live, "block_energies",
-                        lambda luma: whole_plane_block_energies(luma[:]))
+    monkeypatch.setattr(features_live, "_tiled_values", whole_plane_values)
     assert got == extract_live(clip).values

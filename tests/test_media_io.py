@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from ladderlab.media_io import (
     read_frames,
     write_frames,
 )
+from test_cold_path import child_env
 
 
 def test_round_trip_identity(make_clip, tmp_path):
@@ -93,6 +97,46 @@ def test_row_readers_refuse_to_read_once_the_generator_closes(make_clip):
     frames.close()
     with pytest.raises(ValueError):
         luma[0:1]
+
+
+# Counts glibc's new mappings for a 1 MB allocation in a fresh process,
+# after row readers start if asked; prints "none" where the C library
+# has no mallinfo2.
+_HEAP_CHILD = """
+import ctypes, sys
+import numpy as np
+from ladderlab.media_io import VideoClip, read_frames
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    sys.exit(print("none"))
+libc.mallinfo2.restype = MallInfo2
+if sys.argv[2] == "rows":
+    next(read_frames(VideoClip("c", sys.argv[1], 64, 32, 30.0, 2), rows=True))
+before = libc.mallinfo2().hblks
+block = np.empty(1 << 20, dtype=np.uint8)
+print(libc.mallinfo2().hblks - before)
+"""
+
+
+def test_row_readers_keep_temporaries_on_the_heap(make_clip):
+    # readers free no plane, so the process would keep glibc's 128 kB
+    # mmap threshold and map each band's temporaries anew
+    clip = make_clip([(np.zeros((32, 64)), np.zeros((16, 32)), np.zeros((16, 32)))] * 2)
+
+    def new_mappings(mode):
+        return subprocess.run([sys.executable, "-c", _HEAP_CHILD, clip.path, mode],
+                              env=child_env(), capture_output=True, text=True,
+                              timeout=120, check=True).stdout.strip()
+
+    if new_mappings("none") != "1":
+        pytest.skip("the C library maps no 1 MB block in a fresh process")
+    assert new_mappings("rows") == "0"
 
 
 def test_truncated_file_names_frame_index(make_clip, tmp_path):
