@@ -372,14 +372,14 @@ def _opponent(luma, cb, cr, start, out):
 
 def colorfulness(luma, cb, cr):
     """Hasler-Suesstrunk CF of a 4:2:0 frame via nearest-neighbor chroma
-    upsampling: std and mean of the float32 opponent planes rg and yb,
-    as float64 np.std and np.mean give them, combined as
-    hypot(std_rg, std_yb) + 0.3 hypot(mean_rg, mean_yb).
+    upsampling: float64 mean and population std of the float32 opponent
+    planes rg and yb, summed pairwise as np.mean and np.std sum float64
+    copies of them, combined as hypot(std_rg, std_yb) + 0.3
+    hypot(mean_rg, mean_yb).
 
     No opponent plane is held whole: each read of their values forms
-    them on the chroma rows it covers, once for their means, summed in
-    the order np.mean takes on a float32 plane (`stats.buffered_sums`),
-    and once for their deviations.
+    them on the chroma rows it covers, once for their means and once for
+    their deviations.
     """
     luma, cb, cr = (_uint8(p) for p in (luma, cb, cr))
     if (cb.ndim != 2 or cb.shape != cr.shape
@@ -391,8 +391,7 @@ def colorfulness(luma, cb, cr):
         top, end = lo // row, (hi - 1) // row + 1
         _opponent(luma[2 * top : 2 * end], cb[top:end], cr[top:end], lo - top * row, out)
 
-    means = stats.buffered_sums(luma.size, 2, opponent) / luma.size
-    (mean_rg, std_rg), (mean_yb, std_yb) = _moments(luma.size, 2, opponent, means)
+    (mean_rg, std_rg), (mean_yb, std_yb) = _moments(luma.size, 2, opponent)
     return float(np.hypot(std_rg, std_yb) + 0.3 * np.hypot(mean_rg, mean_yb))
 
 
@@ -464,7 +463,7 @@ def _moments(n, k, values, means=None):
     row i of `out`.  Repeats np.mean's and np.std's own steps (float64
     pairwise sums, centring in float64, sum of squares over n) one leaf of
     `stats.tree_sums` at a time, so each carries the bits those calls give
-    on the whole array.  `means` of None are summed; any other are used.
+    on the whole float64 array.  `means` of None are summed; any other are used.
     """
     if means is None:
         means = stats.tree_sums(n, k, values) / n

@@ -259,7 +259,9 @@ def _best_exhaustive(block, y, sse_parent):
     if gains[j] == -np.inf:
         return None
     k = int(np.argmin(child[:, j]))
-    return j, float(0.5 * (xs[k, j] + xs[k + 1, j])), float(gains[j])
+    lo, hi = xs[k, j], xs[k + 1, j]
+    thr = 0.5 * (lo + hi)  # rounded onto `hi`, it would send `hi` left
+    return j, float(thr if thr < hi else lo), float(gains[j])
 
 
 def train(matrix, hyperparams=Hyperparams(), kind="extratrees", target_id="p3",

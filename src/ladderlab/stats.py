@@ -40,29 +40,6 @@ def _walk(values, buf, lo, n):
     return _walk(values, buf, lo, half) + _walk(values, buf, lo + half, n - half)
 
 
-def buffered_sums(n, k, values):
-    """np.add.reduce(x, dtype=np.float64) of k float32 arrays x of n > 0
-    values, bit for bit, from the `values(lo, hi, out)` of `tree_sums`.
-
-    numpy casts a float32 array through its buffer of np.getbufsize()
-    values: it adds each buffer pairwise in float64 and the buffer sums
-    left to right from 0.0.  This reads whole buffers, up to `_LEAF`
-    values at a time, and does the same.  Returns the k sums as a
-    float64 array.
-    """
-    size = np.getbufsize()
-    step = size * max(1, _LEAF // size)
-    buf = np.empty((k, min(n, step)))
-    totals = np.zeros(k)
-    for lo in range(0, n, step):
-        out = buf[:, : min(step, n - lo)]
-        values(lo, lo + out.shape[1], out)
-        whole = out.shape[1] - out.shape[1] % size
-        for sums in np.add.reduce(out[:, :whole].reshape(k, -1, size), axis=2).T:
-            totals += sums
-    return totals + np.add.reduce(out[:, whole:], axis=1)
-
-
 def check_seed(seed):
     """Reject a negative seed, which np.random.SeedSequence refuses."""
     if seed < 0:

@@ -351,11 +351,12 @@ def float64_colorfulness_rgb(r, g, b):
     r = np.asarray(r)
     g = np.asarray(g)
     b = np.asarray(b)
-    rg = r - g
-    yb = 0.5 * (r + g) - b
-    # accumulate the moments in float64 regardless of input dtype
-    sigma = np.hypot(np.std(rg, dtype=np.float64), np.std(yb, dtype=np.float64))
-    mu = np.hypot(np.mean(rg, dtype=np.float64), np.mean(yb, dtype=np.float64))
+    # the moments of float64 copies, which numpy sums pairwise whatever
+    # the input dtype was
+    rg = np.asarray(r - g, dtype=np.float64)
+    yb = np.asarray(0.5 * (r + g) - b, dtype=np.float64)
+    sigma = np.hypot(np.std(rg), np.std(yb))
+    mu = np.hypot(np.mean(rg), np.mean(yb))
     return float(sigma + 0.3 * mu)
 
 
@@ -594,8 +595,9 @@ class ScalarTreeBuilder:
         child = (sl2 - sl * sl / nl) + (sr2 - sr * sr / nr)
         best = int(np.argmin(child))
         gain = sse_parent - float(child[best])
-        thr = 0.5 * (xs[k[best] - 1] + xs[k[best]])
-        return float(thr), gain
+        lo, hi = xs[k[best] - 1], xs[k[best]]
+        thr = 0.5 * (lo + hi)
+        return float(thr if thr < hi else lo), gain
 
 
 # ------------------------------------------- ladderlab-model-v1 models

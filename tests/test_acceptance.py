@@ -156,12 +156,15 @@ def corpus(tmp_path_factory):
     curves_dir = root / "curves"
     ladders_path = root / "ladders.csv"
     features_path = root / "features_vod.csv"
+    live_path = root / "features_live.csv"
     assert main(["rd", "build", "--samples", str(samples_path),
                  "--out", str(curves_dir)]) == 0
     assert main(["hull", "--curves", str(curves_dir), "--metric", "ypsnr",
                  "--out", str(ladders_path)]) == 0
     assert main(["features", "vod", "--manifest", str(manifest_path),
                  "--out", str(features_path)]) == 0
+    assert main(["features", "live", "--manifest", str(manifest_path),
+                 "--out", str(live_path)]) == 0
     return {
         "root": root,
         "manifest": manifest_path,
@@ -169,12 +172,16 @@ def corpus(tmp_path_factory):
         "curves": curves_dir,
         "ladders": ladders_path,
         "features": features_path,
+        "features_live": live_path,
     }
 
 
-def test_a3_synthetic_end_to_end(capsys, corpus):
+def report_a3(capsys, name, corpus, features, kind):
+    """A3's gates on `kind` models trained on the corpus file `features`,
+    over three stratified splits of the corpus."""
     t0 = time.perf_counter()
-    names, table = read_feature_csv(corpus["features"])
+    _, vod = read_feature_csv(corpus["features"])
+    names, table = read_feature_csv(corpus[features])
     ladders = read_ladders_csv(corpus["ladders"])
     from ladderlab.pipeline import read_curves_dir
 
@@ -183,8 +190,8 @@ def test_a3_synthetic_end_to_end(capsys, corpus):
     X = np.array([table[c] for c in clip_ids])
     eel = {c: ladders[(c, "avc", "software", "ypsnr")] for c in clip_ids}
 
-    # strata: quartiles of mean spatial information (feature F21)
-    si = X[:, 20]
+    # strata: quartiles of mean spatial information (VoD feature F21)
+    si = np.array([vod[c][20] for c in clip_ids])
     edges = np.quantile(si, [0.25, 0.5, 0.75])
     strata = [int(np.searchsorted(edges, v)) for v in si]
 
@@ -204,7 +211,7 @@ def test_a3_synthetic_end_to_end(capsys, corpus):
                 y[[idx[c] for c in train_ids]],
             )
             model = learning.train(
-                m_train, learning.Hyperparams(n_trees=100, seed=seed), "extratrees"
+                m_train, learning.Hyperparams(n_trees=100, seed=seed), kind
             )
             pred_log = learning.predict_log(model, X[[idx[c] for c in test_ids]])
             ref_log = y[[idx[c] for c in test_ids]]
@@ -234,10 +241,24 @@ def test_a3_synthetic_end_to_end(capsys, corpus):
     med_sl = float(np.median(bdbr_sl))
     ok = med_r2 >= 0.8 and med_method < med_sl and elapsed < 600
     report(
-        capsys, "A3", ok,
+        capsys, name, ok,
         f"median held-out R2 {med_r2:.3f}, BD-BR vs EEL {med_method:.3f}% "
         f"(SL {med_sl:.3f}%), {elapsed:.1f} s",
     )
+
+
+def test_a3_synthetic_end_to_end(capsys, corpus):
+    report_a3(capsys, "A3", corpus, "features", "extratrees")
+
+
+@pytest.mark.parametrize("features, kind", [
+    ("features", "rf"), ("features_live", "extratrees"), ("features_live", "rf"),
+], ids=["vod-rf", "live-extratrees", "live-rf"])
+def test_a3_other_method_cells(capsys, corpus, features, kind):
+    """A3's gates on the rest of the paper's method matrix: VoD or live
+    features, ExtraTrees or random-forest models."""
+    label = "VoD" if features == "features" else "live"
+    report_a3(capsys, f"A3 {label}/{kind}", corpus, features, kind)
 
 
 # --------------------------------------------------------------------------

@@ -182,6 +182,27 @@ def test_predict_evaluate_round_trip(tmp_path):
     assert (tmp_path / "report.csv").exists()
 
 
+def test_rf_train_on_neighbouring_doubles_writes_a_finite_model(tmp_path, capsys):
+    # 0.5 * (a + b) of these two doubles rounds onto b; an `rf` split
+    # there sent every row left, again and again, to a RecursionError
+    from ladderlab import learning
+
+    a = 0.2955312244511243
+    values = [a] * 6 + [float(np.nextafter(a, np.inf))] * 6 + [0.1] * 3
+    p1 = [100] * 6 + [200] * 6 + [400] * 3
+    feats, ladders = tmp_path / "features.csv", tmp_path / "ladders.csv"
+    feats.write_text("clip_id,F1\n" + "".join(f"c{i:02d},{v!r}\n" for i, v in enumerate(values)))
+    ladders.write_text(pipeline.LADDER_HEADER + "\n" + "".join(
+        f"c{i:02d},avc,software,ypsnr,{p},1000,5000\n" for i, p in enumerate(p1)))
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", str(feats), "--ladders", str(ladders),
+                 "--model-kind", "rf", "--target", "p1", "--n-trees", "5",
+                 "--out", str(model)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert "NaN" not in model.read_text()
+    learning.load_model(model)  # refuses a non-finite threshold or value
+
+
 def _tiny_model(tmp_path, target, metric="ypsnr", names=("F1", "F2", "F3")):
     """Save a 3-tree model for one target and return its path."""
     from ladderlab import learning

@@ -188,10 +188,9 @@ def test_tc_on_tall_planes_equals_float64_reference_bit_for_bit(nh):
 
 @pytest.mark.parametrize("chroma_rows", [15, 16, 17, 32, 33, 65, 128, 135])
 def test_cf_on_tall_planes_equals_float64_reference_bit_for_bit(chroma_rows):
-    # a leaf of `stats.tree_sums` and a chunk of `stats.buffered_sums`
-    # hold more values than 15 chroma rows of this width and fewer than
-    # 16; taller planes are converted a leaf at a time, and leaves end
-    # inside chroma rows
+    # a leaf of `stats.tree_sums` holds more values than 15 chroma rows
+    # of this width and fewer than 16; taller planes are converted a leaf
+    # at a time, and leaves end inside chroma rows
     assert 15 * 4 * 1029 < stats._LEAF < 16 * 4 * 1029
     rng = np.random.default_rng(chroma_rows)
     luma = rng.integers(0, 256, (2 * chroma_rows, 2 * 1029), dtype=np.uint8)
@@ -200,19 +199,24 @@ def test_cf_on_tall_planes_equals_float64_reference_bit_for_bit(chroma_rows):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(1, 40), st.integers(1, 40), st.sampled_from([16, 48, 8192]))
-def test_cf_on_small_leaves_and_buffers_equals_float64_reference_bit_for_bit(
-        data, ch, cw, bufsize):
-    # leaves of 16 values and numpy buffers of `bufsize` values, so leaves
-    # and buffers end inside chroma rows, and a plane may be one buffer's tail
+@given(st.data(), st.integers(1, 40), st.integers(1, 40))
+def test_cf_on_small_leaves_and_buffers_equals_float64_reference_bit_for_bit(data, ch, cw):
+    # leaves of 16 values, so leaves end inside chroma rows
     luma, = data.draw(uint8_planes((2 * ch, 2 * cw), 1))
     cb, cr = data.draw(uint8_planes((ch, cw), 2))
-    old = np.setbufsize(bufsize)
-    try:
-        with mock.patch.object(stats, "_LEAF", 16):
-            assert_equals_float64_reference("colorfulness", luma, cb, cr)
-    finally:
-        np.setbufsize(old)
+    with mock.patch.object(stats, "_LEAF", 16):
+        assert_equals_float64_reference("colorfulness", luma, cb, cr)
+
+
+def test_cf_on_dark_coloured_1080p_frame_equals_float64_reference_bit_for_bit():
+    # on this frame numpy's buffered float32 mean and the pairwise sum of
+    # float64 copies give opponent means whose CF differs by one ulp
+    rng = np.random.default_rng(1)
+    luma = np.clip(rng.normal(20, 6, (1080, 1920)), 0, 255).astype(np.uint8)
+    cb = np.clip(rng.normal(128 + 30 * np.sin(1), 40, (540, 960)), 0, 255).astype(np.uint8)
+    cr = np.clip(rng.normal(140, 50, (540, 960)), 0, 255).astype(np.uint8)
+    assert colorfulness(luma, cb, cr) == 116.39245825675738
+    assert_equals_float64_reference("colorfulness", luma, cb, cr)
 
 
 # ------------------------------------------------------- peak memory

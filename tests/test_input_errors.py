@@ -289,15 +289,15 @@ def test_input_files_are_read_only_through_read_input():
 
 
 def test_every_public_name_has_a_caller():
-    """Each public top-level function and class of the package is named
-    (as `name` or `.name`) outside its own definition, by the package or
-    the benchmark; a name that only tests reach belongs in the tests."""
+    """Each top-level function and class of the package, public or
+    `_private`, is named (as `name` or `.name`) outside its own
+    definition, by the package or the benchmark; a name that only tests
+    reach belongs in the tests."""
     defined, references = [], set()
     for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             owner = getattr(stmt, "name", None)
-            if path.parent == SRC and isinstance(
-                    stmt, (ast.FunctionDef, ast.ClassDef)) and not owner.startswith("_"):
+            if path.parent == SRC and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path, owner))
             for node in ast.walk(stmt):
                 if isinstance(node, (ast.Name, ast.Attribute)):

@@ -245,6 +245,68 @@ def test_predict_matches_one_tree_at_a_time_reference(problem, tmp_path_factory)
             assert np.array_equal(predict_log(ours, X), want), kind
 
 
+# ------------------------------------- splits between neighbouring doubles
+
+def built_tree(X, y, rows, extra):
+    """The `_TreeBuilder` grown on `rows` of (X, y), every column a candidate."""
+    builder = learning._TreeBuilder(X, y, X.shape[1], 2, np.random.default_rng(0), extra)
+    builder.build(rows)
+    return builder
+
+
+def assert_applied_splits_are_the_scored_ones(builder, X, y, rows):
+    """Sends `rows` down the tree as `build` did: every leaf gets a row, and
+    the gains of the partitions applied add up to the recorded ones."""
+    slot = np.cumsum(np.asarray(builder.feature) >= 0) - 1  # of an inner node's threshold
+    leaves, applied = [], np.zeros(X.shape[1])
+
+    def sse(r):
+        return float(np.sum((y[r] - y[r].mean()) ** 2))
+
+    def walk(node, r):
+        f = builder.feature[node]
+        if f < 0:
+            leaves.append(len(r))
+            return
+        left = X[r, f] <= builder.threshold[slot[node]]
+        applied[f] += sse(r) - sse(r[left]) - sse(r[~left])
+        walk(node + 1, r[left])
+        walk(builder.right[slot[node]], r[~left])
+
+    walk(0, rows)
+    assert min(leaves) >= 1
+    assert applied == pytest.approx(builder.gains, rel=1e-9, abs=1e-9 * sse(rows))
+
+
+def test_rf_split_between_neighbouring_doubles_applies_the_scored_partition():
+    # 0.5 * (a + b) rounds onto b, the column's largest value: split there,
+    # every row went left, and the same split was taken without end
+    a = 0.2955312244511243
+    b = np.nextafter(a, np.inf)
+    assert 0.5 * (a + b) == b
+    X = np.array([a] * 6 + [b] * 6 + [0.1] * 3)[:, None]
+    y = np.log([100.0] * 6 + [200.0] * 6 + [400.0] * 3)
+    rows = np.arange(15)
+    builder = built_tree(X, y, rows, extra=False)
+    assert a in builder.threshold
+    assert_applied_splits_are_the_scored_ones(builder, X, y, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-1e300, 1e300), st.integers(10, 40), st.integers(1, 3),
+       st.sampled_from(["extratrees", "rf"]), st.integers(0, 2**32 - 1))
+@example(0.2955312244511243, 15, 1, "rf", 0)
+@example(-0.0, 12, 2, "rf", 1)
+def test_splits_between_neighbouring_doubles_apply_the_scored_partition(a, n, d, kind, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array([a, np.nextafter(a, np.inf), rng.uniform(-1e3, 1e3)])
+    X = rng.choice(values, size=(n, d), p=[0.4, 0.4, 0.2])
+    y = rng.integers(0, 3, n) + rng.normal(8.0, 0.1, n)
+    rows = np.sort(rng.integers(0, n, n)) if kind == "rf" else np.arange(n)
+    builder = built_tree(X, y, rows, extra=(kind == "extratrees"))
+    assert_applied_splits_are_the_scored_ones(builder, X, y, rows)
+
+
 # ---------------------------------------------------------- importances
 
 def test_impurity_importance_identifies_signal():

@@ -379,52 +379,3 @@ def test_tree_sums_equal_add_reduce_bit_for_bit(n, seed):
     got = stats.tree_sums(n, 2, values)
     want = np.array([np.add.reduce(a) for a in arrays])
     assert got.tobytes() == want.tobytes()
-
-
-_BUFSIZE = np.getbufsize()
-_UHD = 3840 * 2160
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.one_of(
-        st.integers(1, 3 * _BUFSIZE + 17),
-        st.builds(lambda k, d: k * _BUFSIZE + d, st.integers(1, _UHD // _BUFSIZE - 1),
-                  st.integers(-2, 2)),
-        st.sampled_from([_UHD - 1, _UHD]),
-    ),
-    st.integers(0, 2**32 - 1),
-)
-@example(_BUFSIZE - 1, 1)
-@example(_BUFSIZE + 1, 2)
-@example(500 * _BUFSIZE, 3)
-@example(_UHD, 4)
-def test_buffered_sums_equal_float32_mean_bit_for_bit(n, seed):
-    # magnitudes over 60 decades and signed zeros, so every rounding and
-    # the sign of a zero sum depend on the order of the additions
-    rng = np.random.default_rng(seed)
-    values = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n)).astype(np.float32)
-    values[rng.random(n) < 0.2] = -0.0
-
-    def read(lo, hi, out):
-        out[0] = values[lo:hi]
-
-    got = stats.buffered_sums(n, 1, read) / n
-    assert got.tobytes() == np.mean(values, dtype=np.float64).reshape(1).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(2160, 3840), (1080, 1920), (96, 128), (135, 241)])
-@settings(max_examples=3, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_buffered_sums_equal_float32_plane_means_bit_for_bit(shape, seed):
-    rng = np.random.default_rng(seed)
-    planes = (rng.standard_normal((2,) + shape) * 10.0 ** rng.uniform(-5, 5, (2,) + shape)
-              ).astype(np.float32)
-    flat = planes.reshape(2, -1)
-
-    def read(lo, hi, out):
-        out[:] = flat[:, lo:hi]
-
-    got = stats.buffered_sums(flat.shape[1], 2, read) / flat.shape[1]
-    want = [np.mean(plane, dtype=np.float64) for plane in planes]
-    assert got.tobytes() == np.array(want).tobytes()
