@@ -6,7 +6,9 @@ Targets are regressed in ln(kbps): cross-overs span orders of magnitude
 and squared error in the log domain matches the log-rate geometry of
 the BD metrics.  Everything stochastic is a pure function of
 (data, hyperparameters, seed); tree t uses an RNG keyed on (seed, t) so
-results do not depend on scheduling.
+results do not depend on scheduling.  The RNG is this module's own PCG64
+stream, which draws what numpy's Generator on SeedSequence([seed, t])
+draws; of the CLI commands, only `synth` imports numpy.random.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import ContractError, ValidationError
 from .pipeline import MODEL_KINDS, TARGET_IDS, json_object, read_input, write_json
 from .rd_core import METRICS
-from .stats import check_seed, pearson, seeded_rng
+from .stats import check_seed, pearson
 
 MODEL_FORMAT_TAG = "ladderlab-model-v2"
 
@@ -114,6 +116,179 @@ class TrainedModel:
     target_id: str
     metric: str
     feature_gains: np.ndarray = field(repr=False)  # summed impurity decrease
+
+
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+_CHUNK = 256  # PCG64 states `_Pcg64Stream` computes at once
+_LANE = 40  # bytes per state in the packed product: A*s + G*inc < 2**257
+
+
+def _pcg64_seed(seed, stream):
+    """(state, increment) of numpy's PCG64(SeedSequence([seed, stream]))."""
+    entropy = [v >> s & _MASK32 for v in (seed, stream)
+               for s in range(0, max(v.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight words, paired little-endian
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        words.append(value ^ value >> 16)
+    w = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _MASK128
+    return ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _packed_steps():
+    """A_j = MULT**j and G_j = 1 + MULT + ... + MULT**(j - 1) mod 2**128 for
+    j = 1.._CHUNK, each packed into one int, _LANE bytes apart: j steps of
+    the LCG take state s to A_j * s + G_j * inc."""
+    a, g, lanes = 1, 0, ([], [])
+    for _ in range(_CHUNK):
+        a, g = a * _PCG_MULT & _MASK128, (g * _PCG_MULT + 1) & _MASK128
+        lanes[0].append(a.to_bytes(_LANE, "little"))
+        lanes[1].append(g.to_bytes(_LANE, "little"))
+    return [int.from_bytes(b"".join(v), "little") for v in lanes]
+
+
+_STEPS, _INC_STEPS = _packed_steps()
+
+
+class _Pcg64Stream:
+    """The draws of np.random.default_rng(np.random.SeedSequence([seed,
+    stream])) that training makes, without numpy.random, so that model
+    bytes rest on this code rather than on the algorithms of numpy's
+    Generator methods, and `train` does not load numpy.random (and,
+    through it, OpenSSL).
+
+    The bit generator is PCG64 (XSL-RR 128/64), its outputs computed
+    _CHUNK at a time.  A 32-bit draw is the low half of a 64-bit output,
+    and the next 32-bit draw its high half, also after 64-bit draws in
+    between.  The methods take numpy's arguments, so a Generator can
+    stand in for this class.
+    """
+
+    def __init__(self, seed, stream):
+        check_seed(seed)
+        self._state, inc = _pcg64_seed(int(seed), stream)
+        self._inc_steps = inc * _INC_STEPS
+        self._outputs, self._taken = [], 0  # outputs computed, and how many are used
+        self._half = None  # the high half of the last 64-bit output split for 32-bit draws
+
+    def _chunk(self):
+        """The outputs of the next _CHUNK states, all from one product."""
+        packed = self._state * _STEPS + self._inc_steps
+        lanes = np.frombuffer(packed.to_bytes(_LANE * _CHUNK, "little"), dtype=np.uint64)
+        lo, hi = lanes[0::_LANE // 8], lanes[1::_LANE // 8]  # of each state mod 2**128
+        self._state = int(hi[-1]) << 64 | int(lo[-1])
+        # XSL-RR: the high half xor the low half, rotated right by the top 6 bits
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        return (x >> rot | x << (np.uint64(64) - rot & np.uint64(63))).tolist()
+
+    def _next64(self, n):
+        i = self._taken
+        while i + n > len(self._outputs):
+            self._outputs, i = self._outputs[i:] + self._chunk(), 0
+        self._taken = i + n
+        return self._outputs[i:i + n]
+
+    def _next32(self, n):
+        out = []
+        if n and self._half is not None:
+            out.append(self._half)
+            self._half, n = None, n - 1
+        for w in self._next64((n + 1) // 2):
+            out += (w & _MASK32, w >> 32)
+        if n % 2:
+            self._half = out.pop()
+        return out
+
+    def _lemire(self, bounds):
+        """A value in [0, b) per bound b <= 2**32 by Lemire's method on 32-bit
+        draws; b == 1 takes no draw."""
+        words = self._next32(len(bounds) - bounds.count(1))
+        draws, out = iter(words), []  # a list iterator also yields what is appended later
+        for b in bounds:
+            m = next(draws) * b if b > 1 else 0
+            if m & _MASK32 < b:
+                floor = (1 << 32) % b
+                while m & _MASK32 < floor:  # rejected: one more draw
+                    words += self._next32(1)
+                    m = next(draws) * b
+            out.append(m >> 32)
+        return out
+
+    def _masked(self, highs):
+        """A value in [0, h] per 1 <= h < 2**32 by masked rejection on 32-bit draws."""
+        words = self._next32(len(highs))
+        draws, out = iter(words), []
+        for h in highs:
+            mask = (1 << h.bit_length()) - 1
+            v = next(draws) & mask
+            while v > h:
+                words += self._next32(1)
+                v = next(draws) & mask
+            out.append(v)
+        return out
+
+    def random(self, size):
+        """`size` doubles in [0, 1): the top 53 bits of 64-bit draws."""
+        return np.array([(w >> 11) * 2.0**-53 for w in self._next64(size)])
+
+    def integers(self, low, high, size):
+        return low + np.array(self._lemire([high - low] * size), dtype=np.int64)
+
+    def choice(self, a, size, replace=True):
+        """`size` of range(a) without replacement: Floyd's algorithm, or for
+        a > 10000 and size > a // 50 a shuffle of the tail, then a shuffle."""
+        if replace:
+            raise ValueError("only draws without replacement are supported")
+        if a > 10000 and size > a // 50:
+            first = max(a - size, 1)
+            items, picks = list(range(a)), self._lemire(range(a, first, -1))
+        else:
+            picks = self._lemire([*range(a - size + 1, a + 1), *range(size, 1, -1)])
+            taken = {}  # Floyd's set, in the order of insertion
+            for j, v in zip(range(a - size, a), picks):
+                taken[j if v in taken else v] = None
+            items, picks = list(taken), picks[size:]
+        _swap_down(items, picks)
+        return np.array(items[len(items) - size:], dtype=np.int64)
+
+    def permutation(self, x):
+        """range(x) shuffled."""
+        return np.array(_swap_down(list(range(x)), self._masked(range(x - 1, 0, -1))),
+                        dtype=np.int64)
+
+
+def _swap_down(items, picks):
+    """Fisher-Yates: swap the last item with item picks[0], the one before
+    it with picks[1], and so on while picks last."""
+    for i, j in zip(range(len(items) - 1, 0, -1), picks):
+        items[i], items[j] = items[j], items[i]
+    return items
 
 
 class _TreeBuilder:
@@ -282,7 +457,7 @@ def train(matrix, hyperparams=Hyperparams(), kind="extratrees", target_id="p3",
     trees = []
     gains = np.zeros(d)
     for t in range(hyperparams.n_trees):
-        rng = seeded_rng(hyperparams.seed, t)
+        rng = _Pcg64Stream(hyperparams.seed, t)
         if kind == "rf":
             idx = np.sort(rng.integers(0, n, size=n))
         else:
@@ -396,7 +571,7 @@ def rfe_select(matrix, kind="extratrees", hyperparams=Hyperparams(), seed=0):
     n, d = matrix.X.shape
     if d < 2:
         raise ContractError("RFE needs at least 2 features")
-    rng = seeded_rng(seed, 0xFE)
+    rng = _Pcg64Stream(seed, 0xFE)
     perm = rng.permutation(n)
     n_val = max(3, int(round(_VALIDATION_FRACTION * n)))
     val_idx = np.sort(perm[:n_val])

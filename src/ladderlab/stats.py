@@ -47,7 +47,9 @@ def check_seed(seed):
 
 
 def seeded_rng(seed, stream):
-    """The Generator of `stream` under a user's non-negative `seed`."""
+    """numpy's Generator of `stream` under a user's non-negative `seed`, which
+    `synth` draws from; `learning` reproduces the draws it makes without
+    numpy.random."""
     check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
 

@@ -1,7 +1,9 @@
-"""What a CLI stage loads: no scipy, no numpy.ma, and only its own
-ladderlab modules.
+"""What a CLI stage loads: no scipy, no numpy.ma, no numpy.random, no
+OpenSSL, and only its own ladderlab modules.
 
-scipy is imported only by the `synth` commands.  The feature stages load
+scipy and numpy.random are imported only by the `synth` commands.
+numpy.random imports `secrets`, and through `hmac` OpenSSL's `_hashlib`;
+`learning` draws from its own PCG64 stream instead.  The feature stages load
 scipy's compiled pocketfft extension from its file, which imports no
 scipy module.  numpy imports numpy.ma lazily, from np.unique of a plain
 array and from np.percentile among others, at a few ms and a few hundred
@@ -32,7 +34,8 @@ import json, sys
 
 def unwanted_modules():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
+                  if m.split(".")[0] in ("scipy", "_hashlib")
+                  or m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"]))
 
 
 from ladderlab.cli import main
@@ -44,7 +47,8 @@ print(json.dumps({"import": after_import, "stages": unwanted_modules()}))
 """
 
 # One stage in a fresh interpreter: which ladderlab and job-running modules it
-# loaded, and how many objects the import of ladderlab.cli left frozen.
+# loaded, whether it loaded numpy.random or OpenSSL, and how many objects the
+# import of ladderlab.cli left frozen.
 CENSUS_CHILD = r"""
 import gc, json, sys
 
@@ -55,6 +59,7 @@ assert main(json.loads(sys.stdin.read())) == 0
 print(json.dumps({
     "ladderlab": sorted(m.split(".")[1] for m in sys.modules if m.startswith("ladderlab.")),
     "jobs": sorted(m for m in ("subprocess", "concurrent.futures") if m in sys.modules),
+    "random": sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules),
     "frozen": frozen,
 }))
 """
@@ -70,6 +75,7 @@ CENSUS = {  # stage -> (ladderlab modules beyond BASE, job-running modules)
     "features vod --jobs 2": (["features_vod", "stats"], ["concurrent.futures", "subprocess"]),
     "features live": (["features_live", "features_vod", "stats"], []),
     "train p1": (["learning", "stats"], []),
+    "select": (["learning", "stats"], []),
     "predict": (["learning", "stats"], []),
 }
 
@@ -83,8 +89,8 @@ def child_env():
 
 
 def write_stage_inputs(tmp_path):
-    """{stage name: argv} of every stage but `synth`, `encode`, `select` and
-    `bdbr`, in an order that runs; the inputs no stage writes are written here."""
+    """{stage name: argv} of every stage but `synth`, `encode` and `bdbr`, in
+    an order that runs; the inputs no stage writes are written here."""
     write_rd_inputs(tmp_path)
     stages = dict(zip(("rd build", "hull", "evaluate"), rd_stage_argvs(tmp_path)))
     frames = np.random.default_rng(1)
@@ -119,11 +125,15 @@ def write_stage_inputs(tmp_path):
             "--n-trees", "3", "--out", model]
         predict += ["--model", model]
     stages["predict"] = predict
+    stages["select"] = ["select", "--features", str(tmp_path / "features.csv"),
+                        "--ladders", str(tmp_path / "ladders.csv"),
+                        "--out", str(tmp_path / "select.json")]
     return stages
 
 
 def test_cli_stages_load_no_scipy(tmp_path):
-    """Neither the import nor any stage loads scipy or numpy.ma."""
+    """Neither the import nor any stage loads scipy, numpy.ma, numpy.random
+    or `_hashlib`."""
     stages = write_stage_inputs(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-c", CHILD], input=json.dumps(list(stages.values())),
@@ -151,7 +161,7 @@ def stage_inputs(tmp_path_factory):
 def test_each_stage_loads_only_the_modules_it_runs(stage_inputs, stage):
     """`rd build` and `hull` load no learning, evaluation or feature module;
     only a stage that starts worker processes loads `concurrent.futures`
-    or `subprocess`."""
+    or `subprocess`; no stage loads numpy.random or `_hashlib`."""
     tmp_path, stages = stage_inputs
     argv = list(stages[stage])
     out = argv.index("--out") + 1
@@ -165,6 +175,7 @@ def test_each_stage_loads_only_the_modules_it_runs(stage_inputs, stage):
     modules, jobs = CENSUS[stage]
     assert found["ladderlab"] == sorted(BASE + modules)
     assert found["jobs"] == jobs
+    assert found["random"] == []
     assert found["frozen"] > 0
 
 

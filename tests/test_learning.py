@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ladderlab import learning
 from ladderlab.errors import ContractError, ValidationError
+from ladderlab.stats import seeded_rng
 from ladderlab.learning import (
     Hyperparams,
     TrainingMatrix,
@@ -42,9 +43,11 @@ def model_bytes(model, tmp_path, name="model.json", save=save_model):
 
 
 def reference_train(matrix, hp, kind):
-    """`train` with the scalar per-column split search of tests/oracles.py."""
+    """`train` with the scalar per-column split search of tests/oracles.py,
+    drawing from numpy's Generator in place of learning's own stream."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learning, "_TreeBuilder", ScalarTreeBuilder)
+        mp.setattr(learning, "_Pcg64Stream", seeded_rng)
         return train(matrix, hp, kind)
 
 
@@ -243,6 +246,76 @@ def test_predict_matches_one_tree_at_a_time_reference(problem, tmp_path_factory)
         want = v1_predict_log(v1_model(model, matrix), X)
         for ours in (model, load_model(path)):
             assert np.array_equal(predict_log(ours, X), want), kind
+
+
+# ------------------------------------------------------ the random stream
+
+def numpy_stream(seed, stream):
+    return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+
+
+def stream_draws(rng, calls):
+    """The arrays `calls` draw from `rng`, one per call, in order."""
+    out = []
+    for name, *args in calls:
+        if name == "choice":
+            a, size = args
+            out.append(rng.choice(a, size=size, replace=False))
+        elif name == "random":
+            out.append(rng.random(*args))
+        elif name == "integers":
+            low, high, size = args
+            out.append(rng.integers(low, high, size=size))
+        else:
+            out.append(rng.permutation(*args))
+    return out
+
+
+@st.composite
+def stream_call(draw):
+    """One Generator call of the kinds training makes.  Large bounds make
+    Lemire's method reject draws; sizes up to a few hundred cross the
+    stream's chunks of 256 outputs."""
+    kind = draw(st.sampled_from(["choice", "random", "integers", "permutation"]))
+    if kind == "choice":
+        a = draw(st.integers(1, 40) | st.integers(1, 2**32))
+        return kind, a, draw(st.integers(0, min(a, 40)))
+    if kind == "random":
+        return kind, draw(st.integers(0, 12) | st.integers(0, 300))
+    if kind == "integers":
+        low = draw(st.integers(-5, 5))
+        high = low + draw(st.integers(1, 200) | st.integers(1, 2**32))
+        return kind, low, high, draw(st.integers(0, 12) | st.integers(0, 300))
+    return kind, draw(st.integers(0, 50) | st.integers(0, 600))
+
+
+EDGE_CALLS = [("choice", 7, 7), ("choice", 1, 1), ("choice", 1, 0), ("random", 0),
+              ("integers", 0, 1, 3), ("permutation", 0), ("permutation", 1),
+              ("choice", 30, 10), ("random", 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**128), stream=st.sampled_from([0, 1, 0xFE]) | st.integers(0, 2**70),
+       calls=st.lists(stream_call(), max_size=12))
+@example(seed=0, stream=0, calls=EDGE_CALLS)
+@example(seed=2**128, stream=0xFE, calls=EDGE_CALLS[::-1])
+@example(seed=2**32 - 1, stream=2**32, calls=[("integers", 0, 3 * 2**30, 40)])
+def test_stream_matches_numpy_generator(seed, stream, calls):
+    """learning's stream draws what numpy's Generator on
+    SeedSequence([seed, stream]) draws, call for call, dtype included."""
+    ours = stream_draws(learning._Pcg64Stream(seed, stream), calls)
+    want = stream_draws(numpy_stream(seed, stream), calls)
+    for call, got, ref in zip(calls, ours, want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), call
+
+
+def test_stream_choice_shuffles_the_tail_of_a_large_population():
+    """Above 10,000 items and a fiftieth of them, numpy's choice shuffles
+    the tail of range(a) instead of running Floyd's algorithm."""
+    calls = [("choice", 10_050, 300), ("random", 3), ("choice", 20_000, 401)]
+    for got, ref in zip(stream_draws(learning._Pcg64Stream(5, 9), calls),
+                        stream_draws(numpy_stream(5, 9), calls)):
+        assert np.array_equal(got, ref)
 
 
 # ------------------------------------- splits between neighbouring doubles
