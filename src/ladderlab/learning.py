@@ -200,7 +200,7 @@ class _Pcg64Stream:
     def _chunk(self):
         """The outputs of the next _CHUNK states, all from one product."""
         packed = self._state * _STEPS + self._inc_steps
-        lanes = np.frombuffer(packed.to_bytes(_LANE * _CHUNK, "little"), dtype=np.uint64)
+        lanes = np.frombuffer(packed.to_bytes(_LANE * _CHUNK, "little"), dtype="<u8")
         lo, hi = lanes[0::_LANE // 8], lanes[1::_LANE // 8]  # of each state mod 2**128
         self._state = int(hi[-1]) << 64 | int(lo[-1])
         # XSL-RR: the high half xor the low half, rotated right by the top 6 bits

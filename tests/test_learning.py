@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ladderlab import learning
 from ladderlab.errors import ContractError, ValidationError
-from ladderlab.stats import seeded_rng
 from ladderlab.learning import (
     Hyperparams,
     TrainingMatrix,
@@ -21,6 +20,7 @@ from ladderlab.learning import (
     save_model,
     train,
 )
+from ladderlab.stats import seeded_rng
 from oracles import (
     ScalarTreeBuilder, save_model_v1, stratified_split, v1_model, v1_predict_log,
 )
@@ -256,19 +256,11 @@ def numpy_stream(seed, stream):
 
 def stream_draws(rng, calls):
     """The arrays `calls` draw from `rng`, one per call, in order."""
-    out = []
-    for name, *args in calls:
-        if name == "choice":
-            a, size = args
-            out.append(rng.choice(a, size=size, replace=False))
-        elif name == "random":
-            out.append(rng.random(*args))
-        elif name == "integers":
-            low, high, size = args
-            out.append(rng.integers(low, high, size=size))
-        else:
-            out.append(rng.permutation(*args))
-    return out
+    make = {"choice": lambda a, size: rng.choice(a, size=size, replace=False),
+            "random": rng.random,
+            "integers": lambda low, high, size: rng.integers(low, high, size=size),
+            "permutation": rng.permutation}
+    return [make[name](*args) for name, *args in calls]
 
 
 @st.composite
