@@ -194,7 +194,9 @@ class _Pcg64Stream:
         check_seed(seed)
         self._state, inc = _pcg64_seed(int(seed), stream)
         self._inc_steps = inc * _INC_STEPS
-        self._outputs, self._taken = [], 0  # outputs computed, and how many are used
+        # outputs computed so far, as their 32-bit halves (low first) and as
+        # `random`'s doubles; those before output `_taken` are used
+        self._words, self._doubles, self._taken = [], np.empty(0), 0
         self._half = None  # the high half of the last 64-bit output split for 32-bit draws
 
     def _chunk(self):
@@ -205,24 +207,28 @@ class _Pcg64Stream:
         self._state = int(hi[-1]) << 64 | int(lo[-1])
         # XSL-RR: the high half xor the low half, rotated right by the top 6 bits
         x, rot = hi ^ lo, hi >> np.uint64(58)
-        return (x >> rot | x << (np.uint64(64) - rot & np.uint64(63))).tolist()
+        return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
 
-    def _next64(self, n):
+    def _take(self, n):
+        """Index of the first of the next n outputs, which it marks used."""
         i = self._taken
-        while i + n > len(self._outputs):
-            self._outputs, i = self._outputs[i:] + self._chunk(), 0
+        while i + n > len(self._doubles):
+            out = self._chunk()
+            self._words = self._words[2 * i:] + out.astype("<u8", copy=False).view("<u4").tolist()
+            self._doubles = np.concatenate([self._doubles[i:], (out >> np.uint64(11)) * 2.0**-53])
+            i = 0
         self._taken = i + n
-        return self._outputs[i:i + n]
+        return i
 
     def _next32(self, n):
         out = []
         if n and self._half is not None:
             out.append(self._half)
             self._half, n = None, n - 1
-        for w in self._next64((n + 1) // 2):
-            out += (w & _MASK32, w >> 32)
+        i = 2 * self._take((n + 1) // 2)
+        out += self._words[i:i + n]
         if n % 2:
-            self._half = out.pop()
+            self._half = self._words[i + n]
         return out
 
     def _lemire(self, bounds):
@@ -255,7 +261,8 @@ class _Pcg64Stream:
 
     def random(self, size):
         """`size` doubles in [0, 1): the top 53 bits of 64-bit draws."""
-        return np.array([(w >> 11) * 2.0**-53 for w in self._next64(size)])
+        i = self._take(size)
+        return self._doubles[i:i + size].copy()
 
     def integers(self, low, high, size):
         return low + np.array(self._lemire([high - low] * size), dtype=np.int64)
