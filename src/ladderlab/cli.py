@@ -184,22 +184,32 @@ def _cmd_rd_build(args):
 
 
 def _cmd_hull(args):
+    """EEL ladders of the curves of --metric, read as `pipeline.iter_curves_dir`
+    hands them out, so that a few clips' curves are held at a time.
+
+    Faults come in this order: a bad --max-bitrate; a malformed curve
+    file, when it is read; then the ladder error of the least (clip_id,
+    codec, platform, metric), held until every file is read; then no
+    curves of --metric.
+    """
     # A cross-over can take this value, and ladder readers reject it
     # when it is not a positive, finite bitrate.
     if args.max_bitrate is not None and not (
             math.isfinite(args.max_bitrate) and args.max_bitrate > 0):
         raise ValidationError(
             f"--max-bitrate must be a positive, finite bitrate, got {args.max_bitrate}")
-    curves = pipeline.read_curves_dir(args.curves)
     rows = []
-    for (clip_id, codec, platform, metric), by_res in sorted(curves.items()):
-        if metric != args.metric:
+    failed = None  # (key, error) of the least key whose ladder fails
+    for key, by_res in pipeline.iter_curves_dir(args.curves):
+        if key[3] != args.metric:
             continue
         try:
-            ladder = rd_core.eel_ladder(by_res, args.max_bitrate)
+            rows.append((*key[:3], rd_core.eel_ladder(by_res, args.max_bitrate)))
         except LadderError as exc:
-            raise ValidationError(f"clip {clip_id}: {exc}") from exc
-        rows.append((clip_id, codec, platform, ladder))
+            if failed is None or key < failed[0]:
+                failed = key, exc
+    if failed is not None:
+        raise ValidationError(f"clip {failed[0][0]}: {failed[1]}") from failed[1]
     if not rows:
         raise ValidationError(f"no curves found for metric {args.metric!r}")
     pipeline.write_ladders_csv(args.out, rows)
@@ -360,6 +370,16 @@ def _manifest_clips(args):
 
 
 def _cmd_evaluate(args):
+    """Score --pred against --eel and the static ladder of --sl-from-train,
+    with each clip's curves as `pipeline.iter_curves_dir` hands them out.
+
+    Every check that needs no curves comes before the first curve file is
+    read: the three files' combinations, then the clip sets and
+    correlations (`evaluation.ClipScorer`).  Then come a malformed curve
+    file, when it is read; no curves of the combination; and last the
+    faults `ClipScorer.report` raises: clips without curves, then the
+    scoring error of the least clip_id.
+    """
     from . import evaluation
 
     combo, pred = _clip_ladders(args.pred)
@@ -368,15 +388,19 @@ def _cmd_evaluate(args):
     for path, found in ((args.eel, eel_combo), (args.sl_from_train, sl_combo)):
         if found != combo:
             raise ValidationError(f"{path}: holds {found}, but {args.pred} holds {combo}")
-    # Like `hull --metric`, take from a curves directory only the curves
-    # of the combination the predictions were made for.
-    curves = {k[0]: v for k, v in pipeline.read_curves_dir(args.curves).items()
-              if k[1:] == combo}
-    if not curves:
-        raise ValidationError(f"{args.curves}: no curves for {combo}")
     sl = evaluation.static_ladder([l.cross_overs for l in train_l.values()])
-    eel = {c: l for c, l in eel.items() if c in pred}
-    report = evaluation.evaluate_method(pred, eel, sl, curves)
+    scorer = evaluation.ClipScorer(pred, {c: l for c, l in eel.items() if c in pred}, sl)
+    del pred, eel, train_l  # the scorer keeps the ladders it scores
+    # Like `hull --metric`, take from a curves directory only the curves of
+    # the combination the predictions were made for.
+    matched = False
+    for (clip_id, *clip_combo), curves in pipeline.iter_curves_dir(args.curves):
+        if tuple(clip_combo) == combo:
+            matched = True
+            scorer.add(clip_id, curves)
+    if not matched:
+        raise ValidationError(f"{args.curves}: no curves for {combo}")
+    report = scorer.report()
     pipeline.write_json(args.out, dataclasses.asdict(report))
     with pipeline.write_output(_table_path(args.out)) as f:
         f.write("clip_id,bdbr_vs_eel,bdbr_vs_sl\n")

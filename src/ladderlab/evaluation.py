@@ -132,52 +132,82 @@ def _ladder_rd_set(curves, ladder, grid):
     return np.column_stack((grid, convex_hull(curves, ladder)(grid)[1]))
 
 
-def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves):
-    """Score predicted ladders against EEL ground truth and the SL baseline.
+class ClipScorer:
+    """Scores predicted ladders against EEL ground truth and the SL baseline,
+    one clip's RD curves at a time, in any order.
 
-    All three ladder inputs are keyed by clip_id; `rd_curves` maps
-    clip_id -> {resolution: RDCurve}, and each clip's curves are
-    interpolated through `curve_handles`.  Correlations are computed on
-    ln(kbps) cross-overs; accuracy and BD-BR use each clip's default grid.
+    The predicted and EEL ladders are keyed by clip_id and must cover the
+    same clips.  `add` scores one clip; `report`
+    summarises the clips in clip_id order, so the figures do not depend
+    on the order they were added in.  Faults come in this order:
+    1. different clip sets, then an undefined correlation: both need no
+       curves and are raised on construction, before any curves are read;
+    2. clips with no curves, or none for some ladder resolution;
+    3. the scoring error of the least clip_id, held until `report`.
     """
-    clips = sorted(predicted_ladders)
-    if sorted(eel_ladders) != clips:
-        raise ContractError("predicted and EEL ladders cover different clips")
-    # Every ladder resolution, as the hull rule may select any of them.
-    missing = [c for c in clips
-               if not all(r in rd_curves.get(c, {}) for r in LADDER_RESOLUTIONS)]
-    if missing:
-        raise ContractError(f"missing RD curves for clips: {missing}")
 
-    per_target = {}
-    for k in ("p1", "p2", "p3"):
-        pred = [math.log(getattr(predicted_ladders[c].cross_overs, k)) for c in clips]
-        ref = [math.log(getattr(eel_ladders[c].cross_overs, k)) for c in clips]
-        r2, srocc, plcc = correlation_metrics(pred, ref)
-        per_target[k] = {"r2": r2, "srocc": srocc, "plcc": plcc}
+    def __init__(self, predicted_ladders, eel_ladders, sl_cross_overs):
+        clips = sorted(predicted_ladders)
+        if sorted(eel_ladders) != clips:
+            raise ContractError("predicted and EEL ladders cover different clips")
+        # Correlations are computed on ln(kbps) cross-overs.
+        self._per_target = {}
+        for k in ("p1", "p2", "p3"):
+            pred = [math.log(getattr(predicted_ladders[c].cross_overs, k)) for c in clips]
+            ref = [math.log(getattr(eel_ladders[c].cross_overs, k)) for c in clips]
+            r2, srocc, plcc = correlation_metrics(pred, ref)
+            self._per_target[k] = {"r2": r2, "srocc": srocc, "plcc": plcc}
+        self._clips = clips
+        self._ladders = {c: (predicted_ladders[c], eel_ladders[c]) for c in clips}
+        self._sl = BitrateLadder(sl_cross_overs)
+        self._scores = {}  # clip_id -> (accuracy, BD-BR vs EEL, BD-BR vs SL)
+        self._failed = None  # (clip_id, the error of its scoring)
 
-    sl_ladder = BitrateLadder(sl_cross_overs)
-    accuracies = []
-    per_clip = []
-    for c in clips:
+    def add(self, clip_id, curves):
+        """Score one clip from its {resolution: RDCurve}, which are interpolated
+        through `curve_handles`; accuracy and BD-BR use the clip's default
+        grid.  A clip with no ladders here is ignored, and one whose
+        curves lack a ladder resolution is left missing."""
+        if clip_id not in self._ladders or not all(r in curves for r in LADDER_RESOLUTIONS):
+            return
+        pred_l, eel_l = self._ladders[clip_id]
         try:
-            pred_l = predicted_ladders[c]
-            eel_l = eel_ladders[c]
-            accuracies.append(ladder_accuracy(pred_l, eel_l))
-            bd_grid = default_accuracy_grid([pred_l, eel_l, sl_ladder])
+            accuracy = ladder_accuracy(pred_l, eel_l)
+            bd_grid = default_accuracy_grid([pred_l, eel_l, self._sl])
             # the three hull sets share this clip's interpolants, which go with it
-            curves = curve_handles(rd_curves[c])
+            handles = curve_handles(curves)
             eel_set, pred_set, sl_set = (
-                _ladder_rd_set(curves, l, bd_grid) for l in (eel_l, pred_l, sl_ladder)
+                _ladder_rd_set(handles, l, bd_grid) for l in (eel_l, pred_l, self._sl)
             )
-            per_clip.append((c, bd_rate(eel_set, pred_set), bd_rate(sl_set, pred_set)))
+            self._scores[clip_id] = (
+                accuracy, bd_rate(eel_set, pred_set), bd_rate(sl_set, pred_set))
         except (ContractError, ValidationError) as exc:  # e.g. an interpolant that overflows
-            raise type(exc)(f"clip {c}: {exc}") from exc
+            if self._failed is None or clip_id < self._failed[0]:
+                self._failed = clip_id, exc
 
-    return EvalReport(
-        per_target=per_target,
-        accuracy=float(np.mean(accuracies)),
-        bdbr_vs_eel=float(np.mean([row[1] for row in per_clip])),
-        bdbr_vs_sl=float(np.mean([row[2] for row in per_clip])),
-        per_clip_bdbr=per_clip,
-    )
+    def report(self):
+        """The EvalReport of every clip, or the first fault (see the class)."""
+        failed, exc = self._failed or (None, None)
+        # Every ladder resolution, as the hull rule may select any of them.
+        missing = [c for c in self._clips if c not in self._scores and c != failed]
+        if missing:
+            raise ContractError(f"missing RD curves for clips: {missing}")
+        if exc is not None:
+            raise type(exc)(f"clip {failed}: {exc}") from exc
+        scores = [self._scores[c] for c in self._clips]
+        return EvalReport(
+            per_target=self._per_target,
+            accuracy=float(np.mean([row[0] for row in scores])),
+            bdbr_vs_eel=float(np.mean([row[1] for row in scores])),
+            bdbr_vs_sl=float(np.mean([row[2] for row in scores])),
+            per_clip_bdbr=[(c, *row[1:]) for c, row in zip(self._clips, scores)],
+        )
+
+
+def evaluate_method(predicted_ladders, eel_ladders, sl_cross_overs, rd_curves):
+    """The `ClipScorer` report of every clip, whose curves `rd_curves` maps
+    clip_id -> {resolution: RDCurve}."""
+    scorer = ClipScorer(predicted_ladders, eel_ladders, sl_cross_overs)
+    for c in sorted(predicted_ladders):
+        scorer.add(c, rd_curves.get(c, {}))
+    return scorer.report()

@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from ladderlab import pipeline
 from ladderlab.cli import main
 from ladderlab.pipeline import read_feature_csv, read_ladders_csv
 from test_cold_path import child_env
+from test_rd_core import make_designed_curves  # designed four-curve families
 
 
 def write_params(tmp_path, targets=(100.0, 800.0, 4000.0)):
@@ -1155,7 +1158,9 @@ def test_rd_build_keeps_one_of_log_equal_bitrates_for_hull(tmp_path):
                  "--out", str(tmp_path / "ladders.csv")]) == 0
 
 
-def test_interpolant_that_overflows_ends_hull_and_evaluate_naming_clip(tmp_path, capsys):
+def _overflow_inputs(tmp_path):
+    """Curves of clips c0..c2, of which c1's interpolant overflows, and a
+    ladder file for them: (curves directory, ladder file)."""
     # c1's 720x480 knots lie 1e-11 apart in log bitrate under qualities
     # near -1e289: `rd build` keeps them (each point is finite and on the
     # Pareto front), but the cubic's coefficients overflow.  c0 and c2 are
@@ -1182,13 +1187,21 @@ def test_interpolant_that_overflows_ends_hull_and_evaluate_naming_clip(tmp_path,
                        "c0,avc,software,ypsnr,1500.0,2500.0,3500.0\n"
                        "c1,avc,software,ypsnr,3.5037,3.55,3.59\n"
                        "c2,avc,software,ypsnr,1600.0,2600.0,3600.0\n")
-    curves, out = tmp_path / "curves", tmp_path / "out"
-    want = ("error: clip c1: interpolation knots too close for their qualities: "
-            "the cubic's coefficients overflow\n")
+    curves = tmp_path / "curves"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
         assert main(["rd", "build", "--samples", str(samples), "--out", str(curves)]) == 0
-        capsys.readouterr()
+    return curves, ladders
+
+
+def test_interpolant_that_overflows_ends_hull_and_evaluate_naming_clip(tmp_path, capsys):
+    curves, ladders = _overflow_inputs(tmp_path)
+    out = tmp_path / "out"
+    want = ("error: clip c1: interpolation knots too close for their qualities: "
+            "the cubic's coefficients overflow\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
         assert main(["hull", "--curves", str(curves), "--metric", "ypsnr",
                      "--out", f"{out}.csv"]) == 1
         assert capsys.readouterr().err == want
@@ -1197,6 +1210,132 @@ def test_interpolant_that_overflows_ends_hull_and_evaluate_naming_clip(tmp_path,
                      "--out", f"{out}.json"]) == 1
         assert capsys.readouterr().err == want
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curves", "ladders.csv", "rd.csv"]
+
+
+def _drop_resolution(path, res="3840x2160"):
+    doc = json.loads(path.read_text())
+    del doc["resolutions"][res]
+    path.write_text(json.dumps(doc))
+
+
+def _malformed_later_file(curves):
+    """Copy the first curve file under clip_ids z00, z01, … until the last
+    copy is parsed after the other files' curves were handed out, and
+    break that copy's JSON; -> its path."""
+    first = sorted(curves.iterdir())[0]
+    for i in range(pipeline._CURVE_FILES_READ_AHEAD + 1):
+        doc = json.loads(first.read_text())
+        doc["clip_id"] = f"z{i:02d}"
+        path = curves / f"z{i:02d}__avc__software__ypsnr.json"
+        path.write_text(json.dumps(doc))
+    path.write_text('{"clip_id": "z", "codec": ')
+    return path
+
+
+@pytest.mark.parametrize("case", ["malformed-later-file", "least-key"])
+def test_hull_fault_precedence(tmp_path, capsys, case):
+    """`hull` holds a ladder's error until every curve file is read: a
+    malformed file comes before any ladder's error, and of ladders that
+    fail, the least (clip_id, codec, platform, metric)'s error is raised,
+    whatever the file order."""
+    _, curves, _ = _codec_inputs(tmp_path, "avc")
+    files = sorted(curves.iterdir())
+    _drop_resolution(files[0])  # c1's ladder fails
+    if case == "malformed-later-file":
+        want = f"error: {_malformed_later_file(curves)}: "
+    else:
+        # "a-b__…" sorts before "a__…", but the key ("a", …) before ("a-b", …)
+        for clip_id in ("a", "a-b"):
+            doc = json.loads(files[0].read_text())
+            doc["clip_id"] = clip_id
+            (curves / f"{clip_id}__avc__software__ypsnr.json").write_text(json.dumps(doc))
+        want = "error: clip a: missing resolutions: [(3840, 2160)]\n"
+    out = tmp_path / "ladders_out.csv"
+    capsys.readouterr()
+    assert main(["hull", "--curves", str(curves), "--metric", "ypsnr", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.count("\n") == 1 and err.startswith(want)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["clip-without-curves", "malformed-later-file"])
+def test_evaluate_fault_precedence(tmp_path, capsys, case):
+    """`evaluate` checks its ladders before it reads a curve file, then scores
+    each clip as its file is read and holds a scoring error until every file
+    is read: a malformed file comes first, then clips with no curves, then
+    the scoring error of the least clip_id (c1's interpolant overflows)."""
+    curves, ladders = _overflow_inputs(tmp_path)
+    if case == "clip-without-curves":
+        with ladders.open("a") as f:
+            f.write("c3,avc,software,ypsnr,1700.0,2700.0,3700.0\n")
+        _drop_resolution(curves / "c2__avc__software__ypsnr.json")  # lacks a resolution: missing too
+        want = "error: missing RD curves for clips: ['c2', 'c3']\n"
+    else:
+        want = f"error: {_malformed_later_file(curves)}: "
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert main(["evaluate", "--pred", str(ladders), "--eel", str(ladders),
+                     "--sl-from-train", str(ladders), "--curves", str(curves),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.count("\n") == 1 and err.startswith(want)
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+def _designed_curve_inputs(tmp_path, n_clips):
+    """A curves directory of n_clips clips of designed four-curve families,
+    60 points per curve, and their EEL ladder file."""
+    curves = {}
+    for i in range(n_clips):
+        scale = 1.0 + 0.01 * i
+        curves[(f"c{i:03d}", "avc", "software", "ypsnr")] = make_designed_curves(
+            targets=(100.0 * scale, 800.0 * scale, 4000.0 * scale))
+    cdir, ladders = tmp_path / f"curves{n_clips}", tmp_path / f"ladders{n_clips}.csv"
+    pipeline.write_curves_dir(cdir, curves)
+    assert main(["hull", "--curves", str(cdir), "--metric", "ypsnr", "--out", str(ladders)]) == 0
+    return cdir, ladders
+
+
+def _traced_peak(fn):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert fn() == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["hull", "evaluate"])
+def test_rd_stage_peak_memory_does_not_grow_with_clip_count(tmp_path, command):
+    """`hull` and `evaluate` hold a fixed number of clips' curves: each clip
+    added to the curves directory raises their traced peak by far less than
+    its curves take (here by its ladders and output rows, ≈0.13 and ≈0.17
+    of its curves' bytes; ≈0.9 when the commands held every clip's curves)."""
+    inputs = {n: _designed_curve_inputs(tmp_path, n) for n in (20, 80)}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = pipeline.read_curves_dir(inputs[20][0])
+        one_clip = tracemalloc.get_traced_memory()[0] / len(held)
+    finally:
+        tracemalloc.stop()
+    del held
+
+    def run(n):
+        cdir, ladders = inputs[n]
+        if command == "hull":
+            return main(["hull", "--curves", str(cdir), "--metric", "ypsnr",
+                         "--out", str(tmp_path / "out.csv")])
+        return main(["evaluate", "--pred", str(ladders), "--eel", str(ladders),
+                     "--sl-from-train", str(ladders), "--curves", str(cdir),
+                     "--out", str(tmp_path / "out.json")])
+
+    run(20)  # first calls: the command's imports and numpy's set-up
+    peak = {n: _traced_peak(lambda: run(n)) for n in inputs}
+    assert (peak[80] - peak[20]) / (80 - 20) < one_clip / 4
 
 
 @pytest.mark.parametrize("command", ["evaluate", "bdbr"])

@@ -7,6 +7,7 @@ import pytest
 from ladderlab import rd_core
 from ladderlab.errors import ContractError, MetricUndefinedError
 from ladderlab.evaluation import (
+    ClipScorer,
     bd_rate,
     correlation_metrics,
     default_accuracy_grid,
@@ -224,3 +225,18 @@ def test_no_interpolant_outlives_its_clip():
         evaluate_method(dict(eel_ladders), eel_ladders, sl, rd_curves)
         assert 0 < len(built) <= len(held)
         assert all(c._interp is None for c in held)
+
+
+def test_clip_scorer_report_does_not_depend_on_add_order():
+    """`evaluate` adds clips in curve-file order; the report sums them in
+    clip order, so it equals `evaluate_method`'s to the bit.  A clip with
+    no ladders is ignored."""
+    rd_curves, eel_ladders = build_eval_inputs()
+    pred = {c: BitrateLadder(CrossOverSet(*(v * (1.1 + 0.05 * i) for v in l.cross_overs.as_tuple()),
+                                          "ypsnr"))
+            for i, (c, l) in enumerate(sorted(eel_ladders.items()))}
+    sl = static_ladder([l.cross_overs for l in eel_ladders.values()])
+    scorer = ClipScorer(pred, eel_ladders, sl)
+    for c in ["other", *sorted(rd_curves, reverse=True)]:
+        scorer.add(c, rd_curves.get(c, rd_curves["clip0"]))
+    assert scorer.report() == evaluate_method(pred, eel_ladders, sl, rd_curves)
