@@ -23,7 +23,8 @@ from .media_io import PlaneRows, read_frames
 GLCM_LEVELS = 32
 TC_BLOCK = 32
 _BAND_PIXELS = 1 << 16  # most luma pixels in a band of whole block rows (GLCM and noise
-# with 1-row blocks, TC, live DCT), unless one block row holds more
+# with 1-row blocks, live DCT), unless one block row holds more
+_TC_TILE = 16  # most blocks whose spectra TC holds at once, unless its plane is one block row
 
 VOD_FEATURE_NAMES = (
     # GLCM: correlation, contrast, energy, homogeneity, entropy
@@ -206,19 +207,26 @@ _SPECTRUM_COUNT = TC_BLOCK * TC_BLOCK - 1  # full spectrum minus DC
 
 
 def _block_tc(prev, curr, block_major):
-    """Per-block TC of two equal-size bands of whole block rows, blocks in
-    row-major order."""
+    """Per-block TC of two equal-size tiles of whole blocks, blocks in
+    row-major order.
+
+    The weighted products are formed in one scratch array laid out as
+    the spectra, which become their deviations in place, so each block
+    is summed in the layout of its spectra.
+    """
     sa = _block_half_spectra(prev, block_major)
     sb = _block_half_spectra(curr, block_major)
-    w = _HALF_WEIGHTS
-    mean_a = ((sa * w).sum(axis=(1, 2)) - sa[:, 0, 0]) / _SPECTRUM_COUNT
-    mean_b = ((sb * w).sum(axis=(1, 2)) - sb[:, 0, 0]) / _SPECTRUM_COUNT
-    da = sa - mean_a[:, None, None]
-    db = sb - mean_b[:, None, None]
+    t = np.empty_like(sa)
     # the DC term is subtracted out of every weighted sum
-    var_a = (w * da * da).sum(axis=(1, 2)) - da[:, 0, 0] ** 2
-    var_b = (w * db * db).sum(axis=(1, 2)) - db[:, 0, 0] ** 2
-    cov = (w * da * db).sum(axis=(1, 2)) - da[:, 0, 0] * db[:, 0, 0]
+    for s in (sa, sb):
+        s -= ((np.multiply(s, _HALF_WEIGHTS, out=t).sum(axis=(1, 2)) - s[:, 0, 0])
+              / _SPECTRUM_COUNT)[:, None, None]
+    sums = []
+    for a, b in ((sa, sa), (sb, sb), (sa, sb)):
+        np.multiply(_HALF_WEIGHTS, a, out=t)
+        t *= b
+        sums.append(t.sum(axis=(1, 2)) - a[:, 0, 0] * b[:, 0, 0])
+    var_a, var_b, cov = sums
     na = np.sqrt(np.maximum(var_a, 0.0))
     nb = np.sqrt(np.maximum(var_b, 0.0))
     tc = np.ones(sa.shape[0])
@@ -235,10 +243,14 @@ def temporal_coherence(prev, curr):
     zero-variance spectrum makes that block's TC 1.  Entropy uses a
     16-bin histogram over [-1, 1].
 
-    The spectra are taken in bands of `band_rows`, so only a band's
-    spectra are held.  They are laid out block-major, but on a plane of
-    one block row as a strided view: the features keep the bits of the
-    whole-plane computation, whose spectra had that layout there.
+    The spectra are taken in tiles of at most `_TC_TILE` blocks, whole
+    block rows where one holds fewer and pieces of one block row where it
+    holds more, so the spectra held do not grow with the plane; the uint8
+    rows of a band of tiles are read once for all of its tiles.  The
+    spectra are laid out block-major, but on a plane of one block row as
+    a strided view of the whole row, which is not split: the features
+    keep the bits of the whole-plane computation, whose spectra had that
+    layout there, and a strided tile of one block sums in another order.
     """
     prev = _uint8(prev)
     curr = _uint8(curr)
@@ -250,14 +262,18 @@ def temporal_coherence(prev, curr):
         raise ContractError(
             f"plane {w}x{h} smaller than one {TC_BLOCK}x{TC_BLOCK} block"
         )
-    cols = nw * TC_BLOCK
-    rows = band_rows(cols, TC_BLOCK)
-    bands = [(top, min(top + rows, nh * TC_BLOCK)) for top in range(0, nh * TC_BLOCK, rows)]
-    tc = np.concatenate([
-        _block_tc(prev[top:end][:, :cols], curr[top:end][:, :cols], nh > 1)
-        for top, end in bands
-    ])
-    tc = np.clip(tc, -1.0, 1.0)
+    height, width = nh * TC_BLOCK, nw * TC_BLOCK
+    rows = TC_BLOCK * max(1, _TC_TILE // nw)  # rows of a band of tiles
+    cols = width if nh == 1 else TC_BLOCK * _TC_TILE  # columns of a tile
+    tc = np.empty(nh * nw)
+    done = 0
+    for top in range(0, height, rows):
+        a, b = (p[top : min(top + rows, height)][:, :width] for p in (prev, curr))
+        for left in range(0, width, cols):
+            values = _block_tc(a[:, left : left + cols], b[:, left : left + cols], nh > 1)
+            tc[done : done + values.size] = values
+            done += values.size
+    np.clip(tc, -1.0, 1.0, out=tc)
     return (
         float(tc.mean()),
         stats.pop_std(tc),
@@ -343,10 +359,11 @@ def yuv420_to_rgb(luma, cb, cr):
     yp = yp.reshape(yp.shape[0] // 2, 2, yp.shape[1])
     pb, pr = (_repeat_columns(np.subtract(c, np.float32(128.0), dtype=np.float32)
                               * np.float32(255.0 / 224.0))[:, None] for c in (cb, cr))
-    r = yp + np.float32(1.5748) * pr
     g = yp - np.float32(0.18732427) * pb
     g -= np.float32(0.46812427) * pr
     b = yp + np.float32(1.8556) * pb
+    r = yp  # formed last, in the memory of yp, which g and b read
+    r += np.float32(1.5748) * pr
     return tuple(np.clip(p, 0.0, 255.0, out=p).reshape(np.shape(luma)) for p in (r, g, b))
 
 
@@ -365,9 +382,9 @@ def _opponent(luma, cb, cr, start, out):
     order, to the two rows of `out`."""
     r, g, b = (p.reshape(-1)[start : start + out.shape[1]] for p in yuv420_to_rgb(luma, cb, cr))
     np.subtract(r, g, out=out[0], dtype=np.float32)
-    yb = np.add(r, g)
-    yb *= np.float32(0.5)
-    np.subtract(yb, b, out=out[1], dtype=np.float32)
+    r += g  # (r + g) / 2 in place: r is not read again
+    r *= np.float32(0.5)
+    np.subtract(r, b, out=out[1], dtype=np.float32)
 
 
 def colorfulness(luma, cb, cr):

@@ -172,11 +172,13 @@ def write_output(path, mode="w"):
         with open(part, mode) as f:
             yield f
         os.replace(part, target)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    finally:
+    except BaseException as exc:
+        # only a failed block or replace leaves the part behind
         with contextlib.suppress(OSError):
             os.remove(part)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def write_json(path, doc, indent=1):

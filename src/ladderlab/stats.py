@@ -10,7 +10,9 @@ import numpy as np
 from .errors import ValidationError
 
 _VAR_EPS = 1e-12
-_LEAF = 1 << 16  # most values one np.add.reduce call of `tree_sums` adds
+_LEAF = 1 << 15  # most values one np.add.reduce call of `tree_sums` adds: its k rows
+# of float64 (3 for NCC) and CF's float32 planes of one leaf are the largest temporaries of
+# SI, TI, CF and NCC; the bits do not depend on it, as the splits are numpy's
 _PAIRWISE_BLOCK = 128  # numpy adds a run this short in one unrolled loop
 
 

@@ -127,14 +127,16 @@ def test_descriptors_on_large_planes_equal_float64_reference_bit_for_bit(shape):
     assert_equals_float64_reference("colorfulness", even, cb, cr)
 
 
-@pytest.mark.parametrize("h", [16, 17, 18, 19, 33])
+@pytest.mark.parametrize("h", [9, 10, 16, 17, 18, 19, 33])
 def test_banded_descriptors_on_wide_planes_equal_float64_reference_bit_for_bit(h):
     # a band of GLCM and noise holds 15 rows of this width, so their last
     # band is short, GLCM's from h = 16 on and noise's from h = 18; TI and
-    # NCC sum more than one leaf, and SI from h = 18 on, with leaves that
-    # end inside a row
+    # NCC sum more than one leaf, and SI, whose leaf holds more than 7 of
+    # its rows and fewer than 8, from h = 10 on, with leaves that end
+    # inside a row
     w = 4099
     assert features_vod.band_rows(w, 1) == 15
+    assert 9 * w > stats._LEAF and 7 * (w - 2) < stats._LEAF < 8 * (w - 2)
     rng = np.random.default_rng(h)
     prev, curr = rng.integers(0, 256, (2, h, w), dtype=np.uint8)
     for name in ("glcm_descriptors", "spatial_information", "noise_estimate"):
@@ -178,11 +180,24 @@ def test_loaded_r2c_on_frame_sizes_equals_numpy_rfftn_bit_for_bit(shape):
 
 @pytest.mark.parametrize("nh", [1, 2, 15, 16, 17, 33, 67])
 def test_tc_on_tall_planes_equals_float64_reference_bit_for_bit(nh):
-    # a band holds 9 block rows of this width, so from nh = 10 on the
-    # spectra are taken in several bands; those of a plane of one block
+    # a tile holds 2 block rows of this width, so from nh = 3 on the
+    # spectra are taken in several tiles; those of a plane of one block
     # row sum in another order than those of a taller plane
     rng = np.random.default_rng(nh)
     prev, curr = rng.integers(0, 256, (2, TC_BLOCK * nh + 13, 7 * TC_BLOCK + 19), dtype=np.uint8)
+    assert_equals_float64_reference("temporal_coherence", prev, curr)
+
+
+@pytest.mark.parametrize("nh", [1, 2, 3])
+@pytest.mark.parametrize("w", [3840 + 13, 7680 + 13, 7712 + 13])
+def test_tc_on_planes_wider_than_a_tile_equals_float64_reference_bit_for_bit(w, nh):
+    # a block row of these widths holds 120, 240 or 241 blocks, so from
+    # nh = 2 on it is split into tiles, the last one short or of one
+    # block; a plane of one block row keeps its strided whole-row
+    # spectra, whose sums a one-block tile would take in another order
+    assert w // TC_BLOCK > features_vod._TC_TILE
+    rng = np.random.default_rng(w + nh)
+    prev, curr = rng.integers(0, 256, (2, TC_BLOCK * nh + 13, w), dtype=np.uint8)
     assert_equals_float64_reference("temporal_coherence", prev, curr)
 
 
@@ -191,10 +206,10 @@ def test_cf_on_tall_planes_equals_float64_reference_bit_for_bit(chroma_rows):
     # a leaf of `stats.tree_sums` holds more values than 15 chroma rows
     # of this width and fewer than 16; taller planes are converted a leaf
     # at a time, and leaves end inside chroma rows
-    assert 15 * 4 * 1029 < stats._LEAF < 16 * 4 * 1029
+    assert 15 * 4 * 513 < stats._LEAF < 16 * 4 * 513
     rng = np.random.default_rng(chroma_rows)
-    luma = rng.integers(0, 256, (2 * chroma_rows, 2 * 1029), dtype=np.uint8)
-    cb, cr = rng.integers(0, 256, (2, chroma_rows, 1029), dtype=np.uint8)
+    luma = rng.integers(0, 256, (2 * chroma_rows, 2 * 513), dtype=np.uint8)
+    cb, cr = rng.integers(0, 256, (2, chroma_rows, 513), dtype=np.uint8)
     assert_equals_float64_reference("colorfulness", luma, cb, cr)
 
 
@@ -237,12 +252,12 @@ def traced_peak_and_left(call):
 # the frames below, as measured; each bound allows 1 byte more)
 _PEAK_PER_PIXEL = {
     "glcm_descriptors": (features_vod, 1, 0.47),
-    "spatial_information": (features_vod, 1, 0.81),
-    "colorfulness": (features_vod, 3, 1.26),
+    "spatial_information": (features_vod, 1, 0.40),
+    "colorfulness": (features_vod, 3, 0.61),
     "noise_estimate": (features_vod, 1, 0.22),
-    "temporal_coherence": (features_vod, 2, 0.77),
-    "temporal_information": (features_vod, 2, 0.32),
-    "ncc": (features_vod, 2, 0.80),
+    "temporal_coherence": (features_vod, 2, 0.27),
+    "temporal_information": (features_vod, 2, 0.19),
+    "ncc": (features_vod, 2, 0.41),
     "block_energies": (features_live, 1, 0.49),
 }
 
@@ -264,8 +279,8 @@ def test_descriptor_peak_memory_per_luma_pixel(hd_frame_args, name):
     # no kernel holds a whole plane of the frame's size: SI forms |g|^2
     # and CF its two float32 opponent planes on the rows of one summation
     # leaf at a time, once for the mean and once for the deviations, TC
-    # holds the spectra of one band of block rows at a time, and the rest
-    # work in block-row bands or summation leaves
+    # holds the spectra of one tile of at most 16 blocks at a time, and
+    # the rest work in block-row bands or summation leaves
     module, arity, measured = _PEAK_PER_PIXEL[name]
     args = hd_frame_args[arity]
     peak, left = traced_peak_and_left(lambda: getattr(module, name)(*args))
@@ -274,6 +289,19 @@ def test_descriptor_peak_memory_per_luma_pixel(hd_frame_args, name):
     # reference cycle would stay until the next collection and add up
     # over the frames of a clip
     assert left < 1 << 16
+
+
+def test_tc_peak_memory_does_not_grow_with_frame_width():
+    # two block rows of 60, 120 and 240 blocks: TC holds the spectra of
+    # one tile of blocks at a time, and reads each block row's planes as
+    # views, so its peak is the same at every width
+    rng = np.random.default_rng(5)
+    temporal_coherence(*rng.integers(0, 256, (2, TC_BLOCK, TC_BLOCK), dtype=np.uint8))
+    peaks = []
+    for w in (1933, 3853, 7693):
+        prev, curr = rng.integers(0, 256, (2, 2 * TC_BLOCK + 7, w), dtype=np.uint8)
+        peaks.append(traced_peak_and_left(lambda: temporal_coherence(prev, curr))[0])
+    assert max(peaks) <= 1.1 * min(peaks), peaks
 
 
 def seeded_clip(make_clip, width, height, frames=3):
@@ -291,7 +319,7 @@ def traced_extract(extract, clip):
     return traced_peak_and_left(lambda: extract(clip))
 
 
-@pytest.mark.parametrize("extract, measured", [(extract_vod, 1.32), (extract_live, 0.53)],
+@pytest.mark.parametrize("extract, measured", [(extract_vod, 0.65), (extract_live, 0.53)],
                          ids=["extract_vod", "extract_live"])
 def test_extractor_peak_memory_per_luma_pixel(make_clip, extract, measured):
     # peak traced bytes per luma pixel of a seeded 3-frame 1920x1080 clip,
@@ -308,9 +336,10 @@ def test_extractor_peak_memory_per_luma_pixel(make_clip, extract, measured):
 @pytest.mark.parametrize("extract", [extract_vod, extract_live],
                          ids=["extract_vod", "extract_live"])
 def test_extractor_peak_memory_does_not_grow_with_frame_size(make_clip, extract):
-    # both sizes get the same TC and DCT band of 61,440 pixels (one block
-    # row at 1920, two at 960) and the same summation leaves, so four
-    # times the pixels may add only what the longer rows add
+    # both sizes get the same TC tiles of 16 blocks, the same DCT band of
+    # 61,440 pixels (one block row at 1920, two at 960) and the same
+    # summation leaves, so four times the pixels may add only what the
+    # longer rows add
     small = traced_extract(extract, seeded_clip(make_clip, 960, 540))[0]
     large = traced_extract(extract, seeded_clip(make_clip, 1920, 1080))[0]
     assert large <= small + (1 << 19)

@@ -178,6 +178,22 @@ def test_write_output_replaces_whole_or_not_at_all(tmp_path):
     assert path.read_text() == "new\n" and os.listdir(tmp_path) == ["out.csv"]
 
 
+def test_write_output_removes_no_part_after_a_replace(tmp_path, monkeypatch):
+    # the replace moved the part onto the target, so a clean write asks
+    # for no removal; a failed block still removes its part
+    removed = []
+    monkeypatch.setattr(pipeline.os, "remove", lambda p: removed.append(p) or os.unlink(p))
+    path = tmp_path / "out.csv"
+    with pipeline.write_output(path) as f:
+        f.write("new\n")
+    assert removed == [] and path.read_text() == "new\n"
+    with pytest.raises(RuntimeError):
+        with pipeline.write_output(path) as f:
+            raise RuntimeError("stop")
+    assert [os.path.basename(p) for p in removed] == [".out.csv.part"]
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_write_json_refuses_a_non_finite_number(tmp_path, value):
     # a NaN or Infinity token is not JSON: the old file keeps its bytes
